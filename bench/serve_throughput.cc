@@ -2,20 +2,30 @@
  * @file
  * capuserve throughput harness: cold vs warm requests/sec and latency.
  *
- * Phase 1 (cold) sends one request per tenant — every one a cache miss
- * that runs a full measured planning session. Phase 2 (warm) repeats the
- * mix — every one a cache hit answered by forking the cached template
- * session, no re-measurement. A third phase runs one guided iteration on
+ * Both timed phases run in kRounds rounds, interleaved. A cold round
+ * starts a fresh service and sends one request per tenant, so every
+ * request is a cache miss that runs a full measured planning session; the
+ * warm round after it repeats the mix kWarmPasses times on that service,
+ * so every request is a cache hit answered by forking the cached template
+ * session, no re-measurement. A last phase runs one guided iteration on
  * each warm fork to show the fork is a *live* session, not just a stored
- * plan. Two hard gates:
+ * plan. Three hard gates:
  *
  *  - identity: every warm response's plan digest equals the digest of the
  *    cold measured plan for its key (plan_io digests hash every field of
  *    every item, so equal digests mean bit-identical plans);
- *  - speedup: warm requests/sec must be >= 10x cold requests/sec — the
- *    capuserve acceptance floor. The ratio is host-time based but
- *    self-relative (both phases run on the same machine in the same
- *    process), so no calibration normalization is needed.
+ *  - accounting: cold rounds run exactly one measured session per cache
+ *    miss, and warm requests run none;
+ *  - speedup: the median warm round's requests/sec must be >= 10x the
+ *    median cold round's — the capuserve acceptance floor. The ratio is
+ *    host-time based but self-relative (both phases run on the same
+ *    machine in the same process), so no calibration normalization is
+ *    needed; medians over several rounds keep one slow round on a shared
+ *    host from deciding it. The timed phases admit one request at a
+ *    time: with more admission tokens cold sessions run in parallel
+ *    while warm forks serialize on the service mutex, so the ratio
+ *    would track the host's core count (~24x on one core, ~11x on four)
+ *    instead of what a hit saves over a miss.
  *
  * --verify adds an eviction-churn stress: a service capped at 2 cache
  * entries is driven round-robin over 4 tenants, so every request misses
@@ -30,12 +40,15 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/serve_common.hh"
 #include "obs/metrics.hh"
 #include "support/logging.hh"
+#include "support/strfmt.hh"
+#include "support/thread_pool.hh"
 #include "support/units.hh"
 
 using namespace capu;
@@ -49,7 +62,6 @@ struct Options
 {
     bool quick = false;
     bool verify = false;
-    std::size_t warmRequests = 0; ///< 0 = default (64 full, 24 quick)
     int gpus = 4;
     std::string device = "p100";
     std::string json;
@@ -60,11 +72,10 @@ usage()
 {
     std::cout <<
         "usage: serve_throughput [options]\n"
-        "  --quick           2-tenant mix, fewer warm requests (CI smoke)\n"
+        "  --quick           2-tenant mix (CI smoke)\n"
         "  --verify          add the eviction-churn stress phase\n"
-        "  --warm-requests N warm-phase request count (default 64; 24\n"
-        "                    with --quick)\n"
-        "  --gpus N          admission tokens for the request queue\n"
+        "  --gpus N          admission tokens for the churn stress (the\n"
+        "                    timed phases admit one request at a time)\n"
         "  --device NAME     p100 (default) | v100\n"
         "  --json FILE       write machine-readable results here\n";
 }
@@ -76,6 +87,63 @@ jsonNum(double v)
     std::snprintf(buf, sizeof buf, "%.6g", v);
     return std::atof(buf);
 }
+
+/** Timed rounds per phase. A single 4-request cold phase is one noisy
+ *  sample on a shared host; the median of 20 rounds is stable. */
+constexpr std::size_t kRounds = 20;
+
+/** Passes over the tenant mix per warm round. A one-pass warm round
+ *  lasts a millisecond or two, short against the queue's per-drain
+ *  dispatch cost; a cold round lasts tens. */
+constexpr std::size_t kWarmPasses = 4;
+
+/** The rounds of one timed phase. */
+struct PhaseRounds
+{
+    std::vector<double> reqPerSec; ///< one sample per round
+    std::vector<double> latencyMs; ///< every request of every round
+    std::size_t requests = 0;
+    int errors = 0;
+    /** Responses that ran a measured session (neither hit nor disk). */
+    std::size_t measured = 0;
+
+    void
+    add(const ServePhaseResult &round)
+    {
+        reqPerSec.push_back(round.reqPerSec);
+        requests += round.requests;
+        errors += round.errors;
+        for (const PlanResponse &r : round.responses) {
+            latencyMs.push_back(r.latencyMs);
+            if (!r.hit && !r.fromDisk)
+                ++measured;
+        }
+    }
+
+    double medianReqPerSec() const { return servePercentile(reqPerSec, 0.5); }
+
+    std::string
+    describe() const
+    {
+        return fmt("{} req in {} rounds, median {} req/s (min {}, max {}), "
+                   "p50 {} ms, p99 {} ms",
+                   requests, reqPerSec.size(), medianReqPerSec(),
+                   servePercentile(reqPerSec, 0.0),
+                   servePercentile(reqPerSec, 1.0),
+                   servePercentile(latencyMs, 0.5),
+                   servePercentile(latencyMs, 0.99));
+    }
+
+    std::string
+    json() const
+    {
+        return fmt("{\"requests\": {}, \"rounds\": {}, \"req_per_sec\": {}, "
+                   "\"p50_ms\": {}, \"p99_ms\": {}}",
+                   requests, reqPerSec.size(), jsonNum(medianReqPerSec()),
+                   jsonNum(servePercentile(latencyMs, 0.5)),
+                   jsonNum(servePercentile(latencyMs, 0.99)));
+    }
+};
 
 } // namespace
 
@@ -96,9 +164,6 @@ main(int argc, char **argv)
             opt.quick = true;
         else if (arg == "--verify")
             opt.verify = true;
-        else if (arg == "--warm-requests")
-            opt.warmRequests =
-                static_cast<std::size_t>(std::atoll(next()));
         else if (arg == "--gpus")
             opt.gpus = std::atoi(next());
         else if (arg == "--device")
@@ -120,8 +185,6 @@ main(int argc, char **argv)
         opt.quick ? kQuickServeTenants : kServeTenants;
     std::size_t n_tenants =
         opt.quick ? std::size(kQuickServeTenants) : std::size(kServeTenants);
-    std::size_t warm_requests =
-        opt.warmRequests ? opt.warmRequests : (opt.quick ? 24u : 64u);
 
     try {
         PlanServiceConfig cfg;
@@ -131,51 +194,73 @@ main(int argc, char **argv)
             cfg.exec.device = GpuDeviceSpec::p100();
         obs::MetricsRegistry metrics;
         metrics.setEnabled(true);
-        PlanService service(cfg, &metrics);
         RequestQueueConfig qcfg;
         qcfg.gpus = opt.gpus;
-        RequestQueue queue(service, qcfg);
+        RequestQueueConfig timed_qcfg; // one request at a time (file comment)
+        timed_qcfg.gpus = 1;
+        ThreadPool pool;
+        std::unique_ptr<PlanService> service;
+        std::unique_ptr<RequestQueue> queue;
 
         bool ok = true;
         ServeDigestLedger ledger;
+        auto round = [&](std::size_t passes, int warm_iters,
+                         PhaseRounds &phase) {
+            std::vector<PlanRequest> reqs = serveMix(
+                tenants, n_tenants, passes * n_tenants, warm_iters);
+            ServePhaseResult res = runServePhase(*queue, reqs);
+            ledger.observe(reqs, res.responses);
+            phase.add(res);
+        };
 
-        // ---- phase 1: cold (every request measures and plans) -----------
-        std::vector<PlanRequest> cold_reqs =
-            serveMix(tenants, n_tenants, n_tenants, /*warm_iters=*/0);
-        ServePhaseResult cold = runServePhase(queue, cold_reqs);
-        ledger.observe(cold_reqs, cold.responses);
-
-        // ---- phase 2: warm (every request forks the cached template) ----
-        std::vector<PlanRequest> warm_reqs =
-            serveMix(tenants, n_tenants, warm_requests, /*warm_iters=*/0);
-        ServePhaseResult warm = runServePhase(queue, warm_reqs);
-        ledger.observe(warm_reqs, warm.responses);
+        // ---- phases 1 + 2: cold and warm rounds, interleaved ------------
+        // Each cold round starts a fresh service, so every request misses
+        // and measures; the warm round after it hits that service's cache
+        // and forks its templates. Interleaving puts both phases under the
+        // same host load, which drifts on a shared host. An untimed pass
+        // goes before each warm round: the first forks of a fresh template
+        // fault in memory a long-running service faults in once.
+        PhaseRounds cold, warm, warmup;
+        std::uint64_t cold_misses = 0;
+        for (std::size_t r = 0; r < kRounds; ++r) {
+            queue.reset();
+            service = std::make_unique<PlanService>(cfg, &metrics);
+            queue =
+                std::make_unique<RequestQueue>(*service, timed_qcfg, &pool);
+            round(1, /*warm_iters=*/0, cold);
+            cold_misses += service->cacheStats().misses;
+            round(1, /*warm_iters=*/0, warmup);
+            round(kWarmPasses, /*warm_iters=*/0, warm);
+        }
 
         // ---- phase 3: warm fork + 1 guided iteration (reported only) ----
-        std::vector<PlanRequest> run_reqs =
-            serveMix(tenants, n_tenants, n_tenants, /*warm_iters=*/1);
-        ServePhaseResult forkrun = runServePhase(queue, run_reqs);
-        ledger.observe(run_reqs, forkrun.responses);
+        PhaseRounds forkrun;
+        round(1, /*warm_iters=*/1, forkrun);
 
-        const PlanCacheStats &cs = service.cacheStats();
-        double speedup =
-            cold.reqPerSec > 0 ? warm.reqPerSec / cold.reqPerSec : 0.0;
+        const PlanCacheStats &cs = service->cacheStats();
+        double speedup = cold.medianReqPerSec() > 0
+                             ? warm.medianReqPerSec() / cold.medianReqPerSec()
+                             : 0.0;
+        const std::size_t warm_measured =
+            warmup.measured + warm.measured + forkrun.measured;
 
         std::cout << "capuserve throughput (" << n_tenants
                   << " tenants, device " << opt.device << ")\n";
-        std::cout << "  cold: " << cold.requests << " req, "
-                  << cold.reqPerSec << " req/s, p50 " << cold.p50Ms
-                  << " ms, p99 " << cold.p99Ms << " ms\n";
-        std::cout << "  warm: " << warm.requests << " req, "
-                  << warm.reqPerSec << " req/s, p50 " << warm.p50Ms
-                  << " ms, p99 " << warm.p99Ms << " ms\n";
+        std::cout << "  cold: " << cold.describe() << "\n";
+        std::cout << "  warm: " << warm.describe() << "\n";
         std::cout << "  fork+run: " << forkrun.requests << " req, p50 "
-                  << forkrun.p50Ms << " ms (1 guided iteration each)\n";
-        std::cout << "  speedup: " << speedup << "x warm over cold; cache "
-                  << cs.hits << " hits / " << cs.misses << " misses, "
-                  << service.templateSessions() << " template sessions\n";
+                  << servePercentile(forkrun.latencyMs, 0.5)
+                  << " ms (1 guided iteration each)\n";
+        std::cout << "  speedup: " << speedup
+                  << "x warm over cold (median round each); cold "
+                  << cold.measured << " measured sessions / " << cold_misses
+                  << " misses; warm " << warm_measured
+                  << " measured sessions; last service " << cs.hits
+                  << " hits / " << cs.misses << " misses, "
+                  << service->templateSessions() << " template sessions\n";
 
-        int errors = cold.errors + warm.errors + forkrun.errors;
+        int errors = cold.errors + warmup.errors + warm.errors +
+                     forkrun.errors;
         if (errors) {
             std::cerr << "SERVE ERRORS: " << errors
                       << " requests failed\n";
@@ -186,12 +271,20 @@ main(int argc, char **argv)
                          "with the cold plan for its key\n";
             ok = false;
         }
-        if (cs.misses != n_tenants ||
-            cs.hits != warm.requests + forkrun.requests) {
+        if (cold.measured != cold_misses || cold_misses != cold.requests ||
+            warm_measured != 0) {
+            std::cerr << "SERVE MEASURED SESSIONS OFF: cold " << cold.measured
+                      << " for " << cold_misses << " misses of "
+                      << cold.requests << " requests; warm " << warm_measured
+                      << " (expected 0)\n";
+            ok = false;
+        }
+        const std::size_t last_hits =
+            (1 + kWarmPasses) * n_tenants + forkrun.requests;
+        if (cs.misses != n_tenants || cs.hits != last_hits) {
             std::cerr << "SERVE CACHE ACCOUNTING OFF: " << cs.hits
                       << " hits / " << cs.misses << " misses, expected "
-                      << warm.requests + forkrun.requests << " / "
-                      << n_tenants << "\n";
+                      << last_hits << " / " << n_tenants << "\n";
             ok = false;
         }
         if (speedup < 10.0) {
@@ -259,16 +352,10 @@ main(int argc, char **argv)
             js << "{\n  \"schema\": \"capu-serve-v1\",\n"
                << "  \"quick\": " << (opt.quick ? "true" : "false") << ",\n"
                << "  \"tenants\": " << n_tenants << ",\n"
-               << "  \"cold\": {\"requests\": " << cold.requests
-               << ", \"req_per_sec\": " << jsonNum(cold.reqPerSec)
-               << ", \"p50_ms\": " << jsonNum(cold.p50Ms)
-               << ", \"p99_ms\": " << jsonNum(cold.p99Ms) << "},\n"
-               << "  \"warm\": {\"requests\": " << warm.requests
-               << ", \"req_per_sec\": " << jsonNum(warm.reqPerSec)
-               << ", \"p50_ms\": " << jsonNum(warm.p50Ms)
-               << ", \"p99_ms\": " << jsonNum(warm.p99Ms) << "},\n"
-               << "  \"fork_run_p50_ms\": " << jsonNum(forkrun.p50Ms)
-               << ",\n"
+               << "  \"cold\": " << cold.json() << ",\n"
+               << "  \"warm\": " << warm.json() << ",\n"
+               << "  \"fork_run_p50_ms\": "
+               << jsonNum(servePercentile(forkrun.latencyMs, 0.5)) << ",\n"
                << "  \"warm_speedup\": " << jsonNum(speedup) << ",\n"
                << "  \"identical\": "
                << (ledger.identical() ? "true" : "false") << ",\n"

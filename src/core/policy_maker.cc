@@ -549,18 +549,47 @@ PolicyMaker::runIncremental(Plan &plan, std::vector<Candidate> cands) const
     std::vector<Tick> exp_cache(n, 0);
     std::vector<std::uint64_t> exp_epoch(n, 0); // 0 = never computed
 
+    // queueDelay() split at the lane epoch: each lane is sorted and its
+    // waiting total taken once per epoch. A probe is appended to a copy
+    // of the sorted lane and sorted again — the very array queueDelay's
+    // second sort receives, so equal-anchor transfers keep their order.
+    struct SortedLane
+    {
+        std::vector<Xfer> xfers;
+        Tick wait = 0;
+    };
+    SortedLane sorted_out, sorted_in;
+    std::uint64_t sorted_epoch = 0;
+    std::vector<Xfer> probed;
+    auto probe_delay = [&probed](const SortedLane &lane, Xfer probe) {
+        probed.assign(lane.xfers.begin(), lane.xfers.end());
+        probed.push_back(probe);
+        std::sort(probed.begin(), probed.end());
+        return laneWait(probed) - lane.wait;
+    };
+    auto sort_lane = [](SortedLane &lane, const std::vector<Xfer> &chosen) {
+        lane.xfers = chosen;
+        std::sort(lane.xfers.begin(), lane.xfers.end());
+        lane.wait = laneWait(lane.xfers);
+    };
+
     auto exposure_of = [&](std::size_t i) -> Tick {
         if (exp_epoch[i] != lane_epoch) {
+            if (sorted_epoch != lane_epoch) {
+                sort_lane(sorted_out, chosen_out);
+                sort_lane(sorted_in, chosen_in);
+                sorted_epoch = lane_epoch;
+            }
             const Candidate &c = cands[i];
             Tick interval = c.backTime - c.evictTime;
             Tick round_trip = 2 * c.swapTime;
             Tick exposed =
                 round_trip > interval ? round_trip - interval : 0;
             exposed +=
-                queueDelay(chosen_out, Xfer{c.evictTime, c.swapTime});
+                probe_delay(sorted_out, Xfer{c.evictTime, c.swapTime});
             Tick in_anchor =
                 c.backTime > c.swapTime ? c.backTime - c.swapTime : 0;
-            exposed += queueDelay(chosen_in, Xfer{in_anchor, c.swapTime});
+            exposed += probe_delay(sorted_in, Xfer{in_anchor, c.swapTime});
             exp_cache[i] = exposed;
             exp_epoch[i] = lane_epoch;
         }

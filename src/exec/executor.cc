@@ -1,9 +1,6 @@
 #include "exec/executor.hh"
 
 #include <algorithm>
-#include <functional>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "support/logging.hh"
 #include "support/rng.hh"
@@ -531,19 +528,24 @@ Tick
 Executor::recomputeTensor(TensorId target, Tick at)
 {
     // --- 1. Plan: ops whose replay regenerates `target` from residents ---
+    // Everything here stays local: ensureResident() below can re-enter
+    // recomputeTensor() mid-replay when a passive eviction drops a source.
     std::vector<OpId> plan;
     plan.reserve(16);
     std::vector<bool> in_plan(graph_.numOps(), false);
 
-    std::function<void(TensorId)> need = [&](TensorId tid) {
+    std::vector<TensorId> stack{target};
+    while (!stack.empty()) {
+        TensorId tid = stack.back();
+        stack.pop_back();
         TensorState &st = state(tid);
         TensorStatus s = effectiveStatus(st, at);
         if (s == TensorStatus::In || s == TensorStatus::SwappingOut ||
             s == TensorStatus::SwappingIn) {
-            return; // resident source
+            continue; // resident source
         }
         if (s == TensorStatus::Out && st.hasHostCopy)
-            return; // swappable source; fetched on demand during replay
+            continue; // swappable source; fetched on demand during replay
         OpId prod = graph_.tensor(tid).producer;
         if (prod == kInvalidOp)
             panic("recompute of {} reached an unproduced tensor",
@@ -553,13 +555,11 @@ Executor::recomputeTensor(TensorId target, Tick at)
             panic("recompute of {} requires non-recomputable op {}",
                   graph_.tensor(tid).name, op.name);
         if (in_plan[prod])
-            return;
+            continue;
         in_plan[prod] = true;
-        for (TensorId in : op.inputs)
-            need(in);
         plan.push_back(prod);
-    };
-    need(target);
+        stack.insert(stack.end(), op.inputs.begin(), op.inputs.end());
+    }
     // Op ids are assigned in construction order, which is topological for
     // builder-produced graphs; sorting restores dependency order.
     std::sort(plan.begin(), plan.end());
@@ -577,30 +577,48 @@ Executor::recomputeTensor(TensorId target, Tick at)
     std::vector<TensorId> kept;
     kept.reserve(plan.size());
 
+    // (tensor, position in `plan` of an op reading it), sorted. Built by
+    // the first release in the middle of the replay; the final release
+    // frees every pooled tensor and needs no positions.
+    std::vector<std::pair<TensorId, std::size_t>> readers;
+    auto read_at_or_after = [&](TensorId tid, std::size_t plan_pos) {
+        if (readers.empty()) {
+            for (std::size_t p = 0; p < plan.size(); ++p) {
+                for (TensorId in : graph_.op(plan[p]).inputs)
+                    readers.emplace_back(in, p);
+            }
+            std::sort(readers.begin(), readers.end());
+        }
+        // The tensor's last pair holds the position of its last reader.
+        auto it = std::upper_bound(readers.begin(), readers.end(),
+                                   std::make_pair(tid, plan.size()));
+        return it != readers.begin() && (it - 1)->first == tid &&
+               (it - 1)->second >= plan_pos;
+    };
+
+    // Free the pooled tensors no op at or after `plan_pos` reads, in pool
+    // order: the order decides which same-tick frees coalesce first.
     auto release_from = [&](std::vector<TensorId> &pool, Tick when,
                             std::size_t plan_pos) {
-        std::unordered_set<TensorId> still_needed;
-        for (std::size_t p = plan_pos; p < plan.size(); ++p) {
-            for (TensorId in : graph_.op(plan[p]).inputs)
-                still_needed.insert(in);
-        }
         bool any = false;
-        for (auto it = pool.begin(); it != pool.end();) {
-            if (still_needed.count(*it) == 0) {
-                TensorState &st = state(*it);
-                if (st.gpuHandle) {
-                    mem_.freeAt(when, *st.gpuHandle);
-                    st.gpuHandle.reset();
-                    st.status = st.hasHostCopy ? TensorStatus::Out
-                                               : TensorStatus::Recompute;
-                    notePhase(*it, st.hasHostCopy ? "OUT" : "DROPPED", when);
-                    any = true;
-                }
-                it = pool.erase(it);
-            } else {
-                ++it;
+        std::size_t kept_count = 0;
+        for (std::size_t i = 0; i < pool.size(); ++i) {
+            TensorId tid = pool[i];
+            if (plan_pos < plan.size() && read_at_or_after(tid, plan_pos)) {
+                pool[kept_count++] = tid;
+                continue;
+            }
+            TensorState &st = state(tid);
+            if (st.gpuHandle) {
+                mem_.freeAt(when, *st.gpuHandle);
+                st.gpuHandle.reset();
+                st.status = st.hasHostCopy ? TensorStatus::Out
+                                           : TensorStatus::Recompute;
+                notePhase(tid, st.hasHostCopy ? "OUT" : "DROPPED", when);
+                any = true;
             }
         }
+        pool.resize(kept_count);
         return any;
     };
     auto release_scratch = [&](Tick when, std::size_t plan_pos) {
@@ -1259,73 +1277,92 @@ Executor::canRegenerateStably(TensorId id)
 std::vector<TensorId>
 Executor::victimsForContiguous(std::uint64_t bytes)
 {
-    // Map live chunk offsets to their owning tensors.
-    std::unordered_map<std::uint64_t, TensorId> owner;
+    // Live chunk offsets with their owning tensors, ascending, so the
+    // address-ordered chunk walk below can merge-join them. In-place
+    // forwarding moves a handle rather than sharing it, so an offset has
+    // at most one owner.
+    std::vector<std::pair<MemHandle, TensorId>> owners;
     for (std::size_t i = 0; i < states_.size(); ++i) {
         if (states_[i].gpuHandle)
-            owner[*states_[i].gpuHandle] = static_cast<TensorId>(i);
+            owners.emplace_back(*states_[i].gpuHandle,
+                                static_cast<TensorId>(i));
     }
+    std::sort(owners.begin(), owners.end());
+    for (std::size_t i = 1; i < owners.size(); ++i) {
+        if (owners[i].first == owners[i - 1].first)
+            panic("tensors {} and {} share GPU chunk {}",
+                  graph_.tensor(owners[i - 1].second).name,
+                  graph_.tensor(owners[i].second).name, owners[i].first);
+    }
+    std::size_t next_owner = 0;
+    auto owner_of = [&](MemHandle offset) {
+        while (next_owner < owners.size() &&
+               owners[next_owner].first < offset)
+            ++next_owner;
+        return next_owner < owners.size() &&
+                       owners[next_owner].first == offset
+                   ? owners[next_owner].second
+                   : kInvalidTensor;
+    };
 
     // Sliding window over the arena: the cheapest run of chunks (all free
     // or evictable) whose total size covers the request. Cost = evicted
-    // bytes. Chunks owned by no tensor (workspaces, in-flight transfers),
-    // by weights, or by pinned/non-resident tensors block a window.
+    // bytes; of equally cheap windows the lowest-addressed wins. Chunks
+    // owned by no tensor (workspaces, in-flight transfers), by weights, or
+    // by pinned/non-resident tensors block a window. Chunks with an
+    // in-flight deferred free count as zero-cost — the allocation retry
+    // loop waits for their transfers anyway.
     auto chunks = mem_.gpu().snapshot();
-    auto evictable = [&](std::size_t i, TensorId &out_tensor) {
-        auto it = owner.find(chunks[i].offset);
-        if (it == owner.end())
+    // Per chunk reached by the walk: the tensor evicting it would free,
+    // or kInvalidTensor when it costs nothing (free or free-pending).
+    std::vector<TensorId> victim(chunks.size(), kInvalidTensor);
+    auto blocks = [&](std::size_t i) {
+        if (chunks[i].free || mem_.isFreePending(chunks[i].offset))
             return false;
-        TensorId tid = it->second;
-        const TensorDesc &t = graph_.tensor(tid);
-        if (t.kind == TensorKind::Weight)
-            return false;
+        TensorId tid = owner_of(chunks[i].offset);
+        if (tid == kInvalidTensor ||
+            graph_.tensor(tid).kind == TensorKind::Weight)
+            return true;
         const TensorState &st = state(tid);
         if (st.pinCount > 0 ||
             effectiveStatus(st, clock_) != TensorStatus::In)
-            return false;
-        out_tensor = tid;
-        return true;
+            return true;
+        victim[i] = tid;
+        return false;
     };
 
-    std::vector<TensorId> best;
-    best.reserve(8);
     std::uint64_t best_cost = ~0ull;
+    std::size_t best_lo = 0;
+    std::size_t best_hi = 0;
     std::size_t lo = 0;
     std::uint64_t span = 0;
     std::uint64_t cost = 0;
-    std::vector<TensorId> window;
-    window.reserve(8);
     for (std::size_t hi = 0; hi < chunks.size(); ++hi) {
-        TensorId tid = kInvalidTensor;
-        bool pending_free =
-            !chunks[hi].free && mem_.isFreePending(chunks[hi].offset);
-        if (!chunks[hi].free && !pending_free && !evictable(hi, tid)) {
-            // Blocker: restart past it. (Chunks with an in-flight deferred
-            // free count as zero-cost — the allocation retry loop waits
-            // for their transfers anyway.)
+        if (blocks(hi)) {
             lo = hi + 1;
             span = 0;
             cost = 0;
-            window.clear();
             continue;
         }
         span += chunks[hi].size;
-        if (!chunks[hi].free && !pending_free) {
+        if (victim[hi] != kInvalidTensor)
             cost += chunks[hi].size;
-            window.push_back(tid);
-        }
         while (lo < hi && span - chunks[lo].size >= bytes) {
             span -= chunks[lo].size;
-            if (!chunks[lo].free && !mem_.isFreePending(chunks[lo].offset)) {
+            if (victim[lo] != kInvalidTensor)
                 cost -= chunks[lo].size;
-                window.erase(window.begin());
-            }
             ++lo;
         }
         if (span >= bytes && cost < best_cost) {
             best_cost = cost;
-            best = window;
+            best_lo = lo;
+            best_hi = hi + 1;
         }
+    }
+    std::vector<TensorId> best;
+    for (std::size_t i = best_lo; i < best_hi; ++i) {
+        if (victim[i] != kInvalidTensor)
+            best.push_back(victim[i]);
     }
     return best;
 }

@@ -6,7 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <iterator>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "exec/executor.hh"
 #include "exec/session.hh"
@@ -351,6 +355,105 @@ TEST(Executor, VictimsForContiguousFindsWindow)
     auto victims = ex.victimsForContiguous(1_MiB);
     EXPECT_TRUE(victims.empty());
     EXPECT_TRUE(ex.canAllocateNow(1_MiB));
+}
+
+namespace
+{
+
+/** Runs `probe` while the op producing `trigger` writes it. */
+class WriteProbe : public MemoryPolicy
+{
+  public:
+    TensorId trigger = kInvalidTensor;
+    std::function<void(ExecContext &)> probe;
+
+    std::string name() const override { return "write-probe"; }
+
+    void
+    onAccess(ExecContext &ctx, const AccessEvent &ev) override
+    {
+        if (ev.tensor == trigger && ev.isOutput)
+            probe(ctx);
+    }
+};
+
+} // namespace
+
+TEST(Executor, VictimsForContiguousMidIteration)
+{
+    // Six feature maps A..F all read `img` and are summed at the end. The
+    // probe runs while F is written, with the arena packed low to high
+    // (MiB): w 1 | img 1 | A 2 | B 1 | C 1 | D 2 | E 1 | F 1 | free 0.5.
+    // w is a weight and img and F are pinned by the running op, so all
+    // three block a window; A..E are resident and evictable.
+    Graph g("victims");
+    TensorId w = g.addTensor("w", 1_MiB, TensorKind::Weight);
+    TensorId img = g.addTensor("img", 1_MiB, TensorKind::FeatureMap);
+    Operation src;
+    src.name = "source";
+    src.category = OpCategory::Source;
+    src.outputs = {img};
+    src.recomputable = false;
+    g.addOp(src);
+    const std::uint64_t sizes[] = {2_MiB, 1_MiB, 1_MiB, 2_MiB, 1_MiB, 1_MiB};
+    std::vector<TensorId> fm;
+    for (std::size_t i = 0; i < std::size(sizes); ++i) {
+        std::string name(1, static_cast<char>('A' + i));
+        TensorId t = g.addTensor(name, sizes[i], TensorKind::FeatureMap);
+        Operation op;
+        op.name = "make" + name;
+        op.inputs = {img};
+        op.outputs = {t};
+        op.flops = 1e6;
+        g.addOp(op);
+        fm.push_back(t);
+    }
+    Operation sum;
+    sum.name = "sum";
+    sum.inputs = fm;
+    sum.inputs.push_back(w);
+    sum.outputs = {g.addTensor("sum", 256, TensorKind::FeatureMap)};
+    sum.flops = 1e6;
+    g.addOp(sum);
+    g.validate();
+    const TensorId a = fm[0], b = fm[1], c = fm[2];
+
+    WriteProbe policy;
+    policy.trigger = fm[5];
+    Executor ex(g, testConfig(10_MiB + 512_KiB), &policy);
+    bool probed = false;
+    policy.probe = [&](ExecContext &ctx) {
+        probed = true;
+        ASSERT_EQ(*ex.tensorState(w).gpuHandle, 0u);
+        ASSERT_EQ(*ex.tensorState(img).gpuHandle, 1_MiB);
+        ASSERT_EQ(*ex.tensorState(a).gpuHandle, 2_MiB);
+        ASSERT_EQ(*ex.tensorState(fm[5]).gpuHandle, 9_MiB);
+        ASSERT_TRUE(ctx.isPinned(img));
+        ASSERT_TRUE(ctx.isPinned(fm[5]));
+
+        // [w] and [img] would cost 1 MiB at lower addresses, but a
+        // weight and a pinned chunk block; of B, C and E, B is lowest.
+        EXPECT_EQ(ctx.victimsForContiguous(1_MiB), std::vector{b});
+        // [F, free] would cost only 1 MiB, but F is pinned.
+        EXPECT_EQ(ctx.victimsForContiguous(1_MiB + 512_KiB),
+                  std::vector{a});
+        // [A], [B, C] and [D] all cost 2 MiB: the lowest-addressed wins.
+        EXPECT_EQ(ctx.victimsForContiguous(2_MiB), std::vector{a});
+        // Several victims come back in address order.
+        EXPECT_EQ(ctx.victimsForContiguous(3_MiB), (std::vector{a, b}));
+
+        // Swapping B out leaves its chunk behind a pending deferred free,
+        // which costs nothing and is never returned as a victim.
+        MemHandle b_chunk = *ex.tensorState(b).gpuHandle;
+        ctx.evictSwapAsync(b);
+        ASSERT_TRUE(ex.memory().isFreePending(b_chunk));
+        EXPECT_TRUE(ctx.victimsForContiguous(1_MiB).empty());
+        // [B, C] now costs 1 MiB and beats [A], the cheapest window wins.
+        EXPECT_EQ(ctx.victimsForContiguous(2_MiB), std::vector{c});
+    };
+    ex.setup();
+    ex.runIteration();
+    EXPECT_TRUE(probed);
 }
 
 TEST(Session, RunsAndReportsThroughput)
