@@ -1,8 +1,8 @@
 /**
  * @file
- * google-benchmark microbenches for the substrate hot paths: the event
- * queue, the BFC allocator, the access tracker, graph construction, the
- * policy maker, and a whole simulated training iteration. These guard the
+ * google-benchmark microbenches for the substrate hot paths: the BFC
+ * allocator, the access tracker, graph construction, the policy maker,
+ * and a whole simulated training iteration. These guard the
  * simulator's own performance (a full Table-2 sweep runs ~10^4 simulated
  * iterations).
  */
@@ -15,7 +15,6 @@
 #include "memory/bfc_allocator.hh"
 #include "models/zoo.hh"
 #include "policy/noop_policy.hh"
-#include "sim/event_queue.hh"
 #include "support/logging.hh"
 #include "support/rng.hh"
 
@@ -26,21 +25,6 @@ namespace
 // Policy-internal inform() chatter would pollute the benchmark table.
 [[maybe_unused]] const bool g_quiet = (setLogEnabled(false), true);
 } // namespace
-
-static void
-BM_EventQueueScheduleRun(benchmark::State &state)
-{
-    for (auto _ : state) {
-        EventQueue q;
-        int sink = 0;
-        for (int i = 0; i < 1000; ++i)
-            q.schedule(static_cast<Tick>(i * 7 % 997), [&](Tick) { ++sink; });
-        q.runAll();
-        benchmark::DoNotOptimize(sink);
-    }
-    state.SetItemsProcessed(state.iterations() * 1000);
-}
-BENCHMARK(BM_EventQueueScheduleRun);
 
 static void
 BM_BfcAllocFreeCycle(benchmark::State &state)

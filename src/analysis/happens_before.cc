@@ -56,8 +56,7 @@ diag(LintReport &report, LintSeverity sev, const char *rule, TensorId tensor,
 // ---------------------------------------------------------------------------
 
 HbAnalysis
-buildPlanEventGraph(const Plan &plan, const Graph &graph,
-                    const AccessTracker &tracker,
+buildPlanEventGraph(const Plan &plan, const AccessTracker &tracker,
                     const PlanChecker::BytesFn &tensor_bytes,
                     const PlanChecker::SwapTimeFn &swap_time,
                     const hb::OrderingRules &rules)

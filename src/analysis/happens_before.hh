@@ -4,8 +4,8 @@
  *
  * A guided-execution plan implies a concurrent execution: kernels on the
  * FIFO compute stream, swap-outs and prefetches on the two PCIe lanes,
- * chunk frees deferred to transfer completion. The PlanChecker (PR 1)
- * proves per-tensor plan invariants; this engine proves the *cross-stream*
+ * chunk frees deferred to transfer completion. The PlanChecker proves
+ * per-tensor plan invariants; this engine proves the *cross-stream*
  * property: every pair of conflicting operations on a tensor's device
  * buffer (or its pinned host copy) is ordered by the runtime's guarantees.
  *
@@ -70,10 +70,11 @@ struct HbAnalysis
  * in-trigger falls back to an on-demand fetch at the back access; an
  * access inside the eviction hole regenerates on demand) so that clean
  * plans are race-free by construction and corrupted ones are not.
- * Structurally invalid items (anchors missing from the trace) are skipped
- * here — the lifetime analysis and PlanChecker report those.
+ * Structurally invalid items (anchors missing from the trace) get no
+ * special handling here: PlanChecker::check reports those, then runs this
+ * scan as its last rule.
  */
-HbAnalysis buildPlanEventGraph(const Plan &plan, const Graph &graph,
+HbAnalysis buildPlanEventGraph(const Plan &plan,
                                const AccessTracker &tracker,
                                const PlanChecker::BytesFn &tensor_bytes,
                                const PlanChecker::SwapTimeFn &swap_time,

@@ -2,11 +2,8 @@
 
 #include <iostream>
 #include <memory>
-#include <utility>
 
 #include "analysis/baseline_plans.hh"
-#include "analysis/happens_before.hh"
-#include "analysis/lifetime_analysis.hh"
 #include "support/logging.hh"
 
 namespace capu
@@ -37,42 +34,13 @@ runPlanLint(const Plan &plan, const Graph &graph,
             const AccessTracker &tracker, ExecContext &ctx,
             const LintHookOptions &hook, const std::string &who)
 {
-    PlanCheckerOptions opts = hook.checker;
-    if (opts.gpuCapacity == 0)
-        opts.gpuCapacity = ctx.gpuCapacity();
-    if (opts.hostCapacity == 0)
-        opts.hostCapacity = ctx.hostCapacity();
-    if (opts.capacitySlack == 0) {
-        // The memory-window replay is a model of the executor, not the
-        // executor: allocator rounding, workspace churn and transfer
-        // timing all wobble a few percent. Passive mode stays armed as
-        // the runtime safety net, so give the static rule matching slack.
-        opts.capacitySlack = opts.gpuCapacity / 20;
-    }
-
-    auto bytes_of = [&](TensorId id) { return ctx.tensorBytes(id); };
-    auto swap_time = [&](std::uint64_t bytes) { return ctx.swapTime(bytes); };
-
+    PlanCheckerOptions opts;
+    opts.gpuCapacity = ctx.gpuCapacity();
+    opts.hostCapacity = ctx.hostCapacity();
     PlanChecker checker(graph, tracker, opts);
-    LintReport report = checker.check(plan, bytes_of, swap_time);
-
-    if (hook.happensBefore) {
-        HbAnalysis hb =
-            buildPlanEventGraph(plan, graph, tracker, bytes_of, swap_time);
-        LintReport races = checkHappensBefore(hb, &graph);
-        for (auto &d : races.diags)
-            report.diags.push_back(std::move(d));
-    }
-    if (hook.lifetime) {
-        LifetimeOptions lopts;
-        lopts.gpuCapacity = opts.gpuCapacity;
-        lopts.capacitySlack = opts.capacitySlack;
-        lopts.maxRecomputeChain = opts.maxRecomputeChain;
-        LifetimeResult lt = analyzeLifetimes(plan, graph, tracker, bytes_of,
-                                             swap_time, lopts);
-        for (auto &d : lt.report.diags)
-            report.diags.push_back(std::move(d));
-    }
+    LintReport report = checker.check(
+        plan, [&](TensorId id) { return ctx.tensorBytes(id); },
+        [&](std::uint64_t bytes) { return ctx.swapTime(bytes); });
 
     if (hook.printFindings && !report.diags.empty()) {
         std::cerr << who << " plan lint findings:\n";

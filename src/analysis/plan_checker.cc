@@ -6,6 +6,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "analysis/happens_before.hh"
 #include "stats/report.hh"
 #include "support/strfmt.hh"
 
@@ -41,16 +42,21 @@ LintReport::summary() const
 }
 
 /**
- * Resolved trace positions of one plan item. Items whose structural
- * anchors do not exist in the trace are marked invalid and excluded from
- * the deeper rules (they already carry an error diagnostic).
+ * One plan item placed on the measured timeline: its trace anchors, its
+ * in-trigger, and the residency window the executor gives it. Only items
+ * whose anchors exist and are ordered get a placement; the others carry
+ * a structural error instead and the deeper rules never see them.
  */
-struct PlanChecker::ItemView
+struct PlanChecker::Placement
 {
     const PlannedEviction *item = nullptr;
-    bool structurallyValid = false;
     Tick evictTime = 0; ///< trace time of the evicted-access
     Tick backTime = 0;  ///< trace time of the back-access
+    Tick transfer = 0;  ///< one-way PCIe time of item.bytes (swaps only)
+    /** In-trigger record (swaps only); nullptr when unset or untraced. */
+    const AccessRecord *trigger = nullptr;
+    Tick freedAt = 0;     ///< GPU chunk released
+    Tick backAllocAt = 0; ///< GPU chunk re-acquired; <= freedAt: no window
 };
 
 PlanChecker::PlanChecker(const Graph &graph, const AccessTracker &tracker,
@@ -83,15 +89,15 @@ diag(LintReport &report, LintSeverity sev, std::string rule, TensorId tensor,
 
 } // namespace
 
-void
-PlanChecker::checkStructure(const Plan &plan, std::vector<ItemView> &views,
-                            LintReport &report) const
+std::vector<PlanChecker::Placement>
+PlanChecker::place(const Plan &plan, const SwapTimeFn &swap_time,
+                   LintReport &report) const
 {
+    std::vector<Placement> placed;
+    placed.reserve(plan.items.size());
     std::unordered_map<TensorId, std::size_t> first_item;
     for (std::size_t i = 0; i < plan.items.size(); ++i) {
         const PlannedEviction &item = plan.items[i];
-        ItemView view;
-        view.item = &item;
 
         // Rule: duplicate-item — one eviction/prefetch per tensor per plan
         // (a double evict frees a dead handle; a double prefetch races).
@@ -101,7 +107,6 @@ PlanChecker::checkStructure(const Plan &plan, std::vector<ItemView> &views,
                  item.evictAfterAccess,
                  fmt("tensor {} planned by items #{} and #{}", item.tensor,
                      it->second, i));
-            views.push_back(view);
             continue;
         }
 
@@ -118,7 +123,6 @@ PlanChecker::checkStructure(const Plan &plan, std::vector<ItemView> &views,
                      item.tensor,
                      evict_rec == nullptr ? item.evictAfterAccess
                                           : item.backAccess));
-            views.push_back(view);
             continue;
         }
 
@@ -128,7 +132,6 @@ PlanChecker::checkStructure(const Plan &plan, std::vector<ItemView> &views,
                  item.backAccess,
                  fmt("back-access #{} does not follow evicted-access #{}",
                      item.backAccess, item.evictAfterAccess));
-            views.push_back(view);
             continue;
         }
         // Indices ordered but times inverted: the stall-corrected
@@ -145,11 +148,6 @@ PlanChecker::checkStructure(const Plan &plan, std::vector<ItemView> &views,
                      formatTicks(evict_rec->time - back_rec->time),
                      item.evictAfterAccess));
         }
-
-        view.structurallyValid = true;
-        view.evictTime = evict_rec->time;
-        view.backTime = back_rec->time;
-        views.push_back(view);
 
         // Rule: use-after-evict — no recorded access of the tensor may
         // fall strictly between eviction and regeneration: it would read
@@ -168,29 +166,51 @@ PlanChecker::checkStructure(const Plan &plan, std::vector<ItemView> &views,
                          item.evictAfterAccess, item.backAccess));
             }
         }
+
+        Placement p;
+        p.item = &item;
+        p.evictTime = evict_rec->time;
+        p.backTime = back_rec->time;
+        // Residency window, as the executor runs it: a swap frees its
+        // chunk when the D2H copy completes and re-acquires it when the
+        // swap-in starts — at the in-trigger if that fires inside the
+        // window, else SwapTime before the back-access. A drop frees at
+        // the evicting kernel and re-acquires at the replay.
+        if (item.mode == RegenChoice::Swap) {
+            p.transfer = swap_time(item.bytes);
+            if (item.triggerTensor != kInvalidTensor)
+                p.trigger = findAccess(tracker_, item.triggerTensor,
+                                       item.triggerAccess);
+            p.freedAt = p.evictTime + p.transfer;
+            p.backAllocAt =
+                p.backTime > p.transfer ? p.backTime - p.transfer : 0;
+            if (p.trigger != nullptr && p.trigger->time > p.freedAt &&
+                p.trigger->time < p.backAllocAt)
+                p.backAllocAt = p.trigger->time;
+        } else {
+            p.freedAt = p.evictTime;
+            p.backAllocAt = p.backTime;
+        }
+        placed.push_back(p);
     }
+    return placed;
 }
 
 void
-PlanChecker::checkPrefetch(const Plan &plan,
-                           const std::vector<ItemView> &views,
-                           const SwapTimeFn &swap_time,
+PlanChecker::checkPrefetch(const std::vector<Placement> &placed,
                            LintReport &report) const
 {
-    (void)plan;
-    for (const ItemView &view : views) {
-        if (!view.structurallyValid ||
-            view.item->mode != RegenChoice::Swap)
+    for (const Placement &p : placed) {
+        if (p.item->mode != RegenChoice::Swap)
             continue;
-        const PlannedEviction &item = *view.item;
+        const PlannedEviction &item = *p.item;
 
         // Feasibility under the cost model, Eq. 1:
         //   FT = SwapInStart - SwapOutEnd
         //      = (back - SwapTime) - (evict + SwapTime).
-        Tick st = swap_time(item.bytes);
-        std::int64_t ft = static_cast<std::int64_t>(view.backTime) -
-                          static_cast<std::int64_t>(view.evictTime) -
-                          2 * static_cast<std::int64_t>(st);
+        std::int64_t ft = static_cast<std::int64_t>(p.backTime) -
+                          static_cast<std::int64_t>(p.evictTime) -
+                          2 * static_cast<std::int64_t>(p.transfer);
         if (ft < 0) {
             Tick exposure = static_cast<Tick>(-ft);
             if (item.estimatedOverhead < exposure) {
@@ -221,9 +241,7 @@ PlanChecker::checkPrefetch(const Plan &plan,
                      item.tensor));
             continue;
         }
-        const AccessRecord *trig =
-            findAccess(tracker_, item.triggerTensor, item.triggerAccess);
-        if (trig == nullptr) {
+        if (p.trigger == nullptr) {
             diag(report, LintSeverity::Error, "prefetch-missing-trigger",
                  item.triggerTensor, item.triggerAccess,
                  fmt("in-trigger {}:{} for tensor {} is not in the trace "
@@ -234,14 +252,15 @@ PlanChecker::checkPrefetch(const Plan &plan,
         // A mis-placed trigger is not unsound — the back-access degrades
         // to an on-demand fetch (full SwapTime exposed) — so these are
         // advisory; only a dangling trigger reference is plan corruption.
-        if (trig->time >= view.backTime) {
+        Tick fires = p.trigger->time;
+        if (fires >= p.backTime) {
             diag(report, LintSeverity::Warning, "prefetch-late-trigger",
                  item.tensor, item.backAccess,
                  fmt("in-trigger {}:{} fires at {} — not before the "
                      "back-access at {}; the fetch degrades to on-demand",
                      item.triggerTensor, item.triggerAccess,
-                     formatTicks(trig->time), formatTicks(view.backTime)));
-        } else if (trig->time <= view.evictTime) {
+                     formatTicks(fires), formatTicks(p.backTime)));
+        } else if (fires <= p.evictTime) {
             // prefetchAsync is a no-op while the tensor is still resident:
             // a trigger at/before the eviction silently never fetches.
             diag(report, LintSeverity::Warning, "prefetch-dead-trigger",
@@ -249,40 +268,30 @@ PlanChecker::checkPrefetch(const Plan &plan,
                  fmt("in-trigger {}:{} fires at {}, before the eviction at "
                      "{} — the prefetch is a no-op",
                      item.triggerTensor, item.triggerAccess,
-                     formatTicks(trig->time), formatTicks(view.evictTime)));
+                     formatTicks(fires), formatTicks(p.evictTime)));
         }
     }
 }
 
 void
-PlanChecker::checkRecompute(const Plan &plan,
-                            const std::vector<ItemView> &views,
+PlanChecker::checkRecompute(const std::vector<Placement> &placed,
+                            const PlacementIndex &by_tensor,
                             LintReport &report) const
 {
-    (void)plan;
-    // Map tensor -> its (structurally valid) plan item, for residency
-    // queries during the lineage walk.
-    std::unordered_map<TensorId, const ItemView *> planned;
-    for (const ItemView &view : views) {
-        if (view.structurallyValid)
-            planned.emplace(view.item->tensor, &view);
-    }
-
     // Is `id` evicted by the plan across time `at`?
-    auto evicted_across = [&](TensorId id, Tick at) -> const ItemView * {
-        auto it = planned.find(id);
-        if (it == planned.end())
+    auto evicted_across = [&](TensorId id, Tick at) -> const Placement * {
+        auto it = by_tensor.find(id);
+        if (it == by_tensor.end())
             return nullptr;
-        const ItemView *v = it->second;
-        return (v->evictTime < at && at < v->backTime) ? v : nullptr;
+        const Placement *p = it->second;
+        return (p->evictTime < at && at < p->backTime) ? p : nullptr;
     };
 
-    for (const ItemView &view : views) {
-        if (!view.structurallyValid ||
-            view.item->mode != RegenChoice::Recompute)
+    for (const Placement &p : placed) {
+        if (p.item->mode != RegenChoice::Recompute)
             continue;
-        const PlannedEviction &item = *view.item;
-        Tick replay_at = view.backTime;
+        const PlannedEviction &item = *p.item;
+        Tick replay_at = p.backTime;
 
         // Depth-first over the replay closure: a tensor is available at
         // replay time if it is a weight, alive in the trace, or host-
@@ -319,7 +328,7 @@ PlanChecker::checkRecompute(const Plan &plan,
             }
             on_path.insert(t);
             replay_ops.insert(prod);
-            if (replay_ops.size() > opts_.maxRecomputeChain) {
+            if (replay_ops.size() > kMaxRecomputeChain) {
                 // Soundness is unaffected (runtime replay is unbounded and
                 // collective recomputation memoizes intermediates); a
                 // chain this deep is an MSPS red flag, not a crash.
@@ -330,7 +339,7 @@ PlanChecker::checkRecompute(const Plan &plan,
                          item.backAccess,
                          fmt("replay of tensor {} chains through more than "
                              "{} ops",
-                             item.tensor, opts_.maxRecomputeChain));
+                             item.tensor, kMaxRecomputeChain));
                 }
                 on_path.erase(t);
                 return false;
@@ -351,7 +360,7 @@ PlanChecker::checkRecompute(const Plan &plan,
                 return true;
             if (graph_.tensor(t).kind == TensorKind::Weight)
                 return true; // persistent
-            if (const ItemView *ev = evicted_across(t, replay_at)) {
+            if (const Placement *ev = evicted_across(t, replay_at)) {
                 if (ev->item->mode == RegenChoice::Swap)
                     return true; // host copy exists; on-demand swap-in
                 return replay(t); // dropped: chain through its producer
@@ -370,25 +379,18 @@ PlanChecker::checkRecompute(const Plan &plan,
 
 void
 PlanChecker::checkMemoryWindow(const Plan &plan,
-                               const std::vector<ItemView> &views,
+                               const PlacementIndex &by_tensor,
                                const BytesFn &tensor_bytes,
-                               const SwapTimeFn &swap_time,
                                LintReport &report) const
 {
     if (opts_.gpuCapacity == 0 && opts_.hostCapacity == 0)
         return;
 
     // Replay the plan over the hypothetical (infinite-memory) usage curve:
-    // each non-weight tensor occupies [first, last] access, minus the
-    // plan's eviction window [freed, regen-start). Same sweep convention
-    // as AccessTracker::peakWindow so numbers line up with the planner.
+    // each non-weight tensor occupies [first, last] access, minus its
+    // residency window [freedAt, backAllocAt). Same sweep convention as
+    // AccessTracker::peakWindow so numbers line up with the planner.
     std::map<Tick, std::int64_t> gpu_deltas, base_deltas, host_deltas;
-    std::unordered_map<TensorId, const ItemView *> planned;
-    for (const ItemView &view : views) {
-        if (view.structurallyValid)
-            planned.emplace(view.item->tensor, &view);
-    }
-
     std::uint64_t weight_bytes = graph_.bytesOfKind(TensorKind::Weight);
 
     for (const TensorDesc &t : graph_.tensors()) {
@@ -406,86 +408,77 @@ PlanChecker::checkMemoryWindow(const Plan &plan,
         base_deltas[recs.front().time] += b;
         base_deltas[recs.back().time + 1] -= b;
 
-        auto it = planned.find(t.id);
-        if (it == planned.end())
+        auto it = by_tensor.find(t.id);
+        if (it == by_tensor.end())
             continue;
-        const ItemView &view = *it->second;
-        const PlannedEviction &item = *view.item;
-        Tick st = swap_time(item.bytes);
-        // GPU side: the chunk frees at transfer completion for swaps, at
-        // the drop itself for recomputes; it is re-allocated when the
-        // swap-in starts (the in-trigger) or when the replay fires.
-        Tick freed_at =
-            item.mode == RegenChoice::Swap ? view.evictTime + st
-                                           : view.evictTime;
-        Tick back_alloc_at = view.backTime > st ? view.backTime - st : 0;
-        if (item.mode == RegenChoice::Swap &&
-            item.triggerTensor != kInvalidTensor) {
-            const AccessRecord *trig = findAccess(
-                tracker_, item.triggerTensor, item.triggerAccess);
-            if (trig != nullptr && trig->time > freed_at &&
-                trig->time < back_alloc_at) {
-                back_alloc_at = trig->time; // prefetch allocates earlier
-            }
-        }
-        if (item.mode == RegenChoice::Recompute)
-            back_alloc_at = view.backTime;
-        if (freed_at < back_alloc_at) {
-            gpu_deltas[freed_at] -= b;
-            gpu_deltas[back_alloc_at] += b;
+        const Placement &p = *it->second;
+        if (p.freedAt < p.backAllocAt) {
+            gpu_deltas[p.freedAt] -= b;
+            gpu_deltas[p.backAllocAt] += b;
         }
         // Host side: a swap occupies pinned staging from swap-out start
         // until the swap-in completes at the back-access.
-        if (item.mode == RegenChoice::Swap) {
-            host_deltas[view.evictTime] += b;
-            host_deltas[view.backTime + 1] -= b;
+        if (p.item->mode == RegenChoice::Swap) {
+            host_deltas[p.evictTime] += b;
+            host_deltas[p.backTime + 1] -= b;
         }
     }
 
+    struct Peak
+    {
+        std::uint64_t bytes = 0;
+        Tick at = 0; ///< first tick the peak is reached
+    };
     auto sweep_peak = [](const std::map<Tick, std::int64_t> &deltas) {
         std::int64_t usage = 0;
-        std::int64_t peak = 0;
+        Peak peak;
         for (const auto &[t, d] : deltas) {
             usage += d;
-            peak = std::max(peak, usage);
+            if (usage > static_cast<std::int64_t>(peak.bytes))
+                peak = {static_cast<std::uint64_t>(usage), t};
         }
-        return static_cast<std::uint64_t>(std::max<std::int64_t>(peak, 0));
+        return peak;
     };
 
     if (opts_.gpuCapacity > 0) {
+        // The replay is a model of the executor, not the executor:
+        // allocator rounding, workspace churn and transfer timing all
+        // wobble a few percent. Passive mode stays armed as the runtime
+        // safety net (§5.3), so the rule tolerates a 5% overshoot.
+        std::uint64_t slack = opts_.gpuCapacity / 20;
         std::uint64_t activation_budget =
             opts_.gpuCapacity > weight_bytes ? opts_.gpuCapacity -
                                                    weight_bytes
                                              : 0;
-        std::uint64_t peak = sweep_peak(gpu_deltas);
-        if (peak > activation_budget + opts_.capacitySlack) {
+        Peak peak = sweep_peak(gpu_deltas);
+        if (peak.bytes > activation_budget + slack) {
             // An overshoot alone is survivable: passive mode absorbs it
             // with on-demand evictions and the refinement loop grows the
             // saving target from that traffic. What re-planning can never
             // fix is a plan that does not *deliver* the savings it
             // claims — eviction windows that miss the peak flatten
             // nothing, so the claimed bytes are fake.
-            std::uint64_t hyp_peak = sweep_peak(base_deltas);
+            std::uint64_t hyp_peak = sweep_peak(base_deltas).bytes;
             std::uint64_t achieved =
-                hyp_peak > peak ? hyp_peak - peak : 0;
+                hyp_peak > peak.bytes ? hyp_peak - peak.bytes : 0;
             std::uint64_t claimed =
                 std::min(plan.plannedBytes, plan.targetBytes);
-            bool delivered =
-                achieved + opts_.capacitySlack >= claimed;
+            bool delivered = achieved + slack >= claimed;
             diag(report,
                  delivered ? LintSeverity::Warning : LintSeverity::Error,
                  "memory-overcommit", kInvalidTensor, 0,
-                 fmt("replayed curve peaks at {} against {} of activation "
-                     "budget ({} capacity - {} weights); plan claims {} "
-                     "of savings, delivers {}",
-                     formatBytes(peak), formatBytes(activation_budget),
+                 fmt("replayed curve peaks at {} (reached at {}) against "
+                     "{} of activation budget ({} capacity - {} weights); "
+                     "plan claims {} of savings, delivers {}",
+                     formatBytes(peak.bytes), formatTicks(peak.at),
+                     formatBytes(activation_budget),
                      formatBytes(opts_.gpuCapacity),
-                     formatBytes(weight_bytes),
-                     formatBytes(claimed), formatBytes(achieved)));
+                     formatBytes(weight_bytes), formatBytes(claimed),
+                     formatBytes(achieved)));
         }
     }
     if (opts_.hostCapacity > 0) {
-        std::uint64_t peak = sweep_peak(host_deltas);
+        std::uint64_t peak = sweep_peak(host_deltas).bytes;
         if (peak > opts_.hostCapacity) {
             diag(report, LintSeverity::Error, "host-overcommit",
                  kInvalidTensor, 0,
@@ -501,12 +494,22 @@ PlanChecker::check(const Plan &plan, const BytesFn &tensor_bytes,
                    const SwapTimeFn &swap_time) const
 {
     LintReport report;
-    std::vector<ItemView> views;
-    views.reserve(plan.items.size());
-    checkStructure(plan, views, report);
-    checkPrefetch(plan, views, swap_time, report);
-    checkRecompute(plan, views, report);
-    checkMemoryWindow(plan, views, tensor_bytes, swap_time, report);
+    std::vector<Placement> placed = place(plan, swap_time, report);
+    PlacementIndex by_tensor;
+    by_tensor.reserve(placed.size());
+    for (const Placement &p : placed)
+        by_tensor.emplace(p.item->tensor, &p);
+    checkPrefetch(placed, report);
+    checkRecompute(placed, by_tensor, report);
+    checkMemoryWindow(plan, by_tensor, tensor_bytes, report);
+
+    // Cross-stream ordering last: the per-tensor rules above cannot see
+    // a free racing a copy or a prefetch sequenced after its use.
+    LintReport races = checkHappensBefore(
+        buildPlanEventGraph(plan, tracker_, tensor_bytes, swap_time),
+        &graph_);
+    for (LintDiagnostic &d : races.diags)
+        report.diags.push_back(std::move(d));
     return report;
 }
 

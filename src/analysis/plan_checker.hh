@@ -36,15 +36,23 @@
  *                         (re-planning cannot fix that), else warning —
  *                         passive mode + refinement absorb the rest
  *  host-overcommit        host staging must fit the HostPool capacity
+ *  hb-*                   the static happens-before scan over the event
+ *                         graph the plan implies (analysis/happens_before)
+ *
+ * The structural rules, the lineage walk and the memory sweep all read
+ * one placement per item: its trace anchors plus the residency window
+ * the executor gives it (when the GPU chunk is freed and re-acquired).
  */
 
 #ifndef CAPU_ANALYSIS_PLAN_CHECKER_HH
 #define CAPU_ANALYSIS_PLAN_CHECKER_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/access_tracker.hh"
@@ -85,17 +93,16 @@ struct LintReport
     std::string summary() const;
 };
 
+/** Max ops one recomputation replay may chain through before
+ *  recompute-chain-too-long fires. */
+inline constexpr std::size_t kMaxRecomputeChain = 256;
+
 struct PlanCheckerOptions
 {
     /** GPU pool capacity; 0 disables the memory-window rule. */
     std::uint64_t gpuCapacity = 0;
     /** Host staging capacity; 0 disables the host-overcommit rule. */
     std::uint64_t hostCapacity = 0;
-    /** Tolerated overshoot of the replayed curve beyond GPU capacity
-     *  (passive mode stays armed as a safety net, §5.3). */
-    std::uint64_t capacitySlack = 0;
-    /** Max ops one recomputation replay may chain through. */
-    std::size_t maxRecomputeChain = 256;
 };
 
 /**
@@ -114,7 +121,8 @@ class PlanChecker
                 PlanCheckerOptions opts = {});
 
     /**
-     * Run every rule over `plan`.
+     * Run every static rule over `plan`: the plan rules, then the static
+     * happens-before scan.
      * @param tensor_bytes Allocation size per tensor (same fn the plan was
      *        built with).
      * @param swap_time PCIe transfer time for a byte count.
@@ -127,20 +135,20 @@ class PlanChecker
     const AccessTracker &tracker_;
     PlanCheckerOptions opts_;
 
-    struct ItemView; // per-item resolved trace positions
+    struct Placement; // one item's trace anchors and residency window
+    using PlacementIndex =
+        std::unordered_map<TensorId, const Placement *>;
 
-    void checkStructure(const Plan &plan, std::vector<ItemView> &views,
-                        LintReport &report) const;
-    void checkPrefetch(const Plan &plan, const std::vector<ItemView> &views,
-                       const SwapTimeFn &swap_time,
+    std::vector<Placement> place(const Plan &plan,
+                                 const SwapTimeFn &swap_time,
+                                 LintReport &report) const;
+    void checkPrefetch(const std::vector<Placement> &placed,
                        LintReport &report) const;
-    void checkRecompute(const Plan &plan,
-                        const std::vector<ItemView> &views,
+    void checkRecompute(const std::vector<Placement> &placed,
+                        const PlacementIndex &by_tensor,
                         LintReport &report) const;
-    void checkMemoryWindow(const Plan &plan,
-                           const std::vector<ItemView> &views,
+    void checkMemoryWindow(const Plan &plan, const PlacementIndex &by_tensor,
                            const BytesFn &tensor_bytes,
-                           const SwapTimeFn &swap_time,
                            LintReport &report) const;
 };
 

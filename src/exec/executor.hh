@@ -25,8 +25,8 @@
  * The ordering constraints the executor honours between accesses,
  * transfers, frees and allocs are spelled out as explicit happens-before
  * edges in exec/ordering.hh; capuverify re-derives them from plans
- * (capulint --hb) and from traced runs (capusim --verify) and checks the
- * executor against them.
+ * (PlanChecker::check, so capulint and --lint) and from traced runs
+ * (capusim --verify) and checks the executor against them.
  */
 
 #ifndef CAPU_EXEC_EXECUTOR_HH

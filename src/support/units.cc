@@ -1,6 +1,11 @@
 #include "support/units.hh"
 
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <limits>
+
+#include "support/logging.hh"
 
 namespace capu
 {
@@ -23,6 +28,36 @@ formatBytes(std::uint64_t bytes)
                       static_cast<unsigned long long>(bytes));
     }
     return buf;
+}
+
+std::uint64_t
+parseBytes(const std::string &text)
+{
+    const char *begin = text.c_str();
+    char *end = nullptr;
+    double value = std::strtod(begin, &end);
+    if (end == begin || !std::isfinite(value) || std::signbit(value))
+        fatal("bad byte count '{}'", text);
+    std::string suffix = end;
+    double scale = 0;
+    if (suffix.empty() || suffix == "B")
+        scale = 1;
+    else if (suffix == "K" || suffix == "KB")
+        scale = 1_KiB;
+    else if (suffix == "M" || suffix == "MB")
+        scale = 1_MiB;
+    else if (suffix == "G" || suffix == "GB")
+        scale = 1_GiB;
+    else
+        fatal("bad byte suffix '{}' in '{}' (use K/M/G)", suffix, text);
+    double bytes = value * scale;
+    // uint64 max rounds up to 2^64 as a double: the first value that
+    // does not fit.
+    constexpr double kTooBig =
+        static_cast<double>(std::numeric_limits<std::uint64_t>::max());
+    if (bytes >= kTooBig)
+        fatal("byte count '{}' does not fit 64 bits", text);
+    return static_cast<std::uint64_t>(bytes);
 }
 
 std::string

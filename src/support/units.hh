@@ -41,6 +41,14 @@ constexpr std::uint64_t operator""_GiB(unsigned long long v) { return v << 30; }
 /** Render a byte count as e.g. "1.50 GiB" / "322.0 MiB" / "17 B". */
 std::string formatBytes(std::uint64_t bytes);
 
+/**
+ * Parse a byte count such as "4096", "512M" or "1.5G": a non-negative
+ * number with an optional B, K/KB, M/MB or G/GB (binary) suffix.
+ * Throws FatalError on anything else — NaN, infinity, a sign, trailing
+ * junk, or a value that does not fit 64 bits once scaled.
+ */
+std::uint64_t parseBytes(const std::string &text);
+
 /** Render a tick count as e.g. "1.23 ms" / "417 us" / "2.01 s". */
 std::string formatTicks(Tick ticks);
 

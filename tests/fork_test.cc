@@ -6,7 +6,7 @@
  * no-re-measure structural guarantees, concurrent forking from one
  * SimState, speculate() determinism across thread counts, parallel
  * findMaxBatch equality with the serial search, and value-semantics
- * regression tests for EventQueue and BfcAllocator copies.
+ * regression tests for BfcAllocator copies.
  */
 
 #include <gtest/gtest.h>
@@ -23,7 +23,6 @@
 #include "models/zoo.hh"
 #include "policy/checkpointing_policy.hh"
 #include "policy/vdnn_policy.hh"
-#include "sim/event_queue.hh"
 #include "support/thread_pool.hh"
 
 using namespace capu;
@@ -476,49 +475,7 @@ TEST(ParallelMaxBatch, DynamicWorkloadEqualsSerial)
     EXPECT_GT(serial, 0);
 }
 
-// --- value-semantics regressions: EventQueue / BfcAllocator ------------
-
-/** A copied EventQueue fires the same schedule independently — ids,
- *  lazy-cancellation bookkeeping and the heap are all value state, not
- *  process-global. */
-TEST(ValueSemantics, EventQueueCopyIndependent)
-{
-    EventQueue q;
-    std::vector<int> fired;
-    std::uint64_t a = q.schedule(10, [&](Tick) { fired.push_back(1); });
-    q.schedule(20, [&](Tick) { fired.push_back(2); });
-    q.schedule(30, [&](Tick) { fired.push_back(3); });
-
-    EventQueue copy = q;
-    EXPECT_EQ(copy.pending(), q.pending());
-    EXPECT_EQ(copy.now(), q.now());
-
-    // Cancelling in the original must not affect the copy (ids are values
-    // carried by the copy, not shared process state).
-    EXPECT_TRUE(q.cancel(a));
-    EXPECT_EQ(q.pending(), 2u);
-    EXPECT_EQ(copy.pending(), 3u);
-
-    // The copy still knows the id and can cancel it itself.
-    EXPECT_TRUE(copy.cancel(a));
-    EXPECT_EQ(copy.pending(), 2u);
-
-    fired.clear();
-    q.runAll();
-    EXPECT_EQ(fired, (std::vector<int>{2, 3}));
-    fired.clear();
-    copy.runAll();
-    EXPECT_EQ(fired, (std::vector<int>{2, 3}));
-    EXPECT_EQ(q.now(), copy.now());
-
-    // New ids issued after the split stay disjoint per instance and do
-    // not collide with each other's bookkeeping.
-    std::uint64_t n1 = q.schedule(40, [](Tick) {});
-    std::uint64_t n2 = copy.schedule(40, [](Tick) {});
-    EXPECT_EQ(n1, n2) << "id sequences are per-instance, not global";
-    EXPECT_TRUE(q.cancel(n1));
-    EXPECT_TRUE(copy.cancel(n2));
-}
+// --- value-semantics regressions: BfcAllocator ---------------------------
 
 /** A copied BfcAllocator carries the full arena layout by value: frees
  *  and allocations on one side never leak into the other. */

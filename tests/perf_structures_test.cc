@@ -1,18 +1,14 @@
 /**
  * @file
  * Tests for the capuspeed hot-path structures: the work-stealing
- * ThreadPool, the 4-ary EventQueue against a reference model, the
- * incremental PolicyMaker engine against the full-rescan reference on
+ * ThreadPool, the incremental PolicyMaker engine against the full-rescan reference on
  * every zoo model, CostModel memoization transparency, and the indexed
  * AccessTracker queries against brute-force scans.
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
-#include <numeric>
-#include <queue>
 #include <stdexcept>
 #include <vector>
 
@@ -21,7 +17,6 @@
 #include "exec/cost_model.hh"
 #include "exec/session.hh"
 #include "models/zoo.hh"
-#include "sim/event_queue.hh"
 #include "sim/gpu_device.hh"
 #include "support/logging.hh"
 #include "support/thread_pool.hh"
@@ -129,96 +124,6 @@ TEST(ThreadPool, DefaultThreadsIsPositive)
     EXPECT_GE(ThreadPool::defaultThreads(), 1u);
     ThreadPool pool; // default-constructed pool must come up and go down
     EXPECT_GE(pool.threadCount(), 1u);
-}
-
-// ---------------------------------------------------------------- EventQueue
-
-namespace
-{
-
-/** Reference model: fire order is ascending (when, id). */
-std::vector<std::uint64_t>
-referenceFireOrder(const std::vector<std::pair<Tick, std::uint64_t>> &evts,
-                   const std::vector<std::uint64_t> &cancelled)
-{
-    auto sorted = evts;
-    std::sort(sorted.begin(), sorted.end());
-    std::vector<std::uint64_t> order;
-    for (const auto &[when, id] : sorted) {
-        if (std::find(cancelled.begin(), cancelled.end(), id) ==
-            cancelled.end())
-            order.push_back(id);
-    }
-    return order;
-}
-
-} // namespace
-
-TEST(EventQueue, MatchesReferenceModelOnRandomSchedule)
-{
-    XorShift rng;
-    EventQueue q;
-    std::vector<std::pair<Tick, std::uint64_t>> evts;
-    std::vector<std::uint64_t> fired;
-    for (int i = 0; i < 2000; ++i) {
-        Tick when = rng.next() % 1000; // dense: many equal ticks
-        auto id = q.schedule(
-            when, [&fired, i](Tick) { fired.push_back(i); });
-        EXPECT_EQ(id, static_cast<std::uint64_t>(i));
-        evts.push_back({when, id});
-    }
-    // Cancel a deterministic subset before anything fires.
-    std::vector<std::uint64_t> cancelled;
-    for (std::uint64_t id = 3; id < 2000; id += 7) {
-        EXPECT_TRUE(q.cancel(id));
-        cancelled.push_back(id);
-    }
-    q.runAll();
-    EXPECT_EQ(fired, referenceFireOrder(evts, cancelled));
-}
-
-TEST(EventQueue, RunUntilHonorsBoundAndInsertDuringRun)
-{
-    EventQueue q;
-    std::vector<int> fired;
-    q.schedule(10, [&](Tick) {
-        fired.push_back(1);
-        // Scheduling from inside a callback must keep the order.
-        q.schedule(15, [&](Tick) { fired.push_back(2); });
-    });
-    q.schedule(30, [&](Tick) { fired.push_back(3); });
-    q.runUntil(20);
-    EXPECT_EQ(fired, (std::vector<int>{1, 2}));
-    EXPECT_EQ(q.now(), 20u); // runUntil advances now() to the bound
-    EXPECT_EQ(q.pending(), 1u);
-    q.runAll();
-    EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(EventQueue, CancelSemantics)
-{
-    EventQueue q;
-    int hits = 0;
-    auto id = q.schedule(5, [&](Tick) { ++hits; });
-    EXPECT_EQ(q.pending(), 1u);
-    EXPECT_FALSE(q.cancel(id + 100)); // never-issued id
-    EXPECT_TRUE(q.cancel(id));
-    EXPECT_FALSE(q.cancel(id)); // double-cancel
-    EXPECT_TRUE(q.empty());
-    q.runAll();
-    EXPECT_EQ(hits, 0);
-}
-
-TEST(EventQueue, EqualTicksFireInScheduleOrder)
-{
-    EventQueue q;
-    std::vector<int> order;
-    for (int i = 0; i < 50; ++i)
-        q.schedule(42, [&order, i](Tick) { order.push_back(i); });
-    q.runAll();
-    std::vector<int> want(50);
-    std::iota(want.begin(), want.end(), 0);
-    EXPECT_EQ(order, want);
 }
 
 // ----------------------------------------------------- PolicyMaker engines

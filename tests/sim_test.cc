@@ -1,116 +1,16 @@
-/** @file Unit tests for the DES substrate: event queue, streams, PCIe. */
+/** @file Unit tests for the DES substrate: streams, PCIe, devices. */
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "obs/tracer.hh"
-#include "sim/event_queue.hh"
 #include "sim/gpu_device.hh"
 #include "sim/pcie_link.hh"
 #include "sim/stream.hh"
 #include "support/logging.hh"
 
 using namespace capu;
-
-// --- EventQueue ---
-
-TEST(EventQueue, FiresInTimeOrder)
-{
-    EventQueue q;
-    std::vector<int> order;
-    q.schedule(30, [&](Tick) { order.push_back(3); });
-    q.schedule(10, [&](Tick) { order.push_back(1); });
-    q.schedule(20, [&](Tick) { order.push_back(2); });
-    q.runAll();
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(EventQueue, TiesBreakByInsertion)
-{
-    EventQueue q;
-    std::vector<int> order;
-    q.schedule(10, [&](Tick) { order.push_back(1); });
-    q.schedule(10, [&](Tick) { order.push_back(2); });
-    q.runAll();
-    EXPECT_EQ(order, (std::vector<int>{1, 2}));
-}
-
-TEST(EventQueue, RunUntilStopsAtBound)
-{
-    EventQueue q;
-    int fired = 0;
-    q.schedule(10, [&](Tick) { ++fired; });
-    q.schedule(20, [&](Tick) { ++fired; });
-    q.runUntil(15);
-    EXPECT_EQ(fired, 1);
-    EXPECT_EQ(q.now(), 15u);
-    EXPECT_EQ(q.pending(), 1u);
-}
-
-TEST(EventQueue, CallbackReceivesFireTime)
-{
-    EventQueue q;
-    Tick seen = 0;
-    q.schedule(42, [&](Tick t) { seen = t; });
-    q.runAll();
-    EXPECT_EQ(seen, 42u);
-}
-
-TEST(EventQueue, CancelPreventsFiring)
-{
-    EventQueue q;
-    int fired = 0;
-    auto id = q.schedule(10, [&](Tick) { ++fired; });
-    EXPECT_TRUE(q.cancel(id));
-    q.runAll();
-    EXPECT_EQ(fired, 0);
-}
-
-TEST(EventQueue, CancelUnknownReturnsFalse)
-{
-    EventQueue q;
-    EXPECT_FALSE(q.cancel(999));
-}
-
-TEST(EventQueue, DoubleCancelReturnsFalse)
-{
-    EventQueue q;
-    auto id = q.schedule(10, [](Tick) {});
-    EXPECT_TRUE(q.cancel(id));
-    EXPECT_FALSE(q.cancel(id));
-}
-
-TEST(EventQueue, SchedulingInPastPanics)
-{
-    EventQueue q;
-    q.schedule(10, [](Tick) {});
-    q.runAll();
-    EXPECT_THROW(q.schedule(5, [](Tick) {}), PanicError);
-}
-
-TEST(EventQueue, EventsCanScheduleEvents)
-{
-    EventQueue q;
-    std::vector<Tick> fires;
-    q.schedule(10, [&](Tick t) {
-        fires.push_back(t);
-        q.schedule(t + 5, [&](Tick t2) { fires.push_back(t2); });
-    });
-    q.runAll();
-    EXPECT_EQ(fires, (std::vector<Tick>{10, 15}));
-}
-
-TEST(EventQueue, PendingCount)
-{
-    EventQueue q;
-    EXPECT_TRUE(q.empty());
-    q.schedule(1, [](Tick) {});
-    q.schedule(2, [](Tick) {});
-    EXPECT_EQ(q.pending(), 2u);
-    q.runAll();
-    EXPECT_TRUE(q.empty());
-}
 
 // --- Stream ---
 

@@ -177,3 +177,33 @@ TEST(Units, FormatTicks)
     EXPECT_EQ(formatTicks(ticksFromMs(3)), "3.00 ms");
     EXPECT_EQ(formatTicks(ticksFromSec(2)), "2.00 s");
 }
+
+TEST(Units, ParseBytesAcceptsSuffixes)
+{
+    EXPECT_EQ(parseBytes("4096"), 4096u);
+    EXPECT_EQ(parseBytes("17B"), 17u);
+    EXPECT_EQ(parseBytes("2K"), 2_KiB);
+    EXPECT_EQ(parseBytes("2KB"), 2_KiB);
+    EXPECT_EQ(parseBytes("512M"), 512_MiB);
+    EXPECT_EQ(parseBytes("14G"), 14_GiB);
+    EXPECT_EQ(parseBytes("1.5GB"), 1_GiB + 512_MiB);
+    EXPECT_EQ(parseBytes("0"), 0u);
+    // The largest whole-GiB count that still fits 64 bits.
+    EXPECT_EQ(parseBytes("17179869183G"), ~0ull - 1_GiB + 1);
+}
+
+TEST(Units, ParseBytesRejectsGarbage)
+{
+    // NaN and infinity: strtod accepts them, a byte count must not.
+    for (const char *bad : {"nan", "NaN", "nanG", "inf", "infinity", "1e400"})
+        EXPECT_THROW(parseBytes(bad), FatalError) << bad;
+    // Negative values, including a signed zero.
+    for (const char *bad : {"-1", "-0", "-2G"})
+        EXPECT_THROW(parseBytes(bad), FatalError) << bad;
+    // Values that overflow 64 bits once the suffix scales them.
+    for (const char *bad : {"17179869184G", "2e19", "1e30K"})
+        EXPECT_THROW(parseBytes(bad), FatalError) << bad;
+    // No number, an unknown suffix, or trailing junk.
+    for (const char *bad : {"", "G", "abc", "12T", "12Gx", "12 G", "14G "})
+        EXPECT_THROW(parseBytes(bad), FatalError) << bad;
+}

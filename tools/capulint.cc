@@ -4,7 +4,8 @@
  *
  * Loads a trace written by `capusim --dump-trace`, rebuilds the skeletal
  * graph and tracker, runs the PolicyMaker exactly as guided execution
- * would, and lints the resulting plan against the full rule set
+ * would, and lints the resulting plan with PlanChecker::check — every
+ * static rule, ending with the happens-before scan
  * (src/analysis/plan_checker.hh). Lets planner changes be validated
  * against a corpus of saved traces without re-simulating training.
  *
@@ -16,18 +17,16 @@
  * plan has error-level findings.
  */
 
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
-#include "analysis/happens_before.hh"
-#include "analysis/lifetime_analysis.hh"
 #include "analysis/plan_checker.hh"
 #include "core/policy_maker.hh"
 #include "core/trace_io.hh"
 #include "sim/gpu_device.hh"
 #include "sim/pcie_link.hh"
 #include "support/logging.hh"
+#include "support/units.hh"
 
 using namespace capu;
 
@@ -41,35 +40,11 @@ struct Options
     std::uint64_t capacity = 0;     ///< 0 = device default
     std::uint64_t hostCapacity = 256ull << 30;
     std::uint64_t savingBytes = 0;  ///< 0 = derive from peak vs capacity
-    std::uint64_t slack = 0;        ///< memory-window tolerance
-    std::size_t maxChain = 256;
     bool noSwap = false;
     bool noRecompute = false;
-    bool hb = false;       ///< happens-before race scan
-    bool lifetime = false; ///< tensor-lifetime dataflow analysis
     bool csv = false;
     bool verbose = false;
 };
-
-/** Parse "12G", "512M", "4096" into bytes. */
-std::uint64_t
-parseBytes(const std::string &s)
-{
-    char *end = nullptr;
-    double v = std::strtod(s.c_str(), &end);
-    if (end == s.c_str() || v < 0)
-        fatal("bad byte count '{}'", s);
-    std::string suffix = end;
-    if (suffix == "" || suffix == "B")
-        return static_cast<std::uint64_t>(v);
-    if (suffix == "K" || suffix == "KB")
-        return static_cast<std::uint64_t>(v * (1ull << 10));
-    if (suffix == "M" || suffix == "MB")
-        return static_cast<std::uint64_t>(v * (1ull << 20));
-    if (suffix == "G" || suffix == "GB")
-        return static_cast<std::uint64_t>(v * (1ull << 30));
-    fatal("bad byte suffix '{}' (use K/M/G)", suffix);
-}
 
 void
 usage()
@@ -84,15 +59,8 @@ usage()
         "  --host-capacity <b>  host staging capacity (default 256G)\n"
         "  --saving <bytes>     memory-saving target for the PolicyMaker\n"
         "                       (default: hypothetical peak minus capacity)\n"
-        "  --slack <bytes>      tolerated overshoot in the memory-window\n"
-        "                       rule (default: capacity / 20)\n"
         "  --no-swap            recompute-only plan\n"
         "  --no-recompute       swap-only plan\n"
-        "  --max-chain <n>      recompute chain budget (default 256)\n"
-        "  --hb                 also run the happens-before race scan\n"
-        "                       (capuverify, rules hb-*)\n"
-        "  --lifetime           also run the tensor-lifetime dataflow\n"
-        "                       analysis (capuverify, rules lifetime-*)\n"
         "  --csv                machine-readable findings\n"
         "  --quiet              suppress informational log output\n"
         "  --verbose            print the plan summary too\n"
@@ -123,18 +91,10 @@ parseArgs(int argc, char **argv, Options &opt)
             opt.hostCapacity = parseBytes(next());
         else if (a == "--saving")
             opt.savingBytes = parseBytes(next());
-        else if (a == "--slack")
-            opt.slack = parseBytes(next());
         else if (a == "--no-swap")
             opt.noSwap = true;
         else if (a == "--no-recompute")
             opt.noRecompute = true;
-        else if (a == "--max-chain")
-            opt.maxChain = static_cast<std::size_t>(std::atoll(next()));
-        else if (a == "--hb")
-            opt.hb = true;
-        else if (a == "--lifetime")
-            opt.lifetime = true;
         else if (a == "--csv")
             opt.csv = true;
         else if (a == "--quiet")
@@ -224,36 +184,8 @@ main(int argc, char **argv)
         PlanCheckerOptions copts;
         copts.gpuCapacity = capacity;
         copts.hostCapacity = opt.hostCapacity;
-        copts.capacitySlack = opt.slack ? opt.slack : capacity / 20;
-        copts.maxRecomputeChain = opt.maxChain;
         PlanChecker checker(graph, tracker, copts);
         LintReport report = checker.check(plan, bytes_of, swap_time);
-
-        if (opt.hb) {
-            HbAnalysis hb = buildPlanEventGraph(plan, graph, tracker,
-                                                bytes_of, swap_time);
-            LintReport races = checkHappensBefore(hb, &graph);
-            if (opt.verbose)
-                std::cout << "happens-before: " << hb.events.size()
-                          << " events, " << hb.edges.size() << " edges\n";
-            for (auto &d : races.diags)
-                report.diags.push_back(std::move(d));
-        }
-        if (opt.lifetime) {
-            LifetimeOptions lopts;
-            lopts.gpuCapacity = copts.gpuCapacity;
-            lopts.capacitySlack = copts.capacitySlack;
-            lopts.maxRecomputeChain = copts.maxRecomputeChain;
-            LifetimeResult lt = analyzeLifetimes(plan, graph, tracker,
-                                                 bytes_of, swap_time, lopts);
-            if (opt.verbose)
-                std::cout << "lifetime: " << lt.lifetimes.size()
-                          << " planned tensors, static peak bound "
-                          << formatBytes(lt.peakBound) << " at tick "
-                          << lt.peakAt << "\n";
-            for (auto &d : lt.report.diags)
-                report.diags.push_back(std::move(d));
-        }
 
         if (opt.csv) {
             std::cout << "severity,rule,tensor,access,message\n";

@@ -1,12 +1,13 @@
 /**
  * @file
- * capumutate — seeded mutation corpus for the capuverify analyses.
+ * capumutate — seeded mutation corpus for the static plan verifier.
  *
  * Builds a clean plan from a saved access trace (same flow as capulint),
- * verifies the happens-before and lifetime analyses report zero errors on
- * it (the false-positive gate), then injects ~10 classes of plan/schedule
- * corruptions and checks the analyses catch each one with the expected
- * rule (the detection gate). Corruption classes:
+ * verifies that PlanChecker::check reports zero errors on it and the
+ * dynamic happens-before cross-check zero on a clean synthetic timeline
+ * (the false-positive gate), then injects ~10 classes of plan/schedule
+ * corruptions and checks each is caught with the expected rule (the
+ * detection gate). Corruption classes:
  *
  *   event surgery      trigger-after-back, swapin-during-swapout — reorder
  *                      prefetch triples in the event list, exactly the
@@ -16,17 +17,19 @@
  *                      disabled (OrderingRules), modelling a runtime that
  *                      forgot to enforce it
  *   plan mutations     use-after-evict-hole, empty-interval — corrupt
- *                      PlannedEviction intervals
+ *                      PlannedEviction intervals (graded on
+ *                      PlanChecker::check)
  *   graph surgery      cyclic-lineage, lost-source — corrupt the lineage
- *                      the recompute replay depends on
+ *                      the recompute replay depends on (graded on
+ *                      PlanChecker::check)
  *   timestamp skew     clock-skew — a synthetic capuscope timeline whose
  *                      measured times contradict an ordering edge
  *
- * The corpus composition (class, case count, expected rule) lives in
- * tools/capumutate_manifest.txt so CI runs a fixed corpus; the built-in
- * default is identical. Exit 0 when the catch rate is >= 95% with zero
- * false positives and no class lacking an injection site; exit 4 when the
- * gate fails; exit 1 on usage/trace errors.
+ * The corpus composition (class, case count, expected rule) is read from
+ * the manifest given with --manifest (CI passes
+ * tools/capumutate_manifest.txt). Exit 0 when the catch rate is >= 95%
+ * with zero false positives and no class lacking an injection site; exit
+ * 4 when the gate fails; exit 1 on usage/trace errors.
  */
 
 #include <algorithm>
@@ -40,7 +43,7 @@
 #include <vector>
 
 #include "analysis/happens_before.hh"
-#include "analysis/lifetime_analysis.hh"
+#include "analysis/plan_checker.hh"
 #include "core/policy_maker.hh"
 #include "core/trace_io.hh"
 #include "exec/ordering.hh"
@@ -49,6 +52,7 @@
 #include "sim/pcie_link.hh"
 #include "support/logging.hh"
 #include "support/rng.hh"
+#include "support/units.hh"
 
 using namespace capu;
 
@@ -62,47 +66,26 @@ struct Options
     std::string device = "p100";
     std::uint64_t capacity = 0;
     std::uint64_t savingBytes = 0;
-    std::size_t maxChain = 256;
     std::uint64_t seed = 1;
     bool noSwap = false;
     bool noRecompute = false;
     bool verbose = false;
 };
 
-std::uint64_t
-parseBytes(const std::string &s)
-{
-    char *end = nullptr;
-    double v = std::strtod(s.c_str(), &end);
-    if (end == s.c_str() || v < 0)
-        fatal("bad byte count '{}'", s);
-    std::string suffix = end;
-    if (suffix == "" || suffix == "B")
-        return static_cast<std::uint64_t>(v);
-    if (suffix == "K" || suffix == "KB")
-        return static_cast<std::uint64_t>(v * (1ull << 10));
-    if (suffix == "M" || suffix == "MB")
-        return static_cast<std::uint64_t>(v * (1ull << 20));
-    if (suffix == "G" || suffix == "GB")
-        return static_cast<std::uint64_t>(v * (1ull << 30));
-    fatal("bad byte suffix '{}' (use K/M/G)", suffix);
-}
-
 void
 usage()
 {
     std::cout <<
-        "capumutate — mutation corpus gate for the capuverify analyses\n"
+        "capumutate — mutation corpus gate for the static plan verifier\n"
         "\n"
         "  --trace <file>       access trace from capusim --dump-trace\n"
-        "  --manifest <file>    corpus manifest (default: built-in corpus,\n"
-        "                       mirrored in tools/capumutate_manifest.txt)\n"
+        "  --manifest <file>    corpus manifest, e.g.\n"
+        "                       tools/capumutate_manifest.txt\n"
         "  --device <name>      p100 (default) | v100\n"
         "  --capacity <bytes>   GPU pool capacity (K/M/G suffixes)\n"
         "  --saving <bytes>     memory-saving target for the PolicyMaker\n"
         "  --no-swap            recompute-only plan\n"
         "  --no-recompute       swap-only plan\n"
-        "  --max-chain <n>      recompute chain budget (default 256)\n"
         "  --seed <n>           base corpus seed (default 1)\n"
         "  --verbose            per-case detail\n"
         "\n"
@@ -136,8 +119,6 @@ parseArgs(int argc, char **argv, Options &opt)
             opt.noSwap = true;
         else if (a == "--no-recompute")
             opt.noRecompute = true;
-        else if (a == "--max-chain")
-            opt.maxChain = static_cast<std::size_t>(std::atoll(next()));
         else if (a == "--seed")
             opt.seed = static_cast<std::uint64_t>(std::atoll(next()));
         else if (a == "--verbose")
@@ -151,6 +132,8 @@ parseArgs(int argc, char **argv, Options &opt)
     }
     if (opt.trace.empty())
         fatal("--trace is required (see --help)");
+    if (opt.manifest.empty())
+        fatal("--manifest is required (see --help)");
     return true;
 }
 
@@ -164,23 +147,6 @@ struct CorpusClass
     int cases = 0;
     std::string rule; ///< the diagnostic that counts as a catch
 };
-
-std::vector<CorpusClass>
-defaultManifest()
-{
-    return {
-        {"trigger-after-back", 5, "hb-unsequenced-prefetch"},
-        {"drop-sync-edge", 5, "hb-unsequenced-prefetch"},
-        {"early-free", 5, "hb-free-racing-swapout"},
-        {"copy-before-retire", 5, "hb-copy-before-retire"},
-        {"swapin-during-swapout", 5, "hb-swapin-before-swapout"},
-        {"use-after-evict-hole", 5, "lifetime-use-after-free"},
-        {"empty-interval", 5, "lifetime-empty-interval"},
-        {"cyclic-lineage", 5, "lifetime-lineage-cycle"},
-        {"lost-source", 5, "lifetime-source-window"},
-        {"clock-skew", 5, "hb-timestamp-violation"},
-    };
-}
 
 std::vector<CorpusClass>
 loadManifest(const std::string &path)
@@ -292,9 +258,17 @@ struct Corpus
     const AccessTracker *tracker = nullptr;
     PlanChecker::BytesFn bytesOf;
     PlanChecker::SwapTimeFn swapTime;
-    LifetimeOptions lopts;
+    PlanCheckerOptions checker;
     HbAnalysis base; ///< clean static event graph, default rules
 };
+
+/** Every static rule over `plan`, with `graph` for the lineage walk. */
+LintReport
+checkPlan(const Corpus &c, const Plan &plan, const Graph &graph)
+{
+    return PlanChecker(graph, *c.tracker, c.checker)
+        .check(plan, c.bytesOf, c.swapTime);
+}
 
 LintReport
 scanEvents(std::vector<hb::HbEvent> events, const Corpus &c)
@@ -308,8 +282,8 @@ scanEvents(std::vector<hb::HbEvent> events, const Corpus &c)
 LintReport
 scanKnockout(const Corpus &c, const hb::OrderingRules &rules)
 {
-    HbAnalysis m = buildPlanEventGraph(*c.plan, *c.graph, *c.tracker,
-                                       c.bytesOf, c.swapTime, rules);
+    HbAnalysis m = buildPlanEventGraph(*c.plan, *c.tracker, c.bytesOf,
+                                       c.swapTime, rules);
     return checkHappensBefore(m, c.graph);
 }
 
@@ -429,8 +403,8 @@ mutateKnockout(const Corpus &c, const std::string &rule,
 }
 
 // --- class: use-after-evict-hole --------------------------------------------
-// Stretch an eviction interval over a real access: the abstract state says
-// the buffer is gone when the kernel reads it.
+// Stretch an eviction interval over a real access: the plan says the
+// buffer is gone when the kernel reads it.
 CaseResult
 mutateEvictHole(const Corpus &c, Rng &rng, const std::string &rule)
 {
@@ -460,9 +434,7 @@ mutateEvictHole(const Corpus &c, Rng &rng, const std::string &rule)
             c.tracker->accessesOf(item.tensor).back().accessIndex;
     else
         --item.evictAfterAccess;
-    LintReport report = analyzeLifetimes(mutated, *c.graph, *c.tracker,
-                                         c.bytesOf, c.swapTime, c.lopts)
-                            .report;
+    LintReport report = checkPlan(c, mutated, *c.graph);
     res.caught = hasRule(report, rule);
     res.note = firedRules(report);
     return res;
@@ -480,9 +452,7 @@ mutateEmptyInterval(const Corpus &c, Rng &rng, const std::string &rule)
     PlannedEviction &item =
         mutated.items[rng.uniformInt(0, mutated.items.size() - 1)];
     item.backAccess = item.evictAfterAccess;
-    LintReport report = analyzeLifetimes(mutated, *c.graph, *c.tracker,
-                                         c.bytesOf, c.swapTime, c.lopts)
-                            .report;
+    LintReport report = checkPlan(c, mutated, *c.graph);
     res.caught = hasRule(report, rule);
     res.note = firedRules(report);
     return res;
@@ -563,9 +533,7 @@ mutateCyclicLineage(const Corpus &c, Rng &rng, const std::string &rule)
     rootIn.insert(rootIn.begin(), sites[p.u].tensor);
     auto &uIn = mutated.mutableOp(sites[p.u].producer).inputs;
     uIn.insert(uIn.begin(), sites[p.u].tensor);
-    LintReport report = analyzeLifetimes(*c.plan, mutated, *c.tracker,
-                                         c.bytesOf, c.swapTime, c.lopts)
-                            .report;
+    LintReport report = checkPlan(c, *c.plan, mutated);
     res.caught = hasRule(report, rule);
     res.note = firedRules(report);
     return res;
@@ -585,9 +553,7 @@ mutateLostSource(const Corpus &c, Rng &rng, const std::string &rule)
     const RecomputeSite &s = sites[rng.uniformInt(0, sites.size() - 1)];
     Graph mutated = *c.graph;
     mutated.mutableOp(s.producer).recomputable = false;
-    LintReport report = analyzeLifetimes(*c.plan, mutated, *c.tracker,
-                                         c.bytesOf, c.swapTime, c.lopts)
-                            .report;
+    LintReport report = checkPlan(c, *c.plan, mutated);
     res.caught = hasRule(report, rule);
     res.note = firedRules(report);
     return res;
@@ -756,11 +722,9 @@ main(int argc, char **argv)
         corpus.tracker = &tracker;
         corpus.bytesOf = bytes_of;
         corpus.swapTime = swap_time;
-        corpus.lopts.gpuCapacity = capacity;
-        corpus.lopts.capacitySlack = capacity / 20;
-        corpus.lopts.maxRecomputeChain = opt.maxChain;
-        corpus.base = buildPlanEventGraph(plan, graph, tracker, bytes_of,
-                                          swap_time);
+        corpus.checker.gpuCapacity = capacity;
+        corpus.base =
+            buildPlanEventGraph(plan, tracker, bytes_of, swap_time);
 
         std::size_t swapItems = 0;
         for (const PlannedEviction &item : plan.items)
@@ -775,12 +739,7 @@ main(int argc, char **argv)
         // timeline must produce zero error-level findings.
         std::size_t falsePositives = 0;
         {
-            LintReport clean = checkHappensBefore(corpus.base, &graph);
-            LintReport lt = analyzeLifetimes(plan, graph, tracker, bytes_of,
-                                             swap_time, corpus.lopts)
-                                .report;
-            for (auto &d : lt.diags)
-                clean.diags.push_back(std::move(d));
+            LintReport clean = checkPlan(corpus, plan, graph);
             Rng fixtureRng(hashCombine(opt.seed, hashString("clean")));
             LintReport synth =
                 scanTimeline(syntheticTimeline(fixtureRng, false), corpus);
@@ -796,9 +755,7 @@ main(int argc, char **argv)
         }
 
         // --- Detection gate.
-        std::vector<CorpusClass> classes = opt.manifest.empty()
-                                               ? defaultManifest()
-                                               : loadManifest(opt.manifest);
+        std::vector<CorpusClass> classes = loadManifest(opt.manifest);
         std::size_t injected = 0;
         std::size_t caught = 0;
         std::size_t skippedClasses = 0;
