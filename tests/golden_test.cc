@@ -20,6 +20,15 @@
  *  - BERT@110 under Capuchin: busy PCIe swap lanes in the planner;
  *  - OpenAI-M on ResNet-50@240: a checkpointing baseline that replays
  *    lineage every iteration (its "plan" is the static drop set).
+ *
+ * A second table pins the exported bytes of three fully traced cells: the
+ * FNV-1a digest and length of the Chrome trace, the metrics CSV and the
+ * profile JSON. A change to how events are recorded, named, sorted or
+ * formatted must leave all three byte-identical. The cells are the CI
+ * artifact runs: ResNet-50@256 under Capuchin, the chaos cell (PCIe storm
+ * with failed swap attempts, so `!fail` and `recovery.*` labels reach the
+ * exporter) and a 40-iteration VGG16@230 run whose replayed iterations
+ * re-emit their `iter:N` / `iteration:N` markers.
  */
 
 #include <gtest/gtest.h>
@@ -30,11 +39,17 @@
 #include <string>
 #include <vector>
 
+#include <streambuf>
+
 #include "core/capuchin_policy.hh"
 #include "core/plan_io.hh"
 #include "exec/session.hh"
+#include "faults/fault_spec.hh"
 #include "models/zoo.hh"
+#include "obs/chrome_trace.hh"
+#include "obs/event_adapter.hh"
 #include "policy/checkpointing_policy.hh"
+#include "prof/report.hh"
 #include "support/rng.hh"
 
 using namespace capu;
@@ -173,4 +188,179 @@ TEST(Golden, ResNet50At240OpenAiM)
                       {1475177226ull, 0ull, 154, 0},
                   },
                   0x1d858fff15491b70ull});
+}
+
+// --- Exported bytes ---
+
+namespace
+{
+
+/** FNV-1a digest and length of everything written through it. */
+class DigestBuf : public std::streambuf
+{
+  public:
+    std::uint64_t digest = 0xcbf29ce484222325ull;
+    std::uint64_t bytes = 0;
+
+  protected:
+    int_type
+    overflow(int_type c) override
+    {
+        if (!traits_type::eq_int_type(c, traits_type::eof()))
+            mix(traits_type::to_char_type(c));
+        return traits_type::not_eof(c);
+    }
+
+    std::streamsize
+    xsputn(const char *s, std::streamsize n) override
+    {
+        for (std::streamsize i = 0; i < n; ++i)
+            mix(s[i]);
+        return n;
+    }
+
+  private:
+    void
+    mix(char c)
+    {
+        digest ^= static_cast<unsigned char>(c);
+        digest *= 0x100000001b3ull;
+        ++bytes;
+    }
+};
+
+struct ExportDigest
+{
+    std::uint64_t digest;
+    std::uint64_t bytes;
+
+    bool
+    operator==(const ExportDigest &o) const
+    {
+        return digest == o.digest && bytes == o.bytes;
+    }
+};
+
+struct GoldenExport
+{
+    ExportDigest trace;
+    ExportDigest metrics;
+    ExportDigest profile;
+
+    bool
+    operator==(const GoldenExport &o) const
+    {
+        return trace == o.trace && metrics == o.metrics &&
+               profile == o.profile;
+    }
+};
+
+std::string
+describe(const GoldenExport &g)
+{
+    std::ostringstream os;
+    os << std::hex;
+    for (const ExportDigest *d : {&g.trace, &g.metrics, &g.profile}) {
+        os << "{0x" << d->digest << "ull, " << std::dec << d->bytes
+           << "ull}," << std::hex;
+    }
+    return os.str();
+}
+
+template <typename Write>
+ExportDigest
+digestOf(Write &&write)
+{
+    DigestBuf buf;
+    std::ostream os(&buf);
+    write(os);
+    os.flush();
+    return {buf.digest, buf.bytes};
+}
+
+/** What an exported run must reproduce besides its bytes. */
+struct ExportShape
+{
+    int replayed = 0;    ///< synthesized iterations
+    int failedSwaps = 0; ///< aborted transfer attempts in the timeline
+};
+
+/**
+ * One fully traced run configured the way capusim configures it (replay
+ * on unless a fault plan disarms it; a fault plan arms the plan-drift
+ * watchdog), exported three ways.
+ */
+GoldenExport
+exportRun(ModelKind model, std::int64_t batch, int iterations,
+          const char *faults, std::uint64_t seed, ExportShape &shape)
+{
+    ExecConfig cfg;
+    cfg.obsLevel = obs::ObsLevel::Full;
+    cfg.replay.enabled = true;
+    cfg.seed = seed;
+    cfg.faults = faults::parseFaultSpec(faults);
+    CapuchinOptions opts;
+    if (cfg.faults.enabled())
+        opts.driftThreshold = 0.35;
+    Session session(buildModel(model, batch), cfg, makeCapuchinPolicy(opts));
+    SessionResult r = session.run(iterations);
+    EXPECT_FALSE(r.oom) << r.oomMessage;
+    shape.replayed = r.replay.replayed;
+    const obs::Obs &o = session.executor().obs();
+    EXPECT_EQ(o.tracer.dropped(), 0u);
+    for (const obs::TimelineRecord &rec : obs::extractTimeline(o.tracer))
+        shape.failedSwaps += rec.failed ? 1 : 0;
+
+    GoldenExport g;
+    g.trace = digestOf(
+        [&](std::ostream &os) { obs::writeChromeTrace(os, o.tracer); });
+    g.metrics = digestOf(
+        [&](std::ostream &os) { obs::writeMetricsCsv(os, o.metrics); });
+    prof::Profile profile = prof::buildProfile(o.tracer);
+    g.profile = digestOf([&](std::ostream &os) {
+        prof::renderProfile(os, profile, prof::ReportFormat::Json);
+    });
+    return g;
+}
+
+void
+expectGoldenExport(const GoldenExport &observed,
+                   const GoldenExport &expected)
+{
+    EXPECT_TRUE(observed == expected)
+        << "observed " << describe(observed) << "\nexpected "
+        << describe(expected);
+}
+
+} // namespace
+
+TEST(GoldenExport, ResNet50At256Capuchin)
+{
+    ExportShape shape;
+    GoldenExport g = exportRun(ModelKind::ResNet50, 256, 3, "", 0, shape);
+    expectGoldenExport(g, {{0x553247aa28b633b3ull, 1772723ull},
+                           {0x5baa3f9cd7a0c139ull, 1560ull},
+                           {0x687c0b01d989bf62ull, 247818ull}});
+}
+
+TEST(GoldenExport, ResNet50At320PcieStorm)
+{
+    ExportShape shape;
+    GoldenExport g = exportRun(
+        ModelKind::ResNet50, 320, 4,
+        "pcie:0.5@500-2500;jitter:0.1;swapfail:p=0.05,retries=3", 42, shape);
+    EXPECT_EQ(shape.failedSwaps, 21);
+    expectGoldenExport(g, {{0xe9633b976249f870ull, 2499438ull},
+                           {0x470e1166b85a1d3aull, 2191ull},
+                           {0x1db47578e2813649ull, 250025ull}});
+}
+
+TEST(GoldenExport, Vgg16At230ReplayedCapuchin)
+{
+    ExportShape shape;
+    GoldenExport g = exportRun(ModelKind::Vgg16, 230, 40, "", 0, shape);
+    EXPECT_EQ(shape.replayed, 34);
+    expectGoldenExport(g, {{0xb7a13622f971ef5bull, 4128176ull},
+                           {0x6457d8c2859fb4f7ull, 8009ull},
+                           {0xd391b55e17f727adull, 61439ull}});
 }
