@@ -42,11 +42,12 @@ main()
     std::map<TensorId, std::map<int, std::vector<Tick>>> log;
     int cur_iter = -1;
     Tick iter_start = 0;
-    s.executor().obs().tracer.forEach([&](const obs::TraceEvent &ev) {
+    const obs::Tracer &tracer = s.executor().obs().tracer;
+    tracer.forEach([&](const obs::TraceEvent &ev) {
         if (ev.kind == obs::EventKind::Marker &&
             ev.phase == obs::EventPhase::Instant &&
-            ev.name.rfind("iter:", 0) == 0) {
-            cur_iter = std::stoi(ev.name.substr(5));
+            tracer.name(ev.name).starts_with("iter:")) {
+            cur_iter = std::stoi(tracer.name(ev.name).substr(5));
             iter_start = ev.ts;
             return;
         }

@@ -63,7 +63,8 @@ Executor::Executor(const Executor &other, const Graph &graph,
       currentOp_(other.currentOp_), currentOpEnd_(other.currentOpEnd_),
       stats_(other.stats_), replayArmed_(other.replayArmed_),
       iterAccessHash_(other.iterAccessHash_),
-      replayCounterOffsets_(other.replayCounterOffsets_)
+      replayCounterOffsets_(other.replayCounterOffsets_),
+      labels_(other.labels_)
 {
     // The member-wise copies above left four raw observer pointers aimed
     // at `other`'s tracer / fault engine. Re-attach them to this copy's
@@ -275,8 +276,9 @@ Executor::abortIteration()
     computeBarrier_ = clock_;
     currentOp_ = kInvalidOp;
     mem_.gpu().checkInvariants();
-    obs_.tracer.instant(obs::kTrackHost, obs::EventKind::Marker, clock_,
-                        "iter.abort:" + std::to_string(iteration_));
+    if (obs_.tracing())
+        obs_.tracer.instant(obs::kTrackHost, obs::EventKind::Marker, clock_,
+                            "iter.abort:" + std::to_string(iteration_));
     obs_.metrics.add("iter.aborts");
 }
 
@@ -455,7 +457,7 @@ Executor::ensureResident(TensorId id, Tick at)
             // fully hid. Normalize (the SwappingIn case does the same when
             // the stall is zero) and close the SWAPPING_IN phase.
             st.status = TensorStatus::In;
-            notePhase(id, "IN", st.swapInReady);
+            notePhase(id, ObsPhase::In, st.swapInReady);
         }
         return at;
       case TensorStatus::SwappingOut:
@@ -469,14 +471,13 @@ Executor::ensureResident(TensorId id, Tick at)
               stats_.inputStall += stall;
               stats_.prefetchStall += stall;
               obs_.tracer.complete(obs::kTrackHost, obs::EventKind::Stall,
-                                   at, stall,
-                                   "stall:" + graph_.tensor(id).name,
+                                   at, stall, tensorLabel("stall:", id),
                                    static_cast<std::int64_t>(id));
               if (policy_)
                   policy_->onBackAccessStall(*this, id, stall);
           }
           st.status = TensorStatus::In;
-          notePhase(id, "IN", std::max(at, st.swapInReady));
+          notePhase(id, ObsPhase::In, std::max(at, st.swapInReady));
           return std::max(at, st.swapInReady);
       }
 
@@ -490,13 +491,11 @@ Executor::ensureResident(TensorId id, Tick at)
           MemHandle h = allocateOrDie(at, allocBytes(id),
                                       graph_.tensor(id).name, id);
           obs_.tracer.instant(obs::kTrackRecovery, obs::EventKind::Recovery,
-                              at,
-                              "recovery.ondemand-swapin:" +
-                                  graph_.tensor(id).name,
+                              at, tensorLabel("recovery.ondemand-swapin:", id),
                               static_cast<std::int64_t>(id));
           Tick done = pcie_.transfer(CopyDir::HostToDevice,
                                      wireBytes(allocBytes(id)), at,
-                                     "swapin:" + graph_.tensor(id).name,
+                                     tensorLabel("swapin:", id),
                                      static_cast<std::int64_t>(id));
           st.gpuHandle = h;
           st.status = TensorStatus::In;
@@ -505,13 +504,13 @@ Executor::ensureResident(TensorId id, Tick at)
           stats_.swapInBytes += allocBytes(id);
           noteIn(id);
           obs_.metrics.add("swap.ondemand_count");
-          notePhase(id, "SWAPPING_IN",
+          notePhase(id, ObsPhase::SwappingIn,
                     pcie_.lastStart(CopyDir::HostToDevice));
-          notePhase(id, "IN", done);
+          notePhase(id, ObsPhase::In, done);
           Tick stall = done - t0;
           stats_.inputStall += stall;
           obs_.tracer.complete(obs::kTrackHost, obs::EventKind::Stall, t0,
-                               stall, "stall:" + graph_.tensor(id).name,
+                               stall, tensorLabel("stall:", id),
                                static_cast<std::int64_t>(id));
           if (policy_)
               policy_->onBackAccessStall(*this, id, stall);
@@ -614,7 +613,9 @@ Executor::recomputeTensor(TensorId target, Tick at)
                 st.gpuHandle.reset();
                 st.status = st.hasHostCopy ? TensorStatus::Out
                                            : TensorStatus::Recompute;
-                notePhase(tid, st.hasHostCopy ? "OUT" : "DROPPED", when);
+                notePhase(tid,
+                          st.hasHostCopy ? ObsPhase::Out : ObsPhase::Dropped,
+                          when);
                 any = true;
             }
         }
@@ -670,13 +671,13 @@ Executor::recomputeTensor(TensorId target, Tick at)
             ost.gpuHandle = *h;
             ost.status = TensorStatus::In;
             ost.swapInReady = 0;
-            notePhase(out, "IN", at);
+            notePhase(out, ObsPhase::In, at);
         }
 
         Tick dur = cost_.opDuration(op, fast);
         if (faults_.enabled())
             dur = faults_.jitterKernel(dur);
-        Tick end = compute_.enqueue(at, dur, "recompute:" + op.name,
+        Tick end = compute_.enqueue(at, dur, opLabel(plan[p], true),
                                     obs::EventKind::Recompute,
                                     static_cast<std::int64_t>(target),
                                     static_cast<std::int64_t>(plan[p]));
@@ -710,7 +711,9 @@ Executor::recomputeTensor(TensorId target, Tick at)
                 ost.gpuHandle.reset();
                 ost.status = ost.hasHostCopy ? TensorStatus::Out
                                              : TensorStatus::Recompute;
-                notePhase(out, ost.hasHostCopy ? "OUT" : "DROPPED", end);
+                notePhase(out,
+                          ost.hasHostCopy ? ObsPhase::Out : ObsPhase::Dropped,
+                          end);
             } else {
                 scratch.push_back(out);
             }
@@ -823,7 +826,7 @@ Executor::runOp(OpId id)
             aliased = true;
             ++stats_.inplaceForwards;
             closePhase(in0, t);
-            notePhase(out0, "IN", t);
+            notePhase(out0, ObsPhase::In, t);
         }
     }
     for (std::size_t oi = 0; oi < op.outputs.size(); ++oi) {
@@ -844,14 +847,15 @@ Executor::runOp(OpId id)
         st.swapInReady = 0;
         st.produced = true;
         st.remainingUses = usesPerIteration_[out];
-        notePhase(out, "IN", t);
+        notePhase(out, ObsPhase::In, t);
     }
 
     // (4) Kernel.
     Tick dur = cost_.opDuration(op, fast);
     if (faults_.enabled())
         dur = faults_.jitterKernel(dur);
-    Tick end = compute_.enqueue(t, dur, op.name, obs::EventKind::Kernel, -1,
+    Tick end = compute_.enqueue(t, dur, opLabel(id, false),
+                                obs::EventKind::Kernel, -1,
                                 static_cast<std::int64_t>(id));
     Tick start = end - dur;
     currentOpEnd_ = end;
@@ -933,8 +937,8 @@ Executor::recordAccess(TensorId id, Tick when, bool is_output, OpId op)
         tev.tensor = static_cast<std::int64_t>(id);
         tev.op = static_cast<std::int64_t>(op);
         tev.value = st.accessCount;
-        tev.name = is_output ? "write" : "read";
-        obs_.tracer.record(std::move(tev));
+        tev.name = accessLabel(is_output);
+        obs_.tracer.record(tev);
     }
     if (!policy_)
         return;
@@ -975,23 +979,92 @@ Executor::releaseIfDead(TensorId id, Tick at)
 
 // --- observability helpers (pure observers: never touch simulated time) ---
 
+namespace
+{
+
+const char *
+phaseName(ObsPhase phase)
+{
+    switch (phase) {
+      case ObsPhase::None: return "";
+      case ObsPhase::In: return "IN";
+      case ObsPhase::Out: return "OUT";
+      case ObsPhase::Dropped: return "DROPPED";
+      case ObsPhase::SwappingIn: return "SWAPPING_IN";
+      case ObsPhase::SwappingOut: return "SWAPPING_OUT";
+    }
+    return "?";
+}
+
+} // namespace
+
+obs::NameId
+Executor::opLabel(OpId id, bool recompute)
+{
+    if (!obs_.tracing())
+        return 0;
+    if (labels_.op.empty())
+        labels_.op.resize(graph_.numOps());
+    obs::NameId &label = labels_.op[id][recompute ? 1 : 0];
+    if (label == 0) {
+        const std::string &name = graph_.op(id).name;
+        label = obs_.tracer.intern(recompute ? "recompute:" + name : name);
+    }
+    return label;
+}
+
+obs::NameId
+Executor::phaseLabel(TensorId id, ObsPhase phase)
+{
+    if (!obs_.tracing())
+        return 0;
+    if (labels_.phase.empty())
+        labels_.phase.resize(graph_.numTensors());
+    obs::NameId &label = labels_.phase[id][static_cast<std::size_t>(phase)];
+    if (label == 0) {
+        label = obs_.tracer.intern(graph_.tensor(id).name + ":" +
+                                   phaseName(phase));
+    }
+    return label;
+}
+
+obs::NameId
+Executor::accessLabel(bool is_output)
+{
+    if (!obs_.tracing())
+        return 0;
+    obs::NameId &label = is_output ? labels_.write : labels_.read;
+    if (label == 0)
+        label = obs_.tracer.intern(is_output ? "write" : "read");
+    return label;
+}
+
+obs::NameId
+Executor::tensorLabel(std::string_view prefix, TensorId id)
+{
+    if (!obs_.tracing())
+        return 0;
+    std::string label(prefix);
+    label += graph_.tensor(id).name;
+    return obs_.tracer.intern(label);
+}
+
 void
-Executor::notePhase(TensorId id, const char *phase, Tick at)
+Executor::notePhase(TensorId id, ObsPhase phase, Tick at)
 {
     if (!obs_.tracing())
         return;
     TensorState &st = state(id);
     // A phase can begin in the future (a transfer's completion time); the
     // successor must not open before it closed, or the async spans overlap.
-    if (st.obsPhase)
+    if (st.obsPhase != ObsPhase::None)
         at = std::max(at, st.obsPhaseAt);
     closePhase(id, at);
     st.obsPhase = phase;
     st.obsPhaseAt = at;
     obs_.tracer.spanBegin(obs::EventKind::Lifetime,
                           static_cast<std::int64_t>(id), at,
-                          graph_.tensor(id).name + ":" + phase,
-                          allocBytes(id));
+                          phaseLabel(id, phase), allocBytes(id));
 }
 
 void
@@ -1000,13 +1073,13 @@ Executor::closePhase(TensorId id, Tick at)
     if (!obs_.tracing())
         return;
     TensorState &st = state(id);
-    if (!st.obsPhase)
+    if (st.obsPhase == ObsPhase::None)
         return;
     obs_.tracer.spanEnd(obs::EventKind::Lifetime,
                         static_cast<std::int64_t>(id),
                         std::max(at, st.obsPhaseAt),
-                        graph_.tensor(id).name + ":" + st.obsPhase);
-    st.obsPhase = nullptr;
+                        phaseLabel(id, st.obsPhase));
+    st.obsPhase = ObsPhase::None;
 }
 
 void
@@ -1392,9 +1465,11 @@ Executor::hostStage(TensorId id, std::uint64_t wire_bytes)
 {
     if (faults_.enabled() && faults_.hostTransientFail()) {
         ++faults_.stats().hostRejects;
-        faults_.noteFault(clock_,
-                          "fault.host.transient:" + graph_.tensor(id).name,
-                          static_cast<std::int64_t>(id), wire_bytes);
+        if (obs_.tracing())
+            faults_.noteFault(clock_,
+                              "fault.host.transient:" +
+                                  graph_.tensor(id).name,
+                              static_cast<std::int64_t>(id), wire_bytes);
         obs_.metrics.add("fault.host.rejects");
         return 0;
     }
@@ -1402,10 +1477,11 @@ Executor::hostStage(TensorId id, std::uint64_t wire_bytes)
     if (h == 0) {
         if (faults_.enabled()) {
             ++faults_.stats().hostRejects;
-            faults_.noteFault(clock_,
-                              "fault.host.exhausted:" +
-                                  graph_.tensor(id).name,
-                              static_cast<std::int64_t>(id), wire_bytes);
+            if (obs_.tracing())
+                faults_.noteFault(clock_,
+                                  "fault.host.exhausted:" +
+                                      graph_.tensor(id).name,
+                                  static_cast<std::int64_t>(id), wire_bytes);
         }
         obs_.metrics.add("fault.host.rejects");
     }
@@ -1421,16 +1497,14 @@ Executor::swapToDropFallback(TensorId id)
         // look for another victim.
         ++faults_.stats().swapSkips;
         obs_.tracer.instant(obs::kTrackRecovery, obs::EventKind::Recovery,
-                            clock_,
-                            "recovery.swap-skipped:" + graph_.tensor(id).name,
+                            clock_, tensorLabel("recovery.swap-skipped:", id),
                             static_cast<std::int64_t>(id));
         obs_.metrics.add("recovery.swap_skipped");
         return false;
     }
     ++faults_.stats().dropFallbacks;
     obs_.tracer.instant(obs::kTrackRecovery, obs::EventKind::Recovery,
-                        clock_,
-                        "recovery.swap-to-drop:" + graph_.tensor(id).name,
+                        clock_, tensorLabel("recovery.swap-to-drop:", id),
                         static_cast<std::int64_t>(id));
     obs_.metrics.add("recovery.drop_fallbacks");
     evictDrop(id);
@@ -1464,7 +1538,7 @@ Executor::evictSwapAsync(TensorId id)
         ++stats_.elidedWritebacks;
         obs_.metrics.add("swap.writeback_elided");
         noteOut(id);
-        notePhase(id, "OUT", when);
+        notePhase(id, ObsPhase::Out, when);
         return;
     }
     // Stage the pinned host destination before touching PCIe: staging
@@ -1484,8 +1558,7 @@ Executor::evictSwapAsync(TensorId id)
     Tick ready = std::max(clock_, currentOp_ != kInvalidOp ? currentOpEnd_
                                                            : clock_);
     auto done = pcie_.tryTransfer(CopyDir::DeviceToHost, wireBytes(bytes),
-                                  ready,
-                                  "swapout:" + graph_.tensor(id).name,
+                                  ready, tensorLabel("swapout:", id),
                                   static_cast<std::int64_t>(id));
     if (!done) {
         // Retries exhausted: release the staging we just reserved and
@@ -1505,8 +1578,9 @@ Executor::evictSwapAsync(TensorId id)
     ++stats_.swapOutCount;
     stats_.swapOutBytes += bytes;
     noteOut(id);
-    notePhase(id, "SWAPPING_OUT", pcie_.lastStart(CopyDir::DeviceToHost));
-    notePhase(id, "OUT", *done);
+    notePhase(id, ObsPhase::SwappingOut,
+              pcie_.lastStart(CopyDir::DeviceToHost));
+    notePhase(id, ObsPhase::Out, *done);
 }
 
 Tick
@@ -1517,7 +1591,7 @@ Executor::evictSwapBlocking(TensorId id)
     if (st.status == TensorStatus::SwappingOut) {
         computeBarrier_ = std::max(computeBarrier_, st.swapOutDone);
         obs_.tracer.instant(obs::kTrackHost, obs::EventKind::Sync, clock_,
-                            "sync.blocking-swap:" + graph_.tensor(id).name,
+                            tensorLabel("sync.blocking-swap:", id),
                             static_cast<std::int64_t>(id));
         obs_.metrics.add("swap.blocking_count");
     }
@@ -1547,7 +1621,7 @@ Executor::evictSwapSync(TensorId id)
         ++stats_.oomEvictions;
         obs_.metrics.add("swap.writeback_elided");
         noteOut(id);
-        notePhase(id, "OUT", when);
+        notePhase(id, ObsPhase::Out, when);
         return true;
     }
     bool fresh_host = false;
@@ -1559,8 +1633,7 @@ Executor::evictSwapSync(TensorId id)
         fresh_host = true;
     }
     auto done = pcie_.tryTransfer(CopyDir::DeviceToHost, wireBytes(bytes),
-                                  clock_,
-                                  "oom-swapout:" + graph_.tensor(id).name,
+                                  clock_, tensorLabel("oom-swapout:", id),
                                   static_cast<std::int64_t>(id));
     if (!done) {
         if (fresh_host) {
@@ -1578,8 +1651,9 @@ Executor::evictSwapSync(TensorId id)
     ++stats_.oomEvictions;
     stats_.swapOutBytes += bytes;
     noteOut(id);
-    notePhase(id, "SWAPPING_OUT", pcie_.lastStart(CopyDir::DeviceToHost));
-    notePhase(id, "OUT", *done);
+    notePhase(id, ObsPhase::SwappingOut,
+              pcie_.lastStart(CopyDir::DeviceToHost));
+    notePhase(id, ObsPhase::Out, *done);
     return true;
 }
 
@@ -1611,7 +1685,7 @@ Executor::evictDrop(TensorId id)
     stats_.droppedBytes += allocBytes(id);
     if (st.hasHostCopy)
         noteOut(id);
-    notePhase(id, st.hasHostCopy ? "OUT" : "DROPPED", when);
+    notePhase(id, st.hasHostCopy ? ObsPhase::Out : ObsPhase::Dropped, when);
 }
 
 void
@@ -1637,15 +1711,12 @@ Executor::prefetchAsync(TensorId id)
         ++faults_.stats().prefetchMisses;
         obs_.metrics.add("prefetch.miss");
         obs_.tracer.instant(obs::kTrackRecovery, obs::EventKind::Recovery,
-                            clock_,
-                            "recovery.prefetch-miss:" +
-                                graph_.tensor(id).name,
+                            clock_, tensorLabel("recovery.prefetch-miss:", id),
                             static_cast<std::int64_t>(id));
         return;
     }
     Tick done = pcie_.transfer(CopyDir::HostToDevice, wireBytes(bytes),
-                               ready,
-                               "prefetch:" + graph_.tensor(id).name,
+                               ready, tensorLabel("prefetch:", id),
                                static_cast<std::int64_t>(id));
     st.gpuHandle = *h;
     st.status = TensorStatus::SwappingIn;
@@ -1655,7 +1726,8 @@ Executor::prefetchAsync(TensorId id)
     stats_.prefetchBusy += done - pcie_.lastStart(CopyDir::HostToDevice);
     noteIn(id);
     obs_.metrics.add("prefetch.count");
-    notePhase(id, "SWAPPING_IN", pcie_.lastStart(CopyDir::HostToDevice));
+    notePhase(id, ObsPhase::SwappingIn,
+              pcie_.lastStart(CopyDir::HostToDevice));
 }
 
 } // namespace capu

@@ -32,6 +32,7 @@
 #ifndef CAPU_EXEC_EXECUTOR_HH
 #define CAPU_EXEC_EXECUTOR_HH
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -261,6 +262,20 @@ struct IterationStats
     }
 };
 
+/** Residency phase a tensor's open lifetime span records (tracing only). */
+enum class ObsPhase : std::uint8_t
+{
+    None, ///< no span open
+    In,
+    Out,
+    Dropped,
+    SwappingIn,
+    SwappingOut,
+};
+
+inline constexpr std::size_t kObsPhases =
+    static_cast<std::size_t>(ObsPhase::SwappingOut) + 1;
+
 /** Runtime residency + bookkeeping for one tensor. */
 struct TensorState
 {
@@ -278,8 +293,8 @@ struct TensorState
     std::uint64_t expectedFp = 0;
     int weightVersion = 0;
 
-    /** Open residency-phase span ("IN", "OUT", ...); tracing only. */
-    const char *obsPhase = nullptr;
+    /** Open residency-phase span; tracing only. */
+    ObsPhase obsPhase = ObsPhase::None;
     Tick obsPhaseAt = 0;
     /** Counted in tensor.out_bytes, awaiting swap-in or host-copy death. */
     bool outWithHost = false;
@@ -459,6 +474,22 @@ class Executor : public ExecContext
 
     std::uint64_t replayCounterOffset(std::string_view name) const;
 
+    /**
+     * Hot trace labels as ids in obs_.tracer, interned on first use while
+     * tracing (0 = not yet), so the op loop passes an id instead of
+     * building a string per event.
+     */
+    struct TraceLabels
+    {
+        /// per op: its kernel label, then "recompute:<op>"
+        std::vector<std::array<obs::NameId, 2>> op;
+        /// per tensor and ObsPhase: "<tensor>:<PHASE>"
+        std::vector<std::array<obs::NameId, kObsPhases>> phase;
+        obs::NameId read = 0;
+        obs::NameId write = 0;
+    };
+    TraceLabels labels_;
+
     // --- helpers ---
     /** Op list the current iteration runs (variant slice when dynamic). */
     const std::vector<OpId> &activeSchedule() const;
@@ -504,8 +535,15 @@ class Executor : public ExecContext
     void releaseIfDead(TensorId id, Tick at);
 
     // --- observability (pure observers: never touch simulated time) ---
+    // Label helpers return 0 unless tracing.
+    /** Op `id`'s kernel label, or its lineage-replay label. */
+    obs::NameId opLabel(OpId id, bool recompute);
+    obs::NameId phaseLabel(TensorId id, ObsPhase phase);
+    obs::NameId accessLabel(bool is_output);
+    /** `<prefix><tensor name>`, built per call (rare labels only). */
+    obs::NameId tensorLabel(std::string_view prefix, TensorId id);
     /** Open residency phase `phase` for `id` at `at` (closes the prior). */
-    void notePhase(TensorId id, const char *phase, Tick at);
+    void notePhase(TensorId id, ObsPhase phase, Tick at);
     void closePhase(TensorId id, Tick at);
     /** Transition-level swap accounting (tensor.out/in/retired bytes). */
     void noteOut(TensorId id);

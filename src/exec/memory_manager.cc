@@ -82,6 +82,7 @@ void
 MemoryManager::attachTracer(obs::Tracer *tracer)
 {
     tracer_ = tracer;
+    bytesInUseLabel_ = 0;
     if (tracer_)
         tracer_->setTrackName(obs::kTrackMemory, "memory");
 }
@@ -89,10 +90,12 @@ MemoryManager::attachTracer(obs::Tracer *tracer)
 void
 MemoryManager::sampleUsage(Tick now)
 {
-    if (tracer_) {
-        tracer_->counter(obs::kTrackMemory, now, "gpu.bytes_in_use",
-                         static_cast<double>(gpu_.bytesInUse()));
-    }
+    if (!tracer_ || !tracer_->enabled())
+        return;
+    if (bytesInUseLabel_ == 0)
+        bytesInUseLabel_ = tracer_->intern("gpu.bytes_in_use");
+    tracer_->counter(obs::kTrackMemory, now, bytesInUseLabel_,
+                     static_cast<double>(gpu_.bytesInUse()));
 }
 
 } // namespace capu

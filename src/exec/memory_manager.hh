@@ -89,6 +89,8 @@ class MemoryManager
     HostPinnedPool host_;
     DeferredFreeQueue deferred_;
     obs::Tracer *tracer_ = nullptr;
+    /// "gpu.bytes_in_use" in tracer_, interned on the first traced sample.
+    obs::NameId bytesInUseLabel_ = 0;
 };
 
 } // namespace capu

@@ -325,18 +325,21 @@ ReplayEngine::emitSynthesized(const IterationStats &st, const Delta &tpl)
     obs::Obs &obs = exec_.obs();
     if (obs.tracing()) {
         Tick offset = st.begin - tpl.stats.begin;
+        std::string index = std::to_string(st.iteration);
         obs.tracer.instant(obs::kTrackReplay, obs::EventKind::Marker,
-                           st.begin,
-                           "replay.iter:" + std::to_string(st.iteration));
+                           st.begin, "replay.iter:" + index);
+        // Iteration boundary markers carry the index in their label.
+        obs::NameId iter = obs.tracer.intern("iter:" + index);
+        obs::NameId iteration = obs.tracer.intern("iteration:" + index);
         for (const obs::TraceEvent &tev : tpl.events) {
             obs::TraceEvent ev = tev;
             ev.ts += offset;
-            // Iteration boundary markers carry the index in their label.
-            if (ev.name.rfind("iter:", 0) == 0)
-                ev.name = "iter:" + std::to_string(st.iteration);
-            else if (ev.name.rfind("iteration:", 0) == 0)
-                ev.name = "iteration:" + std::to_string(st.iteration);
-            obs.tracer.record(std::move(ev));
+            const std::string &label = obs.tracer.name(ev.name);
+            if (label.starts_with("iter:"))
+                ev.name = iter;
+            else if (label.starts_with("iteration:"))
+                ev.name = iteration;
+            obs.tracer.record(ev);
         }
     }
     if (obs.metricsOn()) {

@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "faults/fault_spec.hh"
 #include "obs/tracer.hh"
@@ -102,12 +103,12 @@ class FaultEngine
     void attachTracer(obs::Tracer *tracer);
 
     /** Injected-episode instant on the `faults` track. */
-    void noteFault(Tick ts, std::string name, std::int64_t tensor = -1,
+    void noteFault(Tick ts, std::string_view name, std::int64_t tensor = -1,
                    std::uint64_t bytes = 0);
 
     /** Reaction instant on the `recovery` track. */
-    void noteRecovery(Tick ts, std::string name, std::int64_t tensor = -1,
-                      std::uint64_t bytes = 0);
+    void noteRecovery(Tick ts, std::string_view name,
+                      std::int64_t tensor = -1, std::uint64_t bytes = 0);
 
   private:
     FaultSpec spec_;

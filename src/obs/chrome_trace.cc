@@ -1,9 +1,10 @@
 #include "obs/chrome_trace.hh"
 
-#include <cinttypes>
+#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <ostream>
+#include <vector>
 
 #include "support/logging.hh"
 
@@ -13,90 +14,144 @@ namespace capu::obs
 namespace
 {
 
-/** Simulation ns -> trace µs, keeping full ns precision as fractions. */
-std::string
-micros(Tick ns)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%" PRIu64 ".%03u", ns / 1000,
-                  static_cast<unsigned>(ns % 1000));
-    return buf;
-}
+/// Room for any number to_chars writes here ("%.17g" needs at most 24).
+constexpr std::size_t kNumberWidth = 32;
 
 /**
- * Integral values (counters, byte totals) print exactly so the export
+ * Write `v` at `at`, which has kNumberWidth bytes of room; returns the
+ * end. Integral values (counters, byte totals) print exactly so the export
  * round-trips bit-for-bit through capuprof's importer; anything else gets
- * enough digits to reparse to the same double.
+ * enough digits ("%.17g") to reparse to the same double.
  */
+char *
+formatDouble(char *at, double v)
+{
+    if (v >= -9.2e18 && v <= 9.2e18 &&
+        v == static_cast<double>(static_cast<long long>(v)))
+        return std::to_chars(at, at + kNumberWidth,
+                             static_cast<long long>(v))
+            .ptr;
+    return std::to_chars(at, at + kNumberWidth, v,
+                         std::chars_format::general, 17)
+        .ptr;
+}
+
 std::string
 jsonDouble(double v)
 {
-    char buf[40];
-    if (v >= -9.2e18 && v <= 9.2e18 &&
-        v == static_cast<double>(static_cast<long long>(v)))
-        std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-    else
-        std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
+    char buf[kNumberWidth];
+    return std::string(buf, formatDouble(buf, v));
+}
+
+/** Append a string literal; its length is known, so no strlen. */
+template <std::size_t N>
+void
+put(std::string &out, const char (&literal)[N])
+{
+    out.append(literal, N - 1);
+}
+
+template <typename Int>
+void
+appendInt(std::string &out, Int v)
+{
+    char buf[kNumberWidth];
+    out.append(buf, std::to_chars(buf, buf + kNumberWidth, v).ptr);
+}
+
+/** Simulation ns -> trace µs, keeping full ns precision as fractions. */
+void
+appendMicros(std::string &out, Tick ns)
+{
+    appendInt(out, ns / 1000);
+    auto frac = static_cast<unsigned>(ns % 1000);
+    const char tail[] = {'.', static_cast<char>('0' + frac / 100),
+                         static_cast<char>('0' + frac / 10 % 10),
+                         static_cast<char>('0' + frac % 10)};
+    out.append(tail, sizeof(tail));
 }
 
 void
-writeCommonArgs(std::ostream &os, const TraceEvent &ev, bool &first)
+appendDouble(std::string &out, double v)
 {
-    auto field = [&](const char *key, const std::string &val) {
-        os << (first ? "" : ",") << '"' << key << "\":" << val;
+    char buf[kNumberWidth];
+    out.append(buf, formatDouble(buf, v));
+}
+
+void
+writeCommonArgs(std::string &out, const TraceEvent &ev, bool &first)
+{
+    auto field = [&](std::string_view key, auto val) {
+        if (!first)
+            out += ',';
+        out += '"';
+        out += key;
+        put(out, "\":");
+        appendInt(out, val);
         first = false;
     };
     if (ev.tensor >= 0)
-        field("tensor", std::to_string(ev.tensor));
+        field("tensor", ev.tensor);
     if (ev.op >= 0)
-        field("op", std::to_string(ev.op));
+        field("op", ev.op);
     if (ev.bytes != 0)
-        field("bytes", std::to_string(ev.bytes));
+        field("bytes", ev.bytes);
 }
 
 void
-writeEvent(std::ostream &os, const TraceEvent &ev)
+writeEvent(std::string &out, const TraceEvent &ev, std::string_view name)
 {
-    os << "{\"name\":\"" << jsonEscape(ev.name) << "\",\"cat\":\""
-       << eventKindName(ev.kind) << "\",\"pid\":0,\"tid\":" << ev.track
-       << ",\"ts\":" << micros(ev.ts);
+    put(out, "{\"name\":\"");
+    out += name;
+    put(out, "\",\"cat\":\"");
+    out += eventKindName(ev.kind);
+    put(out, "\",\"pid\":0,\"tid\":");
+    appendInt(out, ev.track);
+    put(out, ",\"ts\":");
+    appendMicros(out, ev.ts);
     switch (ev.phase) {
       case EventPhase::Complete: {
-        os << ",\"ph\":\"X\",\"dur\":" << micros(ev.dur);
-        os << ",\"args\":{";
+        put(out, ",\"ph\":\"X\",\"dur\":");
+        appendMicros(out, ev.dur);
+        put(out, ",\"args\":{");
         bool first = true;
-        writeCommonArgs(os, ev, first);
-        os << "}";
+        writeCommonArgs(out, ev, first);
+        out += '}';
         break;
       }
       case EventPhase::Instant: {
-        os << ",\"ph\":\"i\",\"s\":\"t\"";
-        os << ",\"args\":{";
+        put(out, ",\"ph\":\"i\",\"s\":\"t\",\"args\":{");
         bool first = true;
-        writeCommonArgs(os, ev, first);
+        writeCommonArgs(out, ev, first);
         if (ev.value != 0) { // access index: keeps the export lossless
-            os << (first ? "" : ",") << "\"value\":" << jsonDouble(ev.value);
-            first = false;
+            if (!first)
+                out += ',';
+            put(out, "\"value\":");
+            appendDouble(out, ev.value);
         }
-        os << "}";
+        out += '}';
         break;
       }
       case EventPhase::Counter:
-        os << ",\"ph\":\"C\",\"args\":{\"value\":" << jsonDouble(ev.value)
-           << "}";
+        put(out, ",\"ph\":\"C\",\"args\":{\"value\":");
+        appendDouble(out, ev.value);
+        out += '}';
         break;
       case EventPhase::SpanBegin:
       case EventPhase::SpanEnd:
-        os << ",\"ph\":\""
-           << (ev.phase == EventPhase::SpanBegin ? 'b' : 'e')
-           << "\",\"id\":" << ev.tensor << ",\"args\":{";
-        if (ev.bytes != 0)
-            os << "\"bytes\":" << ev.bytes;
-        os << "}";
+        put(out, ",\"ph\":\"");
+        out += ev.phase == EventPhase::SpanBegin ? 'b' : 'e';
+        put(out, "\",\"id\":");
+        appendInt(out, ev.tensor);
+        put(out, ",\"args\":{");
+        if (ev.bytes != 0) {
+            put(out, "\"bytes\":");
+            appendInt(out, ev.bytes);
+        }
+        out += '}';
         break;
     }
-    os << "}";
+    out += '}';
 }
 
 } // namespace
@@ -131,31 +186,37 @@ void
 writeChromeTrace(std::ostream &os, const Tracer &tracer)
 {
     os << "{\"traceEvents\":[\n";
-    bool first = true;
-    auto sep = [&]() {
-        if (!first)
-            os << ",\n";
-        first = false;
-    };
-
-    sep();
     os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,"
           "\"args\":{\"name\":\"capusim\"}}";
     for (const auto &[track, name] : tracer.trackNames()) {
-        sep();
-        os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":"
+        os << ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":"
            << track << ",\"args\":{\"name\":\"" << jsonEscape(name)
            << "\"}}";
-        sep();
-        os << "{\"name\":\"thread_sort_index\",\"ph\":\"M\",\"pid\":0,"
+        os << ",\n{\"name\":\"thread_sort_index\",\"ph\":\"M\",\"pid\":0,"
               "\"tid\":"
            << track << ",\"args\":{\"sort_index\":" << track << "}}";
     }
 
+    // Escape each label once per name id, not once per event.
+    const NameTable &names = tracer.names();
+    std::vector<std::string> escaped;
+    escaped.reserve(names.size());
+    for (std::size_t id = 0; id < names.size(); ++id)
+        escaped.push_back(jsonEscape(names.name(static_cast<NameId>(id))));
+
+    // Format into one reused buffer, handed to the stream once it fills.
+    constexpr std::size_t kFlushBytes = std::size_t{1} << 16;
+    std::string out;
+    out.reserve(2 * kFlushBytes);
     for (const auto &ev : tracer.chronological()) {
-        sep();
-        writeEvent(os, ev);
+        put(out, ",\n");
+        writeEvent(out, ev, escaped[ev.name]);
+        if (out.size() >= kFlushBytes) {
+            os.write(out.data(), static_cast<std::streamsize>(out.size()));
+            out.clear();
+        }
     }
+    os.write(out.data(), static_cast<std::streamsize>(out.size()));
 
     os << "\n],\"displayTimeUnit\":\"ns\",\"otherData\":{"
           "\"recorded\":"

@@ -4,10 +4,14 @@
  *
  * A TraceEvent is one timestamped fact about the simulation: a stream
  * occupancy interval, a PCIe transfer, a policy decision, a tensor
- * residency-phase transition, or a counter sample. Events are deliberately
- * flat PODs (plus one label string) so the tracer's ring buffer stays cheap
- * and the exporters stay trivial; richer structure (per-track grouping,
- * async-span pairing) is reconstructed at export time.
+ * residency-phase transition, or a counter sample. Events are trivially
+ * copyable 64-byte PODs so the tracer's ring buffer, its chronological
+ * sort and session forks copy them as plain memory. The label is a NameId
+ * into the recording tracer's NameTable: emitters intern a label once and
+ * pass its id, and only the consumers that need text (the exporters, the
+ * profile builder, the timeline adapter) resolve it. Richer structure
+ * (per-track grouping, async-span pairing) is reconstructed at export
+ * time.
  *
  * Timestamps are simulation Ticks (integer nanoseconds). Recording an event
  * never advances or perturbs simulated time: the tracer is a pure observer,
@@ -19,7 +23,11 @@
 #define CAPU_OBS_EVENT_HH
 
 #include <cstdint>
+#include <deque>
 #include <string>
+#include <string_view>
+#include <type_traits>
+#include <unordered_map>
 
 #include "support/units.hh"
 
@@ -83,6 +91,38 @@ enum class EventKind : std::uint8_t
 
 const char *eventKindName(EventKind kind);
 
+/** An interned label: an index into a NameTable. 0 is the empty name. */
+using NameId = std::uint32_t;
+
+/**
+ * Append-only label table behind NameId. Ids are dense in first-intern
+ * order and never reused. Names live in stable storage, so a reference
+ * from name() stays valid while later names are interned. A copy resolves
+ * every id to the same string as its original.
+ */
+class NameTable
+{
+  public:
+    NameTable();
+    NameTable(const NameTable &other);
+    NameTable &operator=(const NameTable &other);
+
+    /** Id of `s`, adding it on first sight. */
+    NameId intern(std::string_view s);
+
+    const std::string &name(NameId id) const { return names_[id]; }
+
+    /** Names held, the empty name included. */
+    std::size_t size() const { return names_.size(); }
+
+  private:
+    void reindex();
+
+    std::deque<std::string> names_;
+    /// Views into names_ (a deque never moves its elements).
+    std::unordered_map<std::string_view, NameId> ids_;
+};
+
 struct TraceEvent
 {
     Tick ts = 0;
@@ -94,8 +134,11 @@ struct TraceEvent
     std::int64_t op = -1;     ///< op id when the event is op-related
     std::uint64_t bytes = 0;  ///< payload size where meaningful
     double value = 0.0;       ///< counter samples, access indices
-    std::string name;
+    NameId name = 0;          ///< label in the recording tracer's table
 };
+
+static_assert(std::is_trivially_copyable_v<TraceEvent>);
+static_assert(sizeof(TraceEvent) == 64);
 
 } // namespace capu::obs
 

@@ -1,7 +1,7 @@
 #include "obs/event_adapter.hh"
 
 #include <algorithm>
-#include <string>
+#include <string_view>
 
 namespace capu::obs
 {
@@ -25,73 +25,106 @@ timelineKindName(TimelineKind kind)
 namespace
 {
 
-bool
-endsWith(const std::string &s, const char *suffix)
+/** The label facts a timeline reads, derived once per name id. */
+struct LabelFlags
 {
-    std::string suf = suffix;
-    return s.size() >= suf.size() &&
-           s.compare(s.size() - suf.size(), suf.size(), suf) == 0;
+    bool write = false;  ///< output access ("write")
+    bool failed = false; ///< aborted transfer attempt ("...!fail")
+};
+
+std::vector<LabelFlags>
+labelFlags(const NameTable &names)
+{
+    std::vector<LabelFlags> flags(names.size());
+    for (std::size_t id = 0; id < names.size(); ++id) {
+        std::string_view n = names.name(static_cast<NameId>(id));
+        flags[id].write = n == "write";
+        flags[id].failed = n.ends_with("!fail");
+    }
+    return flags;
+}
+
+/** Append `ev`'s timeline record to `out` if it orders memory traffic. */
+void
+addRecord(const TraceEvent &ev, const std::vector<LabelFlags> &labels,
+          std::vector<TimelineRecord> &out)
+{
+    if (ev.tensor < 0)
+        return;
+    TimelineRecord rec;
+    rec.tensor = ev.tensor;
+    rec.op = ev.op;
+    rec.start = ev.ts;
+    rec.end = ev.ts + ev.dur;
+    rec.bytes = ev.bytes;
+    switch (ev.kind) {
+      case EventKind::Access:
+        if (ev.track != kTrackHost || ev.phase != EventPhase::Instant)
+            return;
+        rec.kind = TimelineKind::Access;
+        rec.accessIndex = static_cast<int>(ev.value);
+        rec.write = labels[ev.name].write;
+        break;
+      case EventKind::Recompute:
+        if (ev.track != kTrackCompute || ev.phase != EventPhase::Complete)
+            return;
+        rec.kind = TimelineKind::Recompute;
+        break;
+      case EventKind::Transfer:
+        if (ev.phase != EventPhase::Complete)
+            return;
+        if (ev.track == kTrackD2H)
+            rec.kind = TimelineKind::SwapOut;
+        else if (ev.track == kTrackH2D)
+            rec.kind = TimelineKind::SwapIn;
+        else
+            return;
+        rec.failed = labels[ev.name].failed;
+        break;
+      default:
+        return;
+    }
+    out.push_back(rec);
+}
+
+std::vector<TimelineRecord>
+byStart(std::vector<TimelineRecord> out)
+{
+    // Records from chronological() input arrive sorted; a stable sort of
+    // sorted input is the identity.
+    auto earlier = [](const TimelineRecord &a, const TimelineRecord &b) {
+        return a.start < b.start;
+    };
+    if (!std::is_sorted(out.begin(), out.end(), earlier))
+        std::stable_sort(out.begin(), out.end(), earlier);
+    return out;
 }
 
 } // namespace
 
 std::vector<TimelineRecord>
-extractTimeline(const std::vector<TraceEvent> &events)
+extractTimeline(const std::vector<TraceEvent> &events,
+                const NameTable &names)
 {
+    std::vector<LabelFlags> labels = labelFlags(names);
     std::vector<TimelineRecord> out;
     out.reserve(events.size() / 2);
-    for (const TraceEvent &ev : events) {
-        if (ev.tensor < 0)
-            continue;
-        TimelineRecord rec;
-        rec.tensor = ev.tensor;
-        rec.op = ev.op;
-        rec.start = ev.ts;
-        rec.end = ev.ts + ev.dur;
-        rec.bytes = ev.bytes;
-        switch (ev.kind) {
-          case EventKind::Access:
-            if (ev.track != kTrackHost || ev.phase != EventPhase::Instant)
-                continue;
-            rec.kind = TimelineKind::Access;
-            rec.accessIndex = static_cast<int>(ev.value);
-            rec.write = ev.name == "write";
-            break;
-          case EventKind::Recompute:
-            if (ev.track != kTrackCompute || ev.phase != EventPhase::Complete)
-                continue;
-            rec.kind = TimelineKind::Recompute;
-            break;
-          case EventKind::Transfer:
-            if (ev.phase != EventPhase::Complete)
-                continue;
-            if (ev.track == kTrackD2H)
-                rec.kind = TimelineKind::SwapOut;
-            else if (ev.track == kTrackH2D)
-                rec.kind = TimelineKind::SwapIn;
-            else
-                continue;
-            rec.failed = endsWith(ev.name, "!fail");
-            break;
-          default:
-            continue;
-        }
-        out.push_back(rec);
-    }
-    std::stable_sort(out.begin(), out.end(),
-                     [](const TimelineRecord &a, const TimelineRecord &b) {
-                         return a.start < b.start;
-                     });
-    return out;
+    for (const TraceEvent &ev : events)
+        addRecord(ev, labels, out);
+    return byStart(std::move(out));
 }
 
 std::vector<TimelineRecord>
 extractTimeline(const Tracer &tracer)
 {
-    std::vector<TraceEvent> raw;
-    raw.reserve(tracer.size());
-    tracer.forEach([&](const TraceEvent &ev) { raw.push_back(ev); });
-    return extractTimeline(raw);
+    // Walk the ring in place rather than copying it: only about half of
+    // its events become records.
+    std::vector<LabelFlags> labels = labelFlags(tracer.names());
+    std::vector<TimelineRecord> out;
+    out.reserve(tracer.size() / 2);
+    tracer.forEach(
+        [&](const TraceEvent &ev) { addRecord(ev, labels, out); });
+    return byStart(std::move(out));
 }
 
 } // namespace capu::obs

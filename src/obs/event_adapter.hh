@@ -51,10 +51,12 @@ struct TimelineRecord
 
 /**
  * Filter + flatten a raw event list into timeline records, stable-sorted
- * by start tick (emission-order ties preserved).
+ * by start tick (emission-order ties preserved). `names` resolves the
+ * events' labels.
  */
 std::vector<TimelineRecord>
-extractTimeline(const std::vector<TraceEvent> &events);
+extractTimeline(const std::vector<TraceEvent> &events,
+                const NameTable &names);
 
 /** Convenience: extract from a tracer's buffered ring. */
 std::vector<TimelineRecord> extractTimeline(const Tracer &tracer);

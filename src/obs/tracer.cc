@@ -29,6 +29,47 @@ eventKindName(EventKind kind)
     return "?";
 }
 
+NameTable::NameTable()
+{
+    names_.emplace_back();
+    reindex();
+}
+
+NameTable::NameTable(const NameTable &other) : names_(other.names_)
+{
+    reindex();
+}
+
+NameTable &
+NameTable::operator=(const NameTable &other)
+{
+    if (this != &other) {
+        names_ = other.names_;
+        reindex();
+    }
+    return *this;
+}
+
+void
+NameTable::reindex()
+{
+    ids_.clear();
+    ids_.reserve(names_.size());
+    for (std::size_t i = 0; i < names_.size(); ++i)
+        ids_.emplace(names_[i], static_cast<NameId>(i));
+}
+
+NameId
+NameTable::intern(std::string_view s)
+{
+    auto it = ids_.find(s);
+    if (it != ids_.end())
+        return it->second;
+    auto id = static_cast<NameId>(names_.size());
+    ids_.emplace(names_.emplace_back(s), id);
+    return id;
+}
+
 Tracer::Tracer(std::size_t capacity) : capacity_(capacity)
 {
     if (capacity_ == 0)
@@ -47,8 +88,9 @@ Tracer::setCapacity(std::size_t capacity)
 void
 Tracer::clear()
 {
-    buf_.clear();
-    buf_.shrink_to_fit();
+    blocks_.clear();
+    blocks_.shrink_to_fit();
+    size_ = 0;
     chrono_.clear();
     chrono_.shrink_to_fit();
     chronoDirty_ = true;
@@ -81,23 +123,28 @@ Tracer::setMeta(std::string key, std::string value)
 }
 
 void
-Tracer::record(TraceEvent ev)
+Tracer::record(const TraceEvent &ev)
 {
     if (!enabled_)
         return;
     ++recorded_;
     chronoDirty_ = true;
-    if (buf_.size() < capacity_) {
-        buf_.push_back(std::move(ev));
+    if (size_ < capacity_) {
+        if (size_ % kBlockEvents == 0) {
+            blocks_.emplace_back();
+            blocks_.back().reserve(std::min(kBlockEvents, capacity_ - size_));
+        }
+        blocks_.back().push_back(ev);
+        ++size_;
         return;
     }
-    buf_[next_] = std::move(ev);
-    next_ = (next_ + 1) % buf_.size();
+    blocks_[next_ / kBlockEvents][next_ % kBlockEvents] = ev;
+    next_ = (next_ + 1) % size_;
 }
 
 void
 Tracer::complete(std::uint32_t track, EventKind kind, Tick start, Tick dur,
-                 std::string name, std::int64_t tensor, std::int64_t op,
+                 NameId name, std::int64_t tensor, std::int64_t op,
                  std::uint64_t bytes)
 {
     if (!enabled_)
@@ -111,14 +158,23 @@ Tracer::complete(std::uint32_t track, EventKind kind, Tick start, Tick dur,
     ev.tensor = tensor;
     ev.op = op;
     ev.bytes = bytes;
-    ev.name = std::move(name);
-    record(std::move(ev));
+    ev.name = name;
+    record(ev);
 }
 
 void
-Tracer::instant(std::uint32_t track, EventKind kind, Tick ts,
-                std::string name, std::int64_t tensor, std::int64_t op,
-                std::uint64_t bytes)
+Tracer::complete(std::uint32_t track, EventKind kind, Tick start, Tick dur,
+                 std::string_view name, std::int64_t tensor,
+                 std::int64_t op, std::uint64_t bytes)
+{
+    if (enabled_)
+        complete(track, kind, start, dur, names_.intern(name), tensor, op,
+                 bytes);
+}
+
+void
+Tracer::instant(std::uint32_t track, EventKind kind, Tick ts, NameId name,
+                std::int64_t tensor, std::int64_t op, std::uint64_t bytes)
 {
     if (!enabled_)
         return;
@@ -130,12 +186,21 @@ Tracer::instant(std::uint32_t track, EventKind kind, Tick ts,
     ev.tensor = tensor;
     ev.op = op;
     ev.bytes = bytes;
-    ev.name = std::move(name);
-    record(std::move(ev));
+    ev.name = name;
+    record(ev);
 }
 
 void
-Tracer::counter(std::uint32_t track, Tick ts, std::string name, double value)
+Tracer::instant(std::uint32_t track, EventKind kind, Tick ts,
+                std::string_view name, std::int64_t tensor, std::int64_t op,
+                std::uint64_t bytes)
+{
+    if (enabled_)
+        instant(track, kind, ts, names_.intern(name), tensor, op, bytes);
+}
+
+void
+Tracer::counter(std::uint32_t track, Tick ts, NameId name, double value)
 {
     if (!enabled_)
         return;
@@ -145,12 +210,20 @@ Tracer::counter(std::uint32_t track, Tick ts, std::string name, double value)
     ev.phase = EventPhase::Counter;
     ev.kind = EventKind::Sample;
     ev.value = value;
-    ev.name = std::move(name);
-    record(std::move(ev));
+    ev.name = name;
+    record(ev);
 }
 
 void
-Tracer::spanBegin(EventKind kind, std::int64_t id, Tick ts, std::string name,
+Tracer::counter(std::uint32_t track, Tick ts, std::string_view name,
+                double value)
+{
+    if (enabled_)
+        counter(track, ts, names_.intern(name), value);
+}
+
+void
+Tracer::spanBegin(EventKind kind, std::int64_t id, Tick ts, NameId name,
                   std::uint64_t bytes)
 {
     if (!enabled_)
@@ -161,12 +234,20 @@ Tracer::spanBegin(EventKind kind, std::int64_t id, Tick ts, std::string name,
     ev.kind = kind;
     ev.tensor = id;
     ev.bytes = bytes;
-    ev.name = std::move(name);
-    record(std::move(ev));
+    ev.name = name;
+    record(ev);
 }
 
 void
-Tracer::spanEnd(EventKind kind, std::int64_t id, Tick ts, std::string name)
+Tracer::spanBegin(EventKind kind, std::int64_t id, Tick ts,
+                  std::string_view name, std::uint64_t bytes)
+{
+    if (enabled_)
+        spanBegin(kind, id, ts, names_.intern(name), bytes);
+}
+
+void
+Tracer::spanEnd(EventKind kind, std::int64_t id, Tick ts, NameId name)
 {
     if (!enabled_)
         return;
@@ -175,8 +256,16 @@ Tracer::spanEnd(EventKind kind, std::int64_t id, Tick ts, std::string name)
     ev.phase = EventPhase::SpanEnd;
     ev.kind = kind;
     ev.tensor = id;
-    ev.name = std::move(name);
-    record(std::move(ev));
+    ev.name = name;
+    record(ev);
+}
+
+void
+Tracer::spanEnd(EventKind kind, std::int64_t id, Tick ts,
+                std::string_view name)
+{
+    if (enabled_)
+        spanEnd(kind, id, ts, names_.intern(name));
 }
 
 std::vector<TraceEvent>
@@ -184,7 +273,7 @@ Tracer::eventsSince(std::uint64_t mark) const
 {
     std::vector<TraceEvent> out;
     // Sequence number of the oldest event still buffered.
-    std::uint64_t oldest = recorded_ - buf_.size();
+    std::uint64_t oldest = recorded_ - size_;
     if (mark >= recorded_)
         return out;
     std::uint64_t first = std::max(mark, oldest);
@@ -204,7 +293,7 @@ Tracer::chronological() const
     if (!chronoDirty_)
         return chrono_;
     chrono_.clear();
-    chrono_.reserve(buf_.size());
+    chrono_.reserve(size_);
     forEach([&](const TraceEvent &ev) { chrono_.push_back(ev); });
     std::stable_sort(chrono_.begin(), chrono_.end(),
                      [](const TraceEvent &a, const TraceEvent &b) {

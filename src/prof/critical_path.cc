@@ -165,9 +165,9 @@ computeCriticalPath(const HbAnalysis &hb, std::size_t maxSteps)
 
 CriticalPathSummary
 computeCriticalPath(const std::vector<obs::TraceEvent> &events,
-                    std::size_t maxSteps)
+                    const obs::NameTable &names, std::size_t maxSteps)
 {
-    auto timeline = obs::extractTimeline(events);
+    auto timeline = obs::extractTimeline(events, names);
     return computeCriticalPath(buildTraceEventGraph(timeline), maxSteps);
 }
 

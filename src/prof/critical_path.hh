@@ -77,7 +77,7 @@ computeCriticalPath(const HbAnalysis &hb, std::size_t maxSteps);
 /** Convenience: extract the timeline, build the HB graph, analyze. */
 CriticalPathSummary
 computeCriticalPath(const std::vector<obs::TraceEvent> &events,
-                    std::size_t maxSteps = 64);
+                    const obs::NameTable &names, std::size_t maxSteps = 64);
 
 } // namespace capu::prof
 

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <limits>
 #include <map>
+#include <string_view>
 #include <unordered_map>
 
 #include "obs/tracer.hh"
@@ -15,32 +16,54 @@ namespace capu::prof
 namespace
 {
 
-bool
-startsWith(const std::string &s, const char *prefix)
-{
-    return s.rfind(prefix, 0) == 0;
-}
-
-bool
-endsWith(const std::string &s, const char *suffix)
-{
-    std::size_t n = std::strlen(suffix);
-    return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
-}
-
-/** "tensorname:PHASE" -> phase (after the last ':'); empty if malformed. */
-std::string
-spanPhase(const std::string &label)
-{
-    auto pos = label.rfind(':');
-    return pos == std::string::npos ? std::string() : label.substr(pos + 1);
-}
-
+/** "tensorname:PHASE" -> tensorname (before the last ':'). */
 std::string
 spanTensorName(const std::string &label)
 {
     auto pos = label.rfind(':');
     return pos == std::string::npos ? label : label.substr(0, pos);
+}
+
+/** What a lifetime span's phase (after the last ':') says. */
+enum class SpanClass : std::uint8_t
+{
+    None,     ///< malformed label: no phase
+    Relief,   ///< OUT / DROPPED: the tensor's bytes are off-device
+    Resident, ///< IN / SWAPPING_IN / SWAPPING_OUT: they are on-device
+};
+
+/** The facts the builder reads from one label, derived once per name id. */
+struct LabelFacts
+{
+    std::uint64_t hash = 0; ///< hashString(label): the digest's input
+    SpanClass span = SpanClass::None;
+    bool failed = false;     ///< aborted transfer attempt ("...!fail")
+    bool onDemand = false;   ///< on-demand swap-in ("swapin:...")
+    bool bytesInUse = false; ///< the allocator's gpu.bytes_in_use counter
+};
+
+std::vector<LabelFacts>
+labelFacts(const obs::NameTable &names)
+{
+    std::vector<LabelFacts> facts(names.size());
+    for (std::size_t id = 0; id < names.size(); ++id) {
+        const std::string &label = names.name(static_cast<obs::NameId>(id));
+        LabelFacts &f = facts[id];
+        f.hash = hashString(label.c_str());
+        auto colon = label.rfind(':');
+        std::string_view phase =
+            colon == std::string::npos
+                ? std::string_view()
+                : std::string_view(label).substr(colon + 1);
+        if (phase == "OUT" || phase == "DROPPED")
+            f.span = SpanClass::Relief;
+        else if (!phase.empty())
+            f.span = SpanClass::Resident;
+        f.failed = label.ends_with("!fail");
+        f.onDemand = label.starts_with("swapin:");
+        f.bytesInUse = label == "gpu.bytes_in_use";
+    }
+    return facts;
 }
 
 /** Bucket categories in sweep priority order (idle is the remainder). */
@@ -73,7 +96,8 @@ addBucket(Buckets &b, int cat, Tick amount)
 }
 
 std::uint64_t
-mixEvent(std::uint64_t h, const obs::TraceEvent &ev, Tick iterBegin)
+mixEvent(std::uint64_t h, const obs::TraceEvent &ev, Tick iterBegin,
+         std::uint64_t nameHash)
 {
     h = hashCombine(h, ev.track);
     h = hashCombine(h, static_cast<std::uint64_t>(ev.phase));
@@ -86,7 +110,7 @@ mixEvent(std::uint64_t h, const obs::TraceEvent &ev, Tick iterBegin)
     std::uint64_t vb = 0;
     std::memcpy(&vb, &ev.value, sizeof(vb));
     h = hashCombine(h, vb);
-    h = hashCombine(h, hashString(ev.name.c_str()));
+    h = hashCombine(h, nameHash);
     return h;
 }
 
@@ -114,7 +138,7 @@ Profile::conservationError() const
 
 Profile
 buildProfile(const std::vector<obs::TraceEvent> &events,
-             const ProfileOptions &opts)
+             const obs::NameTable &names, const ProfileOptions &opts)
 {
     Profile out;
     out.meta = opts.meta;
@@ -132,20 +156,26 @@ buildProfile(const std::vector<obs::TraceEvent> &events,
         if (ev.track != obs::kTrackReplay)
             evs.push_back(&ev);
     }
-    std::stable_sort(evs.begin(), evs.end(),
-                     [](const obs::TraceEvent *a, const obs::TraceEvent *b) {
-                         return a->ts < b->ts;
-                     });
+    // A live tracer hands over chronological() output, already sorted; a
+    // stable sort of sorted input is the identity.
+    auto byTs = [](const obs::TraceEvent *a, const obs::TraceEvent *b) {
+        return a->ts < b->ts;
+    };
+    if (!std::is_sorted(evs.begin(), evs.end(), byTs))
+        std::stable_sort(evs.begin(), evs.end(), byTs);
     if (evs.empty())
         return out;
+    const std::vector<LabelFacts> facts = labelFacts(names);
 
     // --- iteration windows + session window ---
     for (const obs::TraceEvent *ev : evs) {
-        if (ev->phase == obs::EventPhase::Complete &&
-            ev->kind == obs::EventKind::Marker &&
-            startsWith(ev->name, "iteration:")) {
+        if (ev->phase != obs::EventPhase::Complete ||
+            ev->kind != obs::EventKind::Marker)
+            continue;
+        const std::string &label = names.name(ev->name);
+        if (label.starts_with("iteration:")) {
             IterationProfile it;
-            it.iteration = std::atoi(ev->name.c_str() + 10);
+            it.iteration = std::atoi(label.c_str() + 10);
             it.begin = ev->ts;
             it.end = ev->ts + ev->dur;
             out.iterations.push_back(it);
@@ -180,7 +210,8 @@ buildProfile(const std::vector<obs::TraceEvent> &events,
         for (const obs::TraceEvent *ev : evs) {
             if (ev->track != obs::kTrackDrift)
                 continue;
-            if (startsWith(ev->name, "drift.class:")) {
+            const std::string &label = names.name(ev->name);
+            if (label.starts_with("drift.class:")) {
                 auto pos = std::upper_bound(begins.begin(), begins.end(),
                                             ev->ts);
                 if (pos == begins.begin())
@@ -189,11 +220,11 @@ buildProfile(const std::vector<obs::TraceEvent> &events,
                     static_cast<std::size_t>(pos - begins.begin()) - 1;
                 if (ev->ts < out.iterations[idx].end) {
                     out.iterations[idx].shapeClass =
-                        std::atoi(ev->name.c_str() + 12);
+                        std::atoi(label.c_str() + 12);
                 }
-            } else if (startsWith(ev->name, "drift.novel")) {
+            } else if (label.starts_with("drift.novel")) {
                 ++out.drift.novel;
-            } else if (startsWith(ev->name, "drift.remeasure")) {
+            } else if (label.starts_with("drift.remeasure")) {
                 ++out.drift.remeasures;
             }
         }
@@ -230,7 +261,7 @@ buildProfile(const std::vector<obs::TraceEvent> &events,
     struct Span
     {
         Tick begin = 0;
-        std::string phase;
+        SpanClass phase = SpanClass::None;
         std::uint64_t bytes = 0;
     };
     std::unordered_map<std::int64_t, Span> openSpans;
@@ -261,10 +292,10 @@ buildProfile(const std::vector<obs::TraceEvent> &events,
         TensorAccount &acc = tacc(id);
         if (acc.bytes == 0)
             acc.bytes = span.bytes;
-        if (span.phase == "OUT" || span.phase == "DROPPED") {
+        if (span.phase == SpanClass::Relief) {
             acc.reliefByteTicks += static_cast<double>(span.bytes) *
                                    static_cast<double>(endTs - span.begin);
-        } else if (!span.phase.empty()) {
+        } else if (span.phase == SpanClass::Resident) {
             // IN / SWAPPING_IN / SWAPPING_OUT all hold device bytes.
             resident[id].push_back({span.begin, endTs});
         }
@@ -281,7 +312,7 @@ buildProfile(const std::vector<obs::TraceEvent> &events,
                         OpAccount &oa = ops[ev.op];
                         oa.op = ev.op;
                         if (oa.name.empty())
-                            oa.name = ev.name;
+                            oa.name = names.name(ev.name);
                         ++oa.count;
                         oa.computeTicks += ev.dur;
                     }
@@ -299,9 +330,11 @@ buildProfile(const std::vector<obs::TraceEvent> &events,
                     if (ev.tensor >= 0) {
                         TensorAccount &acc = tacc(ev.tensor);
                         acc.stallTicks += ev.dur;
-                        if (startsWith(ev.name, "stall:") &&
-                            acc.name.empty())
-                            acc.name = ev.name.substr(6);
+                        if (acc.name.empty()) {
+                            const std::string &label = names.name(ev.name);
+                            if (label.starts_with("stall:"))
+                                acc.name = label.substr(6);
+                        }
                         stallEnds[ev.tensor].push_back(ev.ts + ev.dur);
                     }
                 } else if (ev.kind == obs::EventKind::OomStep) {
@@ -313,24 +346,26 @@ buildProfile(const std::vector<obs::TraceEvent> &events,
                     break;
                 TensorAccount &acc = tacc(ev.tensor);
                 acc.transferTicks += ev.dur;
-                if (endsWith(ev.name, "!fail"))
+                if (facts[ev.name].failed)
                     break; // occupancy only: the copy never completed
                 acc.bytes = std::max(acc.bytes, ev.bytes);
                 if (ev.track == obs::kTrackD2H) {
                     acc.swapOutBytes += ev.bytes;
                     ++acc.swapOutCount;
                     if (acc.name.empty()) {
-                        if (startsWith(ev.name, "swapout:"))
-                            acc.name = ev.name.substr(8);
-                        else if (startsWith(ev.name, "oom-swapout:"))
-                            acc.name = ev.name.substr(12);
+                        const std::string &label = names.name(ev.name);
+                        if (label.starts_with("swapout:"))
+                            acc.name = label.substr(8);
+                        else if (label.starts_with("oom-swapout:"))
+                            acc.name = label.substr(12);
                     }
                 } else {
                     acc.swapInBytes += ev.bytes;
                     ++acc.swapInCount;
-                    bool onDemand = startsWith(ev.name, "swapin:");
+                    bool onDemand = facts[ev.name].onDemand;
                     if (acc.name.empty()) {
-                        acc.name = ev.name.substr(onDemand ? 7 : 9);
+                        acc.name =
+                            names.name(ev.name).substr(onDemand ? 7 : 9);
                     }
                     h2ds.push_back(
                         {ev.tensor, ev.ts, ev.ts + ev.dur, onDemand});
@@ -344,8 +379,7 @@ buildProfile(const std::vector<obs::TraceEvent> &events,
             break;
 
           case obs::EventPhase::Counter:
-            if (ev.track == obs::kTrackMemory &&
-                ev.name == "gpu.bytes_in_use") {
+            if (ev.track == obs::kTrackMemory && facts[ev.name].bytesInUse) {
                 auto sampled = static_cast<std::uint64_t>(ev.value);
                 if (sampled > out.peakBytes) {
                     out.peakBytes = sampled;
@@ -361,11 +395,11 @@ buildProfile(const std::vector<obs::TraceEvent> &events,
                     closeSpan(ev.tensor, it->second, ev.ts);
                 Span span;
                 span.begin = ev.ts;
-                span.phase = spanPhase(ev.name);
+                span.phase = facts[ev.name].span;
                 span.bytes = ev.bytes;
                 if (tacc(ev.tensor).name.empty())
-                    tacc(ev.tensor).name = spanTensorName(ev.name);
-                openSpans[ev.tensor] = std::move(span);
+                    tacc(ev.tensor).name = spanTensorName(names.name(ev.name));
+                openSpans[ev.tensor] = span;
             }
             break;
 
@@ -449,7 +483,8 @@ buildProfile(const std::vector<obs::TraceEvent> &events,
             IterationProfile &it = out.iterations[idx];
             if (ev->ts >= it.end)
                 continue; // inter-iteration gap
-            it.digest = mixEvent(it.digest, *ev, it.begin);
+            it.digest = mixEvent(it.digest, *ev, it.begin,
+                                 facts[ev->name].hash);
         }
     }
 
@@ -517,7 +552,7 @@ buildProfile(const std::vector<obs::TraceEvent> &events,
         out.ops.push_back(std::move(oa));
 
     if (opts.withCriticalPath) {
-        out.critical = computeCriticalPath(events, opts.maxPathSteps);
+        out.critical = computeCriticalPath(events, names, opts.maxPathSteps);
     }
     return out;
 }
@@ -529,7 +564,7 @@ buildProfile(const obs::Tracer &tracer, const ProfileOptions &opts)
     effective.droppedEvents = tracer.dropped();
     if (effective.meta.empty())
         effective.meta = tracer.meta();
-    return buildProfile(tracer.chronological(), effective);
+    return buildProfile(tracer.chronological(), tracer.names(), effective);
 }
 
 std::vector<const TensorAccount *>

@@ -213,10 +213,12 @@ struct ProfileOptions
 
 /**
  * Build a profile from a raw event stream (emission order is fine; the
- * builder sorts what it needs). Replay-track markers are excluded from
- * digests and buckets so replayed and executed runs profile identically.
+ * builder sorts what it needs) whose labels `names` resolves. Replay-track
+ * markers are excluded from digests and buckets so replayed and executed
+ * runs profile identically.
  */
 Profile buildProfile(const std::vector<obs::TraceEvent> &events,
+                     const obs::NameTable &names,
                      const ProfileOptions &opts = {});
 
 /** Convenience: profile a live tracer's ring (drops + meta carried over). */

@@ -77,7 +77,7 @@ importChromeTrace(const std::string &path, TraceBundle &out,
         if (ph == "M")
             continue; // process/thread metadata
         obs::TraceEvent ev;
-        ev.name = jev["name"].str;
+        ev.name = out.names.intern(jev["name"].str);
         ev.kind = kindFromName(jev["cat"].str);
         ev.track = static_cast<std::uint32_t>(jev["tid"].asU64());
         ev.ts = ticksFromMicros(jev["ts"].asDouble());
@@ -101,7 +101,7 @@ importChromeTrace(const std::string &path, TraceBundle &out,
         } else {
             continue; // unknown phase: skip rather than reject
         }
-        out.events.push_back(std::move(ev));
+        out.events.push_back(ev);
     }
     return true;
 }

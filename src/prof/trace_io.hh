@@ -26,6 +26,7 @@ namespace capu::prof
 struct TraceBundle
 {
     std::vector<obs::TraceEvent> events;
+    obs::NameTable names; ///< resolves the events' labels
     std::vector<std::pair<std::string, std::string>> meta;
     std::uint64_t recorded = 0;
     std::uint64_t dropped = 0;

@@ -5,6 +5,21 @@
 namespace capu
 {
 
+namespace
+{
+
+/** `<label>!fail` in the lane's tracer; 0 while it is not tracing. */
+obs::NameId
+failedLabel(const Stream &lane, obs::NameId label)
+{
+    obs::Tracer *tracer = lane.tracer();
+    if (!tracer || !tracer->enabled())
+        return 0;
+    return tracer->intern(tracer->name(label) + "!fail");
+}
+
+} // namespace
+
 PcieLink::PcieLink(double bandwidth, Tick latency)
     : bandwidth_(bandwidth), latency_(latency), d2h_("pcie-d2h"),
       h2d_("pcie-h2d")
@@ -34,11 +49,11 @@ PcieLink::degradedTransferTime(std::uint64_t bytes, Tick start) const
 
 std::optional<Tick>
 PcieLink::tryTransfer(CopyDir dir, std::uint64_t bytes, Tick ready,
-                      std::string label, std::int64_t tensor)
+                      obs::NameId label, std::int64_t tensor)
 {
     Stream &ln = lane(dir);
     if (!faultsOn()) {
-        return ln.enqueue(ready, transferTime(bytes), std::move(label),
+        return ln.enqueue(ready, transferTime(bytes), label,
                           obs::EventKind::Transfer, tensor, -1, bytes);
     }
     Tick nominal = transferTime(bytes);
@@ -53,14 +68,14 @@ PcieLink::tryTransfer(CopyDir dir, std::uint64_t bytes, Tick ready,
                 faults_->noteFault(start, "fault.pcie.degraded", tensor,
                                    bytes);
             }
-            return ln.enqueue(at, dur, std::move(label),
-                              obs::EventKind::Transfer, tensor, -1, bytes);
+            return ln.enqueue(at, dur, label, obs::EventKind::Transfer,
+                              tensor, -1, bytes);
         }
         // The failed attempt occupies the lane for its wire time, then
         // aborts; the payload never lands.
         ++faults_->stats().swapAttemptFailures;
         faults_->noteFault(start, "fault.swap.attempt", tensor, bytes);
-        ln.enqueue(at, dur, label + "!fail", obs::EventKind::Transfer,
+        ln.enqueue(at, dur, failedLabel(ln, label), obs::EventKind::Transfer,
                    tensor, -1, bytes);
         if (attempt >= budget)
             return std::nullopt;
@@ -72,7 +87,7 @@ PcieLink::tryTransfer(CopyDir dir, std::uint64_t bytes, Tick ready,
 
 Tick
 PcieLink::transfer(CopyDir dir, std::uint64_t bytes, Tick ready,
-                   std::string label, std::int64_t tensor)
+                   obs::NameId label, std::int64_t tensor)
 {
     if (auto done = tryTransfer(dir, bytes, ready, label, tensor))
         return *done;
@@ -83,7 +98,7 @@ PcieLink::transfer(CopyDir dir, std::uint64_t bytes, Tick ready,
     Stream &ln = lane(dir);
     Tick at = std::max(ready, ln.busyUntil());
     faults_->noteRecovery(at, "recovery.swap-forced", tensor, bytes);
-    return ln.enqueue(at, degradedTransferTime(bytes, at), std::move(label),
+    return ln.enqueue(at, degradedTransferTime(bytes, at), label,
                       obs::EventKind::Transfer, tensor, -1, bytes);
 }
 

@@ -6,7 +6,7 @@ namespace capu
 {
 
 Tick
-Stream::enqueue(Tick ready, Tick duration, std::string label,
+Stream::enqueue(Tick ready, Tick duration, obs::NameId label,
                 obs::EventKind kind, std::int64_t tensor, std::int64_t op,
                 std::uint64_t bytes)
 {
@@ -16,8 +16,8 @@ Stream::enqueue(Tick ready, Tick duration, std::string label,
     busyUntil_ = end;
     busyTicks_ += duration;
     if (tracer_)
-        tracer_->complete(track_, kind, start, duration, std::move(label),
-                          tensor, op, bytes);
+        tracer_->complete(track_, kind, start, duration, label, tensor, op,
+                          bytes);
     return end;
 }
 

@@ -37,12 +37,12 @@ class Stream
      *
      * @param ready Earliest tick the item may start (its dependencies).
      * @param duration Occupancy of the stream.
-     * @param label Tag recorded in the trace event.
+     * @param label Trace label, interned in the attached tracer.
      * @param kind Trace category for the emitted Complete event.
      * @param tensor,op,bytes Optional trace annotations.
      * @return Completion tick: max(ready, busyUntil()) + duration.
      */
-    Tick enqueue(Tick ready, Tick duration, std::string label,
+    Tick enqueue(Tick ready, Tick duration, obs::NameId label,
                  obs::EventKind kind = obs::EventKind::Kernel,
                  std::int64_t tensor = -1, std::int64_t op = -1,
                  std::uint64_t bytes = 0);
@@ -52,6 +52,7 @@ class Stream
      * Pass nullptr to detach. Attachment never changes timing.
      */
     void attachTracer(obs::Tracer *tracer, std::uint32_t track);
+    obs::Tracer *tracer() const { return tracer_; }
 
     /** Tick at which the last enqueued item completes. */
     Tick busyUntil() const { return busyUntil_; }

@@ -171,8 +171,9 @@ expectTracesEqual(const obs::Tracer &a, const obs::Tracer &b)
     for (std::size_t i = 0; i < ea.size(); ++i) {
         const obs::TraceEvent &x = *ea[i];
         const obs::TraceEvent &y = *eb[i];
-        EXPECT_EQ(x.ts, y.ts) << "event " << i << " (" << x.name << ")";
-        EXPECT_EQ(x.dur, y.dur) << "event " << i << " (" << x.name << ")";
+        const std::string &xname = a.name(x.name);
+        EXPECT_EQ(x.ts, y.ts) << "event " << i << " (" << xname << ")";
+        EXPECT_EQ(x.dur, y.dur) << "event " << i << " (" << xname << ")";
         EXPECT_EQ(x.track, y.track) << "event " << i;
         EXPECT_EQ(static_cast<int>(x.phase), static_cast<int>(y.phase))
             << "event " << i;
@@ -182,7 +183,7 @@ expectTracesEqual(const obs::Tracer &a, const obs::Tracer &b)
         EXPECT_EQ(x.op, y.op) << "event " << i;
         EXPECT_EQ(x.bytes, y.bytes) << "event " << i;
         EXPECT_EQ(x.value, y.value) << "event " << i;
-        EXPECT_EQ(x.name, y.name) << "event " << i;
+        EXPECT_EQ(xname, b.name(y.name)) << "event " << i;
     }
 }
 

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -54,17 +55,29 @@ tracedVgg16()
 
 TEST(Tracer, RingDropsOldest)
 {
-    obs::Tracer tracer(4);
-    tracer.setEnabled(true);
-    for (Tick t = 0; t < 10; ++t)
-        tracer.instant(obs::kTrackHost, obs::EventKind::Marker, t, "m");
-    EXPECT_EQ(tracer.size(), 4u);
-    EXPECT_EQ(tracer.recorded(), 10u);
-    EXPECT_EQ(tracer.dropped(), 6u);
-    // The survivors are the *newest* four, oldest-first.
-    std::vector<Tick> ts;
-    tracer.forEach([&](const obs::TraceEvent &ev) { ts.push_back(ev.ts); });
-    EXPECT_EQ(ts, (std::vector<Tick>{6, 7, 8, 9}));
+    // 40000 events span several storage blocks, so the wrap crosses them.
+    for (std::size_t cap : {std::size_t{4}, std::size_t{40000}}) {
+        obs::Tracer tracer(cap);
+        tracer.setEnabled(true);
+        obs::NameId m = tracer.intern("m");
+        Tick n = 2 * cap + cap / 2;
+        for (Tick t = 0; t < n; ++t)
+            tracer.instant(obs::kTrackHost, obs::EventKind::Marker, t, m);
+        EXPECT_EQ(tracer.size(), cap);
+        EXPECT_EQ(tracer.recorded(), n);
+        EXPECT_EQ(tracer.dropped(), n - cap);
+        // The survivors are the *newest* `cap`, oldest-first.
+        std::vector<Tick> want(cap);
+        std::iota(want.begin(), want.end(), n - cap);
+        std::vector<Tick> ts;
+        tracer.forEach(
+            [&](const obs::TraceEvent &ev) { ts.push_back(ev.ts); });
+        EXPECT_EQ(ts, want);
+        ts.clear();
+        for (const obs::TraceEvent &ev : tracer.chronological())
+            ts.push_back(ev.ts);
+        EXPECT_EQ(ts, want);
+    }
 }
 
 TEST(Tracer, ChronologicalSortsByTimestamp)
@@ -76,9 +89,9 @@ TEST(Tracer, ChronologicalSortsByTimestamp)
     tracer.instant(obs::kTrackHost, obs::EventKind::Marker, 20, "b");
     auto evs = tracer.chronological();
     ASSERT_EQ(evs.size(), 3u);
-    EXPECT_EQ(evs[0].name, "a");
-    EXPECT_EQ(evs[1].name, "b");
-    EXPECT_EQ(evs[2].name, "c");
+    EXPECT_EQ(tracer.name(evs[0].name), "a");
+    EXPECT_EQ(tracer.name(evs[1].name), "b");
+    EXPECT_EQ(tracer.name(evs[2].name), "c");
 }
 
 TEST(Tracer, ChronologicalCacheInvalidatedByRecordAndClear)
@@ -95,9 +108,9 @@ TEST(Tracer, ChronologicalCacheInvalidatedByRecordAndClear)
     tracer.instant(obs::kTrackHost, obs::EventKind::Marker, 15, "c");
     const auto &second = tracer.chronological();
     ASSERT_EQ(second.size(), 3u);
-    EXPECT_EQ(second[0].name, "a");
-    EXPECT_EQ(second[1].name, "c");
-    EXPECT_EQ(second[2].name, "b");
+    EXPECT_EQ(tracer.name(second[0].name), "a");
+    EXPECT_EQ(tracer.name(second[1].name), "c");
+    EXPECT_EQ(tracer.name(second[2].name), "b");
     // ...and so does clear().
     tracer.clear();
     EXPECT_TRUE(tracer.chronological().empty());
@@ -125,6 +138,149 @@ TEST(Tracer, DisabledDropsEverything)
     tracer.instant(obs::kTrackHost, obs::EventKind::Marker, 1, "m");
     EXPECT_EQ(tracer.size(), 0u);
     EXPECT_EQ(tracer.recorded(), 0u);
+}
+
+// --- Interned labels ---
+
+TEST(NameTable, InternIsIdempotentAndDense)
+{
+    obs::NameTable names;
+    EXPECT_EQ(names.size(), 1u);
+    EXPECT_EQ(names.name(0), "");
+    EXPECT_EQ(names.intern(""), 0u);
+    obs::NameId a = names.intern("a");
+    obs::NameId b = names.intern("b");
+    EXPECT_EQ(a, 1u);
+    EXPECT_EQ(b, 2u);
+    EXPECT_EQ(names.intern("a"), a);
+    EXPECT_EQ(names.intern(std::string("b")), b);
+    EXPECT_EQ(names.size(), 3u);
+    EXPECT_EQ(names.name(a), "a");
+    EXPECT_EQ(names.name(b), "b");
+}
+
+TEST(NameTable, ResolvedNamesSurviveLaterInterns)
+{
+    obs::NameTable names;
+    // Longer than any small-string buffer, so the bytes live on the heap.
+    std::string long_name(100, 'x');
+    const std::string &first = names.name(names.intern(long_name));
+    const std::string &short_first = names.name(names.intern("s"));
+    for (int i = 0; i < 10000; ++i)
+        names.intern("name" + std::to_string(i));
+    EXPECT_EQ(first, long_name);
+    EXPECT_EQ(short_first, "s");
+    EXPECT_EQ(names.intern(long_name), 1u);
+}
+
+TEST(NameTable, CopyResolvesEveryIdAlike)
+{
+    obs::NameTable names;
+    for (int i = 0; i < 100; ++i)
+        names.intern("label" + std::to_string(i));
+    obs::NameTable copy = names;
+    obs::NameTable assigned;
+    assigned.intern("stale");
+    assigned = names;
+    ASSERT_EQ(copy.size(), names.size());
+    ASSERT_EQ(assigned.size(), names.size());
+    for (obs::NameId id = 0; id < names.size(); ++id) {
+        EXPECT_EQ(copy.name(id), names.name(id));
+        EXPECT_EQ(assigned.name(id), names.name(id));
+        // The copy's index is its own: lookups find the same ids.
+        EXPECT_EQ(copy.intern(names.name(id)), id);
+    }
+    // A copy grows on its own without disturbing the original.
+    obs::NameId fresh = copy.intern("fresh");
+    EXPECT_EQ(fresh, names.size());
+    EXPECT_EQ(names.size() + 1, copy.size());
+}
+
+TEST(Tracer, NamesSurviveClearCapacityAndWrap)
+{
+    obs::Tracer tracer(4);
+    tracer.setEnabled(true);
+    obs::NameId a = tracer.intern("a");
+    for (Tick t = 0; t < 10; ++t) // wraps the ring twice
+        tracer.instant(obs::kTrackHost, obs::EventKind::Marker, t, a);
+    obs::NameId b = tracer.intern("b");
+    tracer.clear();
+    EXPECT_EQ(tracer.size(), 0u);
+    EXPECT_EQ(tracer.name(a), "a");
+    tracer.setCapacity(16);
+    EXPECT_EQ(tracer.name(b), "b");
+    EXPECT_EQ(tracer.intern("a"), a);
+    EXPECT_EQ(tracer.intern("b"), b);
+    EXPECT_EQ(tracer.names().size(), 3u);
+    tracer.instant(obs::kTrackHost, obs::EventKind::Marker, 1, "b");
+    ASSERT_EQ(tracer.size(), 1u);
+    EXPECT_EQ(tracer.chronological()[0].name, b);
+}
+
+TEST(Tracer, DisabledTracerInternsNothing)
+{
+    obs::Tracer tracer;
+    EXPECT_EQ(tracer.intern("x"), 0u);
+    tracer.complete(obs::kTrackHost, obs::EventKind::Marker, 0, 1, "c");
+    tracer.instant(obs::kTrackHost, obs::EventKind::Marker, 0, "i");
+    tracer.counter(obs::kTrackMemory, 0, "n", 1.0);
+    tracer.spanBegin(obs::EventKind::Lifetime, 0, 0, "b");
+    tracer.spanEnd(obs::EventKind::Lifetime, 0, 1, "e");
+    EXPECT_EQ(tracer.names().size(), 1u);
+    EXPECT_EQ(tracer.size(), 0u);
+
+    // An obs-off session builds no label anywhere.
+    Session s(buildVgg16(230), ExecConfig{}, makeCapuchinPolicy());
+    ASSERT_FALSE(s.run(3).oom);
+    EXPECT_EQ(s.executor().obs().tracer.names().size(), 1u);
+    EXPECT_EQ(obs::Obs::disabled().tracer.names().size(), 1u);
+}
+
+TEST(Tracer, CopyAndForkResolveIdsAlike)
+{
+    ExecConfig cfg;
+    cfg.obsLevel = obs::ObsLevel::Full;
+    Session base(buildVgg16(230), cfg, makeCapuchinPolicy());
+    ASSERT_FALSE(base.run(2).oom);
+    const obs::Tracer &tracer = base.executor().obs().tracer;
+    ASSERT_GT(tracer.names().size(), 1u);
+
+    obs::Tracer copy = tracer;
+    Session fork = base.fork();
+    const obs::Tracer &forked = fork.executor().obs().tracer;
+    ASSERT_EQ(copy.names().size(), tracer.names().size());
+    ASSERT_EQ(forked.names().size(), tracer.names().size());
+    for (obs::NameId id = 0; id < tracer.names().size(); ++id) {
+        EXPECT_EQ(copy.name(id), tracer.name(id));
+        EXPECT_EQ(forked.name(id), tracer.name(id));
+    }
+    // Every buffered event resolves the same in the fork's table.
+    std::size_t unresolved = 0;
+    forked.forEach([&](const obs::TraceEvent &ev) {
+        unresolved += ev.name < tracer.names().size() ? 0 : 1;
+    });
+    EXPECT_EQ(unresolved, 0u);
+    // The fork interns its next iteration's markers into its own table.
+    std::size_t before = tracer.names().size();
+    ASSERT_FALSE(fork.run(1).oom);
+    EXPECT_GT(forked.names().size(), before);
+    EXPECT_EQ(tracer.names().size(), before);
+}
+
+TEST(Tracer, NamesGrowWithLabelsNotEvents)
+{
+    // Steady-state iterations reuse every kernel, access, lifetime and
+    // transfer label; only the two iteration markers are new.
+    ExecConfig cfg;
+    cfg.obsLevel = obs::ObsLevel::Full;
+    Session s(buildVgg16(230), cfg, makeCapuchinPolicy());
+    ASSERT_FALSE(s.run(3).oom);
+    const obs::Tracer &tracer = s.executor().obs().tracer;
+    std::size_t names = tracer.names().size();
+    std::uint64_t events = tracer.recorded();
+    ASSERT_FALSE(s.run(5).oom);
+    EXPECT_GT(tracer.recorded(), events + 5 * 500);
+    EXPECT_EQ(tracer.names().size(), names + 5 * 2); // iter:N, iteration:N
 }
 
 // --- Metrics registry ---

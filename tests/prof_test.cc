@@ -317,7 +317,8 @@ TEST(ProfRoundTrip, ChromeTraceImportMatchesLiveRing)
     prof::ProfileOptions popts;
     popts.droppedEvents = bundle.dropped;
     popts.meta = bundle.meta;
-    prof::Profile from_file = prof::buildProfile(bundle.events, popts);
+    prof::Profile from_file =
+        prof::buildProfile(bundle.events, bundle.names, popts);
     prof::Profile live = prof::buildProfile(tracer);
     prof::ProfileDiff d = prof::diffProfiles(live, from_file);
     EXPECT_TRUE(d.identical)

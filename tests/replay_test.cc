@@ -321,10 +321,10 @@ TEST(ReplayTrace, SynthesizedIterationsReEmitEvents)
     std::string last = "iteration:" + std::to_string(kIters - 1);
     const obs::Tracer &tracer = s.executor().obs().tracer;
     tracer.forEach([&](const obs::TraceEvent &ev) {
-        if (ev.track == obs::kTrackReplay &&
-            ev.name.rfind("replay.iter:", 0) == 0)
+        const std::string &name = tracer.name(ev.name);
+        if (ev.track == obs::kTrackReplay && name.starts_with("replay.iter:"))
             saw_replay_mark = true;
-        if (ev.name == last) {
+        if (name == last) {
             saw_last_iteration_marker = true;
             // Re-emitted with shifted ticks: the marker must sit at the
             // synthesized iteration's true begin.

@@ -155,7 +155,7 @@ loadInput(const std::string &path, const Options &opt)
         popts.droppedEvents = bundle.dropped;
         popts.meta = bundle.meta;
         popts.withCriticalPath = opt.withCriticalPath;
-        return prof::buildProfile(bundle.events, popts);
+        return prof::buildProfile(bundle.events, bundle.names, popts);
     }
     fatal("{}: neither a Chrome trace (traceEvents) nor a capuprof "
           "profile (capuprof)", path);
