@@ -9,6 +9,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "core/access_tracker.hh"
 #include "core/capuchin_policy.hh"
 #include "exec/session.hh"
@@ -17,6 +20,7 @@
 #include "policy/noop_policy.hh"
 #include "support/logging.hh"
 #include "support/rng.hh"
+#include "support/units.hh"
 
 using namespace capu;
 
@@ -49,6 +53,51 @@ BM_BfcAllocFreeCycle(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_BfcAllocFreeCycle);
+
+/**
+ * The churn DESIGN.md §10 measured its rejected BFC free-list rewrites
+ * on: a 16 GiB arena holding up to 2048 live chunks, so every free-list
+ * insert and erase works on long sets. One alloc or free per iteration
+ * over a fixed xorshift sequence: a free at a random slot one step in 8
+ * (always above 2048 live), else a 4 KiB–4 MiB request, with a failed
+ * request freeing the newest chunk. The 64–320 MiB branch tests the same
+ * low bits as the free draw, so it fires only while nothing is live.
+ */
+static void
+BM_BfcChurn(benchmark::State &state)
+{
+    BfcAllocator alloc(16_GiB);
+    std::vector<MemHandle> live;
+    live.reserve(4096);
+    std::uint64_t x = 0x2545f4914f6cdd1dull;
+    auto rnd = [&] {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        return x;
+    };
+    for (auto _ : state) {
+        std::uint64_t r = rnd();
+        if (!live.empty() && (live.size() > 2048 || (r & 7) == 0)) {
+            std::size_t i = rnd() % live.size();
+            alloc.deallocate(live[i]);
+            live[i] = live.back();
+            live.pop_back();
+            continue;
+        }
+        std::uint64_t bytes = (r & 15) == 0 ? 64_MiB + rnd() % 256_MiB
+                                            : 4_KiB + rnd() % 4_MiB;
+        if (auto h = alloc.allocate(bytes)) {
+            live.push_back(*h);
+        } else if (!live.empty()) {
+            alloc.deallocate(live.back());
+            live.pop_back();
+        }
+    }
+    alloc.checkInvariants();
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_BfcChurn);
 
 static void
 BM_AccessTrackerRecord(benchmark::State &state)

@@ -1,7 +1,7 @@
 /**
  * @file
- * Shared request-mix and phase-timing helpers for the capuserve benches
- * (serve_throughput and the perf_harness "serve" section).
+ * Request-mix and phase-timing helpers for serve_throughput, the
+ * capuserve bench.
  *
  * A serve bench runs two phases against one PlanService: a *cold* phase
  * (one request per tenant, every one a cache miss that runs a measured
@@ -88,10 +88,7 @@ struct ServePhaseResult
 {
     std::size_t requests = 0;
     int errors = 0;
-    double wallMs = 0;
     double reqPerSec = 0;
-    double p50Ms = 0;
-    double p99Ms = 0;
     std::vector<serve::PlanResponse> responses;
 };
 
@@ -106,19 +103,15 @@ runServePhase(serve::RequestQueue &queue,
     res.responses = queue.drain();
     auto t1 = std::chrono::steady_clock::now();
     res.requests = res.responses.size();
-    res.wallMs = std::chrono::duration<double, std::milli>(t1 - t0).count();
-    std::vector<double> lat;
-    lat.reserve(res.responses.size());
+    double wall_ms =
+        std::chrono::duration<double, std::milli>(t1 - t0).count();
     for (const serve::PlanResponse &r : res.responses) {
         if (!r.ok)
             ++res.errors;
-        lat.push_back(r.latencyMs);
     }
-    res.reqPerSec = res.wallMs > 0
-                        ? static_cast<double>(res.requests) * 1e3 / res.wallMs
+    res.reqPerSec = wall_ms > 0
+                        ? static_cast<double>(res.requests) * 1e3 / wall_ms
                         : 0.0;
-    res.p50Ms = servePercentile(lat, 0.50);
-    res.p99Ms = servePercentile(lat, 0.99);
     return res;
 }
 

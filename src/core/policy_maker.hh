@@ -90,8 +90,9 @@ struct PolicyMakerOptions
     /**
      * Use the incremental Algorithm-2 engine (exposure caching, MSPS
      * max-heap, per-source reverse indexes). Off = the original
-     * full-rescan loop, kept as a byte-identical reference oracle for
-     * tests and the perf harness. Both engines produce the same plan.
+     * full-rescan loop, kept as the byte-identical reference oracle the
+     * IncrementalPlan tests compare against. Both engines produce the
+     * same plan.
      */
     bool incremental = true;
 };

@@ -1,5 +1,6 @@
 #include "support/units.hh"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -58,6 +59,24 @@ parseBytes(const std::string &text)
     if (bytes >= kTooBig)
         fatal("byte count '{}' does not fit 64 bits", text);
     return static_cast<std::uint64_t>(bytes);
+}
+
+std::uint64_t
+parseCount(const std::string &text, std::string_view what, std::uint64_t lo,
+           std::uint64_t hi)
+{
+    const char *end = text.data() + text.size();
+    std::uint64_t value = 0;
+    // from_chars takes no sign, space or prefix for an unsigned target;
+    // a leading '+' or '-' simply matches no digits.
+    auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (ec == std::errc::result_out_of_range)
+        fatal("{} {} does not fit 64 bits", what, text);
+    if (ec != std::errc() || ptr != end)
+        fatal("{} needs a whole number, got '{}'", what, text);
+    if (value < lo || value > hi)
+        fatal("{} must be in [{}, {}], got {}", what, lo, hi, value);
+    return value;
 }
 
 std::string

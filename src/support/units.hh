@@ -11,7 +11,9 @@
 #define CAPU_SUPPORT_UNITS_HH
 
 #include <cstdint>
+#include <limits>
 #include <string>
+#include <string_view>
 
 namespace capu
 {
@@ -48,6 +50,16 @@ std::string formatBytes(std::uint64_t bytes);
  * junk, or a value that does not fit 64 bits once scaled.
  */
 std::uint64_t parseBytes(const std::string &text);
+
+/**
+ * Parse a count such as the value of `--iters 12`: decimal digits only
+ * (no sign, space, suffix or exponent), at least `lo` and at most `hi`.
+ * Throws FatalError naming `what` — the option — on anything else.
+ */
+std::uint64_t
+parseCount(const std::string &text, std::string_view what,
+           std::uint64_t lo = 0,
+           std::uint64_t hi = std::numeric_limits<std::uint64_t>::max());
 
 /** Render a tick count as e.g. "1.23 ms" / "417 us" / "2.01 s". */
 std::string formatTicks(Tick ticks);

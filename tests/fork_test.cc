@@ -5,12 +5,14 @@
  * fingerprints, capuscope traces), run() splitting, shared-graph /
  * no-re-measure structural guarantees, concurrent forking from one
  * SimState, speculate() determinism across thread counts, parallel
- * findMaxBatch equality with the serial search, and value-semantics
- * regression tests for BfcAllocator copies.
+ * findMaxBatch equality with the serial search, serial findMaxBatch
+ * equality with plain bisection, and value-semantics regression tests
+ * for BfcAllocator copies.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -474,6 +476,93 @@ TEST(ParallelMaxBatch, DynamicWorkloadEqualsSerial)
         findMaxBatch(builder, policy, cfg, 2, 8, 256, /*jobs=*/4);
     EXPECT_EQ(serial, par);
     EXPECT_GT(serial, 0);
+}
+
+// --- findMaxBatch ≡ plain bisection -------------------------------------
+
+namespace
+{
+
+/**
+ * The search findMaxBatch replaced, kept as its oracle: no memo and no
+ * gallop — feasibility is re-probed on every robust() call and the
+ * search opens with full-range bisection from hi. Probes run `config`
+ * as given, where findMaxBatch arms replay on its own.
+ */
+std::int64_t
+legacyFindMaxBatch(const GraphBuilderFn &builder,
+                   const PolicyFactoryFn &make_policy,
+                   const ExecConfig &config, int iterations,
+                   std::int64_t lo, std::int64_t hi, int &probes)
+{
+    auto feasible = [&](std::int64_t batch) {
+        ++probes;
+        Session session(builder(batch), config, make_policy());
+        return !session.run(iterations).oom;
+    };
+    auto robust = [&](std::int64_t batch) {
+        std::int64_t step = std::max<std::int64_t>(1, batch / 32);
+        return feasible(batch) &&
+               (batch - step < lo || feasible(batch - step));
+    };
+    if (!feasible(lo))
+        return 0;
+    if (robust(hi))
+        return hi;
+    std::int64_t good = lo;
+    std::int64_t bad = hi;
+    while (good + 1 < bad) {
+        std::int64_t mid = good + (bad - good) / 2;
+        if (robust(mid))
+            good = mid;
+        else
+            bad = mid;
+    }
+    return good;
+}
+
+} // namespace
+
+/**
+ * The zoo search behind Tables 2 and 3 — vDNN over [1, 4096] at a
+ * 60-iteration horizon, long enough for fragmentation drift to surface
+ * and for replay-armed probes to synthesize the stable tail. The
+ * memoized, galloping, replay-armed search must land where plain
+ * bisection does. Both probe counts are pinned, so losing the memo, the
+ * witness reuse or the gallop shows up as a changed number.
+ */
+TEST(MaxBatchSearch, EqualsPlainBisection)
+{
+    struct Case
+    {
+        ModelKind kind;
+        std::int64_t answer;
+        int probes;
+        int legacyProbes;
+    };
+    const Case cases[] = {
+        {ModelKind::Vgg16, 334, 21, 19},
+        {ModelKind::BertBase, 682, 24, 19},
+    };
+    constexpr int kHorizon = 60;
+    for (const Case &c : cases) {
+        SCOPED_TRACE(modelName(c.kind));
+        auto builder = [&c](std::int64_t b) { return buildModel(c.kind, b); };
+        auto policy = [] { return makeVdnnPolicy(); };
+        ExecConfig cfg;
+
+        MaxBatchStats stats;
+        std::int64_t found = findMaxBatch(builder, policy, cfg, kHorizon, 1,
+                                          4096, /*jobs=*/1, &stats);
+        int legacy_probes = 0;
+        std::int64_t legacy = legacyFindMaxBatch(builder, policy, cfg,
+                                                 kHorizon, 1, 4096,
+                                                 legacy_probes);
+        EXPECT_EQ(found, legacy);
+        EXPECT_EQ(found, c.answer);
+        EXPECT_EQ(stats.probes, c.probes);
+        EXPECT_EQ(legacy_probes, c.legacyProbes);
+    }
 }
 
 // --- value-semantics regressions: BfcAllocator ---------------------------

@@ -39,7 +39,7 @@ using namespace capu::serve;
 namespace
 {
 
-/** Oversubscribed batches (the perf-harness cases): passive mode must
+/** Oversubscribed batches (the IncrementalPlan cases): passive mode must
  *  evict, so every policy's plan is non-trivial. */
 struct ZooCase
 {

@@ -207,3 +207,48 @@ TEST(Units, ParseBytesRejectsGarbage)
     for (const char *bad : {"", "G", "abc", "12T", "12Gx", "12 G", "14G "})
         EXPECT_THROW(parseBytes(bad), FatalError) << bad;
 }
+
+TEST(Units, ParseCountAcceptsDigits)
+{
+    EXPECT_EQ(parseCount("0", "--n"), 0u);
+    EXPECT_EQ(parseCount("64", "--n"), 64u);
+    EXPECT_EQ(parseCount("007", "--n"), 7u);
+    EXPECT_EQ(parseCount("18446744073709551615", "--n"), ~0ull);
+    // The bounds are inclusive.
+    EXPECT_EQ(parseCount("1", "--n", 1, 8), 1u);
+    EXPECT_EQ(parseCount("8", "--n", 1, 8), 8u);
+}
+
+TEST(Units, ParseCountRejectsGarbage)
+{
+    // Signs, including the ones strtoull silently accepts or wraps.
+    for (const char *bad : {"-5", "-0", "+5", "-18446744073709551615"})
+        EXPECT_THROW(parseCount(bad, "--n"), FatalError) << bad;
+    // Values that overflow 64 bits.
+    for (const char *bad : {"18446744073709551616", "99999999999999999999"})
+        EXPECT_THROW(parseCount(bad, "--n"), FatalError) << bad;
+    // No digits, trailing junk, spaces, suffixes, fractions, exponents.
+    for (const char *bad :
+         {"", "abc", "64x", "12 ", " 12", "1.5", "1e3", "0x10", "4K"})
+        EXPECT_THROW(parseCount(bad, "--n"), FatalError) << bad;
+}
+
+TEST(Units, ParseCountEnforcesRange)
+{
+    EXPECT_THROW(parseCount("0", "--n", 1, 8), FatalError);
+    EXPECT_THROW(parseCount("9", "--n", 1, 8), FatalError);
+    // The message names the option, the range and the value.
+    try {
+        parseCount("0", "--iters", 1, 8);
+        FAIL() << "expected FatalError";
+    } catch (const FatalError &e) {
+        EXPECT_EQ(std::string(e.what()), "--iters must be in [1, 8], got 0");
+    }
+    try {
+        parseCount("abc", "--iters");
+        FAIL() << "expected FatalError";
+    } catch (const FatalError &e) {
+        EXPECT_EQ(std::string(e.what()),
+                  "--iters needs a whole number, got 'abc'");
+    }
+}

@@ -33,7 +33,6 @@
  */
 
 #include <algorithm>
-#include <cstdlib>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -120,7 +119,7 @@ parseArgs(int argc, char **argv, Options &opt)
         else if (a == "--no-recompute")
             opt.noRecompute = true;
         else if (a == "--seed")
-            opt.seed = static_cast<std::uint64_t>(std::atoll(next()));
+            opt.seed = parseCount(next(), a);
         else if (a == "--verbose")
             opt.verbose = true;
         else if (a == "--help" || a == "-h") {

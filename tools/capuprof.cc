@@ -22,7 +22,6 @@
  * --expect-identical, 6 bucket conservation violated under --strict.
  */
 
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -33,6 +32,7 @@
 #include "prof/trace_io.hh"
 #include "support/json.hh"
 #include "support/logging.hh"
+#include "support/units.hh"
 
 using namespace capu;
 
@@ -108,7 +108,7 @@ parseArgs(int argc, char **argv, Options &opt)
         } else if (a == "--out")
             opt.out = next();
         else if (a == "--topk")
-            opt.topK = static_cast<std::size_t>(std::atoll(next()));
+            opt.topK = static_cast<std::size_t>(parseCount(next(), a));
         else if (a == "--no-critical-path")
             opt.withCriticalPath = false;
         else if (a == "--strict")

@@ -18,6 +18,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <unordered_map>
@@ -36,6 +37,9 @@ using namespace capu::serve;
 
 namespace
 {
+
+constexpr std::uint64_t kIntMax = std::numeric_limits<int>::max();
+constexpr std::uint64_t kSizeMax = std::numeric_limits<std::size_t>::max();
 
 struct Options
 {
@@ -71,7 +75,8 @@ usage()
         "                       flight at once (default 4)\n"
         "  --queue-batch <n>    requests fanned per drain round (default 8)\n"
         "  --cache-entries <n>  plan cache entry capacity (default 64)\n"
-        "  --cache-bytes <n>    plan cache byte capacity (default 64 MiB)\n"
+        "  --cache-bytes <n>    plan cache byte capacity, e.g. 64M or\n"
+        "                       1.5G (default 64 MiB)\n"
         "  --cold-iters <n>     iterations of a cold planning session\n"
         "                       (default 4)\n"
         "  --warm-iters <n>     guided iterations run on each warm fork\n"
@@ -96,26 +101,29 @@ parseArgs(int argc, char **argv, Options &opt)
                 fatal("missing value after {}", a);
             return argv[++i];
         };
+        auto count = [&](std::uint64_t lo, std::uint64_t hi) {
+            return parseCount(next(), a, lo, hi);
+        };
         if (a == "--stream")
             opt.stream = next();
         else if (a == "--mix")
-            opt.mix = std::atoi(next());
+            opt.mix = static_cast<int>(count(0, kIntMax));
         else if (a == "--seed")
-            opt.seed = std::strtoull(next(), nullptr, 10);
+            opt.seed = parseCount(next(), a);
         else if (a == "--device")
             opt.device = next();
         else if (a == "--gpus")
-            opt.gpus = std::atoi(next());
+            opt.gpus = static_cast<int>(count(1, kIntMax));
         else if (a == "--queue-batch")
-            opt.queueBatch = static_cast<std::size_t>(std::atoll(next()));
+            opt.queueBatch = static_cast<std::size_t>(count(1, kSizeMax));
         else if (a == "--cache-entries")
-            opt.cacheEntries = static_cast<std::size_t>(std::atoll(next()));
+            opt.cacheEntries = static_cast<std::size_t>(count(0, kSizeMax));
         else if (a == "--cache-bytes")
-            opt.cacheBytes = std::strtoull(next(), nullptr, 10);
+            opt.cacheBytes = parseBytes(next());
         else if (a == "--cold-iters")
-            opt.coldIterations = std::atoi(next());
+            opt.coldIterations = static_cast<int>(count(1, kIntMax));
         else if (a == "--warm-iters")
-            opt.warmIterations = std::atoi(next());
+            opt.warmIterations = static_cast<int>(count(0, kIntMax));
         else if (a == "--plan-dir")
             opt.planDir = next();
         else if (a == "--metrics")

@@ -18,6 +18,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -43,11 +44,16 @@
 #include "serve/service.hh"
 #include "stats/table.hh"
 #include "support/logging.hh"
+#include "support/units.hh"
 
 using namespace capu;
 
 namespace
 {
+
+constexpr std::uint64_t kIntMax = std::numeric_limits<int>::max();
+constexpr std::uint64_t kInt64Max = std::numeric_limits<std::int64_t>::max();
+constexpr std::uint64_t kSizeMax = std::numeric_limits<std::size_t>::max();
 
 struct Options
 {
@@ -281,6 +287,9 @@ parseArgs(int argc, char **argv, Options &opt)
                 fatal("missing value after {}", a);
             return argv[++i];
         };
+        auto count = [&](std::uint64_t lo, std::uint64_t hi) {
+            return parseCount(next(), a, lo, hi);
+        };
         if (a == "--model")
             opt.model = next();
         else if (a == "--policy")
@@ -288,25 +297,22 @@ parseArgs(int argc, char **argv, Options &opt)
         else if (a == "--device")
             opt.device = next();
         else if (a == "--batch")
-            opt.batch = std::atoll(next());
+            opt.batch = static_cast<std::int64_t>(count(1, kInt64Max));
         else if (a == "--iters")
-            opt.iterations = std::atoi(next());
+            opt.iterations = static_cast<int>(count(1, kIntMax));
         else if (a == "--repeat")
-            opt.repeat = std::atoi(next());
+            opt.repeat = static_cast<int>(count(1, kIntMax));
         else if (a == "--warmup")
-            opt.warmup = std::atoi(next());
+            opt.warmup = static_cast<int>(count(0, kIntMax));
         else if (a == "--eager")
             opt.eager = true;
         else if (a == "--lint")
             opt.lint = true;
         else if (a == "--max-batch")
             opt.findMax = true;
-        else if (a == "--jobs") {
-            long v = std::atol(next());
-            if (v < 1)
-                fatal("--jobs needs a positive worker count");
-            opt.jobs = static_cast<unsigned>(v);
-        }
+        else if (a == "--jobs")
+            opt.jobs = static_cast<unsigned>(
+                count(1, std::numeric_limits<unsigned>::max()));
         else if (a == "--dump-trace")
             opt.dumpTrace = next();
         else if (a == "--csv")
@@ -327,7 +333,7 @@ parseArgs(int argc, char **argv, Options &opt)
         else if (a == "--profile-json")
             opt.profileJson = next();
         else if (a == "--trace-cap")
-            opt.traceCap = static_cast<std::size_t>(std::atoll(next()));
+            opt.traceCap = static_cast<std::size_t>(count(1, kSizeMax));
         else if (a == "--obs-selfcheck")
             opt.obsSelfcheck = true;
         else if (a == "--serve-smoke")
@@ -339,15 +345,15 @@ parseArgs(int argc, char **argv, Options &opt)
         else if (a == "--no-replay")
             opt.replay = false;
         else if (a == "--replay-audit")
-            opt.replayAudit = std::atoi(next());
+            opt.replayAudit = static_cast<int>(count(0, kIntMax));
         else if (a == "--faults")
             opt.faults = next();
         else if (a == "--workload")
             opt.workload = next();
         else if (a == "--workload-seed")
-            opt.workloadSeed = std::strtoull(next(), nullptr, 10);
+            opt.workloadSeed = parseCount(next(), a);
         else if (a == "--seed")
-            opt.seed = std::strtoull(next(), nullptr, 10);
+            opt.seed = parseCount(next(), a);
         else if (a == "--quiet")
             setLogEnabled(false);
         else if (a == "--verbose")
@@ -635,18 +641,16 @@ main(int argc, char **argv)
         // Session over the same config (the simulated result is
         // deterministic — only the host wall-clock varies). The last
         // repeat's session feeds the normal reporting path.
-        const int warmup = std::max(opt.warmup, 0);
-        const int repeat = std::max(opt.repeat, 1);
-        for (int w = 0; w < warmup; ++w) {
+        for (int w = 0; w < opt.warmup; ++w) {
             Session s(buildG(opt.batch), cfg,
                       policyByName(opt.policy, opt.lint, faults_on));
             (void)s.run(opt.iterations);
         }
         std::vector<double> wall_ms;
-        wall_ms.reserve(static_cast<std::size_t>(repeat));
+        wall_ms.reserve(static_cast<std::size_t>(opt.repeat));
         std::optional<Session> session;
         std::optional<SessionResult> result;
-        for (int rep = 0; rep < repeat; ++rep) {
+        for (int rep = 0; rep < opt.repeat; ++rep) {
             session.emplace(buildG(opt.batch), cfg,
                             policyByName(opt.policy, opt.lint, faults_on));
             auto t0 = std::chrono::steady_clock::now();
@@ -705,7 +709,7 @@ main(int argc, char **argv)
             }
             t.print(std::cout);
         }
-        if (repeat > 1 || warmup > 0) {
+        if (opt.repeat > 1 || opt.warmup > 0) {
             std::vector<double> sorted = wall_ms;
             std::sort(sorted.begin(), sorted.end());
             double median =
@@ -714,7 +718,7 @@ main(int argc, char **argv)
                     : 0.5 * (sorted[sorted.size() / 2 - 1] +
                              sorted[sorted.size() / 2]);
             std::cout << "timing: median wall " << median << " ms over "
-                      << repeat << " repeats (" << warmup
+                      << opt.repeat << " repeats (" << opt.warmup
                       << " warmup), min " << sorted.front() << " ms, max "
                       << sorted.back() << " ms\n";
         }
