@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <array>
-#include <deque>
+#include <compare>
 #include <map>
 #include <string>
 #include <unordered_map>
@@ -356,13 +356,46 @@ buildTraceEventGraph(const std::vector<obs::TimelineRecord> &recs,
 // Vector clocks
 // ---------------------------------------------------------------------------
 
+namespace
+{
+
+HbCsr
+csr(const HbAnalysis &analysis, bool forward)
+{
+    HbCsr out;
+    out.first.assign(analysis.events.size() + 1, 0);
+    out.adj.resize(analysis.edges.size());
+    for (const hb::HbEdge &e : analysis.edges)
+        ++out.first[(forward ? e.from : e.to) + 1];
+    for (std::size_t i = 1; i < out.first.size(); ++i)
+        out.first[i] += out.first[i - 1];
+    std::vector<std::uint32_t> fill(out.first.begin(), out.first.end() - 1);
+    for (const hb::HbEdge &e : analysis.edges)
+        out.adj[fill[forward ? e.from : e.to]++] = forward ? e.to : e.from;
+    return out;
+}
+
+} // namespace
+
+HbCsr
+hbSuccessors(const HbAnalysis &analysis)
+{
+    return csr(analysis, true);
+}
+
+HbCsr
+hbPredecessors(const HbAnalysis &analysis)
+{
+    return csr(analysis, false);
+}
+
 bool
 HbClocks::ordered(std::uint32_t a, std::uint32_t b) const
 {
     if (a == b)
         return false;
     const auto &[chain, position] = pos[a];
-    return clock[b][chain] >= position;
+    return clock[b * chainCount + chain] >= position;
 }
 
 HbClocks
@@ -392,38 +425,37 @@ assignVectorClocks(const HbAnalysis &analysis)
             clocks.pos[i] = {static_cast<std::uint32_t>(s), ++streamPos[s]};
         }
     }
-    clocks.chainCount = kHbChainStreams + deferred;
-    clocks.clock.assign(n, std::vector<std::uint32_t>(clocks.chainCount, 0));
+    const std::size_t chains = kHbChainStreams + deferred;
+    clocks.chainCount = chains;
+    clocks.clock.assign(n * chains, 0);
 
-    std::vector<std::vector<std::uint32_t>> succ(n);
+    const HbCsr succ = hbSuccessors(analysis);
     std::vector<std::uint32_t> indeg(n, 0);
-    for (const hb::HbEdge &e : analysis.edges) {
-        succ[e.from].push_back(e.to);
-        ++indeg[e.to];
-    }
+    for (std::uint32_t v : succ.adj)
+        ++indeg[v];
 
-    std::deque<std::uint32_t> ready;
+    // Kahn's algorithm with a FIFO queue: `ready` holds the visit order.
+    std::vector<std::uint32_t> ready;
+    ready.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
         if (indeg[i] == 0)
             ready.push_back(static_cast<std::uint32_t>(i));
     }
-    std::size_t processed = 0;
-    while (!ready.empty()) {
-        std::uint32_t u = ready.front();
-        ready.pop_front();
-        ++processed;
-        auto &cu = clocks.clock[u];
-        cu[clocks.pos[u].first] =
-            std::max(cu[clocks.pos[u].first], clocks.pos[u].second);
-        for (std::uint32_t v : succ[u]) {
-            auto &cv = clocks.clock[v];
-            for (std::size_t c = 0; c < clocks.chainCount; ++c)
+    for (std::size_t head = 0; head < ready.size(); ++head) {
+        std::uint32_t u = ready[head];
+        std::uint32_t *cu = &clocks.clock[u * chains];
+        const auto &[chain, position] = clocks.pos[u];
+        cu[chain] = std::max(cu[chain], position);
+        for (std::uint32_t k = succ.first[u]; k < succ.first[u + 1]; ++k) {
+            std::uint32_t v = succ.adj[k];
+            std::uint32_t *cv = &clocks.clock[v * chains];
+            for (std::size_t c = 0; c < chains; ++c)
                 cv[c] = std::max(cv[c], cu[c]);
             if (--indeg[v] == 0)
                 ready.push_back(v);
         }
     }
-    if (processed != n) {
+    if (ready.size() != n) {
         clocks.acyclic = false;
         for (std::size_t i = 0; i < n; ++i) {
             if (indeg[i] != 0) {
@@ -488,6 +520,37 @@ isSwapOut(const hb::HbEvent &ev)
 
 constexpr std::size_t kMaxGroupReports = 4;
 
+/** An event touching the resource (tensor, key). */
+struct Touch
+{
+    TensorId tensor;
+    int key;
+    std::uint32_t id;
+
+    auto operator<=>(const Touch &) const = default;
+};
+
+/**
+ * fn(tensor, key, ids) for each group of sorted touches that share one
+ * resource. Sorting visits groups in ascending (tensor, key) order and
+ * each group's ids ascending: the order a std::map of per-resource
+ * vectors gives.
+ */
+template <typename Fn>
+void
+forEachGroup(const std::vector<Touch> &sorted, Fn &&fn)
+{
+    std::vector<std::uint32_t> ids;
+    for (std::size_t i = 0, j = 0; i < sorted.size(); i = j) {
+        ids.clear();
+        for (; j < sorted.size() && sorted[j].tensor == sorted[i].tensor &&
+               sorted[j].key == sorted[i].key;
+             ++j)
+            ids.push_back(sorted[j].id);
+        fn(sorted[i].tensor, sorted[i].key, ids);
+    }
+}
+
 } // namespace
 
 LintReport
@@ -511,16 +574,18 @@ checkHappensBefore(const HbAnalysis &analysis, const Graph *graph)
     // Group events by the resource they touch: the device-buffer
     // incarnation (tensor, buffer) and, for transfers, the pinned host
     // copy (tensor, host tag).
-    std::map<std::pair<TensorId, int>, std::vector<std::uint32_t>> device;
-    std::map<std::pair<TensorId, int>, std::vector<std::uint32_t>> host;
+    std::vector<Touch> device;
+    std::vector<Touch> host;
     for (const HbEvent &ev : analysis.events) {
         if (ev.tensor == kInvalidTensor)
             continue;
         if (deviceRole(ev) != BufRole::None)
-            device[{ev.tensor, ev.buffer}].push_back(ev.id);
+            device.push_back({ev.tensor, ev.buffer, ev.id});
         if (isTransfer(ev))
-            host[{ev.tensor, ev.accessIndex}].push_back(ev.id);
+            host.push_back({ev.tensor, ev.accessIndex, ev.id});
     }
+    std::sort(device.begin(), device.end());
+    std::sort(host.begin(), host.end());
 
     auto raceRule = [](const HbEvent &a, const HbEvent &b) -> const char * {
         bool free = a.op == HbOp::BufferFree || b.op == HbOp::BufferFree;
@@ -532,7 +597,8 @@ checkHappensBefore(const HbAnalysis &analysis, const Graph *graph)
 
     // Pairwise scan: every conflicting pair on one buffer must be ordered;
     // a free ordered before another use is a use-after-free.
-    for (const auto &[key, members] : device) {
+    forEachGroup(device, [&](TensorId tensor, int buffer,
+                             const std::vector<std::uint32_t> &members) {
         std::size_t reported = 0;
         for (std::size_t i = 0;
              i < members.size() && reported < kMaxGroupReports; ++i) {
@@ -548,9 +614,9 @@ checkHappensBefore(const HbAnalysis &analysis, const Graph *graph)
                 bool ba = clocks.ordered(b.id, a.id);
                 if (!ab && !ba) {
                     diag(report, LintSeverity::Error, raceRule(a, b),
-                         key.first, a.accessIndex,
+                         tensor, a.accessIndex,
                          "unordered conflicting operations on device buffer #" +
-                             std::to_string(key.second) + ": " +
+                             std::to_string(buffer) + ": " +
                              eventLabel(a, graph) + " vs " +
                              eventLabel(b, graph));
                     ++reported;
@@ -561,19 +627,20 @@ checkHappensBefore(const HbAnalysis &analysis, const Graph *graph)
                 if (first->op == HbOp::BufferFree &&
                     second->op != HbOp::BufferFree) {
                     diag(report, LintSeverity::Error, "hb-use-after-free",
-                         key.first, second->accessIndex,
+                         tensor, second->accessIndex,
                          eventLabel(*second, graph) +
                              " is ordered after the free of device buffer #" +
-                             std::to_string(key.second));
+                             std::to_string(buffer));
                     ++reported;
                 }
             }
         }
-    }
+    });
 
     // Host-copy scan: the D2H copy that writes the staging buffer must be
     // ordered before every H2D copy that reads it back.
-    for (const auto &[key, members] : host) {
+    forEachGroup(host, [&](TensorId tensor, int copy,
+                           const std::vector<std::uint32_t> &members) {
         std::size_t reported = 0;
         for (std::size_t i = 0;
              i < members.size() && reported < kMaxGroupReports; ++i) {
@@ -587,23 +654,23 @@ checkHappensBefore(const HbAnalysis &analysis, const Graph *graph)
                 const HbEvent &inEv = isSwapOut(a) ? b : a;
                 if (!clocks.ordered(outEv.id, inEv.id)) {
                     diag(report, LintSeverity::Error,
-                         "hb-swapin-before-swapout", key.first, 0,
+                         "hb-swapin-before-swapout", tensor, 0,
                          eventLabel(inEv, graph) +
-                             " reads host copy #" +
-                             std::to_string(key.second) +
+                             " reads host copy #" + std::to_string(copy) +
                              " without being ordered after " +
                              eventLabel(outEv, graph));
                     ++reported;
                 }
             }
         }
-    }
+    });
 
     // Directional obligations.
     // (1) The copy/replay that fills a buffer happens-before each read of
     //     it — a prefetch sequenced after its target access is stale data
     //     even though the pair is "ordered".
-    for (const auto &[key, members] : device) {
+    forEachGroup(device, [&](TensorId tensor, int buffer,
+                             const std::vector<std::uint32_t> &members) {
         std::int64_t writer = -1;
         HbOp writerOp = HbOp::KernelAccess;
         for (std::uint32_t id : members) {
@@ -614,7 +681,7 @@ checkHappensBefore(const HbAnalysis &analysis, const Graph *graph)
             }
         }
         if (writer < 0)
-            continue;
+            return;
         std::size_t reported = 0;
         for (std::uint32_t id : members) {
             const HbEvent &ev = analysis.events[id];
@@ -627,16 +694,16 @@ checkHappensBefore(const HbAnalysis &analysis, const Graph *graph)
                 diag(report, LintSeverity::Error,
                      writerOp == HbOp::SwapInEnd ? "hb-unsequenced-prefetch"
                                                  : "hb-unsequenced-recompute",
-                     key.first, ev.accessIndex,
+                     tensor, ev.accessIndex,
                      eventLabel(ev, graph) +
                          " is not ordered after the " +
                          std::string(hbOpName(writerOp)) +
                          " that fills device buffer #" +
-                         std::to_string(key.second));
+                         std::to_string(buffer));
                 ++reported;
             }
         }
-    }
+    });
     // (2) The evicting kernel retires before the D2H copy reads the buffer.
     {
         std::unordered_map<TensorId, std::int64_t> lastAccess;

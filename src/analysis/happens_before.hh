@@ -89,6 +89,22 @@ HbAnalysis buildPlanEventGraph(const Plan &plan,
 HbAnalysis buildTraceEventGraph(const std::vector<obs::TimelineRecord> &recs,
                                 const hb::OrderingRules &rules = {});
 
+/**
+ * One direction of an analysis's edges in compressed sparse row form:
+ * event i's neighbours are adj[first[i]] .. adj[first[i + 1] - 1], in edge
+ * order.
+ */
+struct HbCsr
+{
+    std::vector<std::uint32_t> first; ///< event count + 1 offsets
+    std::vector<std::uint32_t> adj;
+};
+
+/** Each event's successors (edge targets), in edge order. */
+HbCsr hbSuccessors(const HbAnalysis &analysis);
+/** Each event's predecessors (edge sources), in edge order. */
+HbCsr hbPredecessors(const HbAnalysis &analysis);
+
 /** Vector clocks for one analysis; chain = timeline index. */
 struct HbClocks
 {
@@ -97,8 +113,12 @@ struct HbClocks
     std::size_t chainCount = 0;
     /** Per event: (chain, 1-based position on that chain). */
     std::vector<std::pair<std::uint32_t, std::uint32_t>> pos;
-    /** Per event: clock joined over predecessors, own position included. */
-    std::vector<std::vector<std::uint32_t>> clock;
+    /**
+     * Row-major events x chainCount: event i's clock, joined over its
+     * predecessors with its own position included, is the row starting at
+     * clock[i * chainCount].
+     */
+    std::vector<std::uint32_t> clock;
 
     /** Strict happens-before: a's position is visible in b's clock. */
     bool ordered(std::uint32_t a, std::uint32_t b) const;

@@ -208,9 +208,9 @@ writeChromeTrace(std::ostream &os, const Tracer &tracer)
     constexpr std::size_t kFlushBytes = std::size_t{1} << 16;
     std::string out;
     out.reserve(2 * kFlushBytes);
-    for (const auto &ev : tracer.chronological()) {
+    for (const TraceEvent *ev : tracer.chronological()) {
         put(out, ",\n");
-        writeEvent(out, ev, escaped[ev.name]);
+        writeEvent(out, *ev, escaped[ev->name]);
         if (out.size() >= kFlushBytes) {
             os.write(out.data(), static_cast<std::streamsize>(out.size()));
             out.clear();

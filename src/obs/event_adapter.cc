@@ -1,7 +1,8 @@
 #include "obs/event_adapter.hh"
 
-#include <algorithm>
 #include <string_view>
+
+#include "support/rng.hh"
 
 namespace capu::obs
 {
@@ -22,31 +23,37 @@ timelineKindName(TimelineKind kind)
     return "?";
 }
 
+std::vector<LabelFacts>
+labelFacts(const NameTable &names)
+{
+    std::vector<LabelFacts> facts(names.size());
+    for (std::size_t id = 0; id < names.size(); ++id) {
+        const std::string &label = names.name(static_cast<NameId>(id));
+        LabelFacts &f = facts[id];
+        f.hash = hashString(label.c_str());
+        auto colon = label.rfind(':');
+        std::string_view phase =
+            colon == std::string::npos
+                ? std::string_view()
+                : std::string_view(label).substr(colon + 1);
+        if (phase == "OUT" || phase == "DROPPED")
+            f.span = SpanPhase::Relief;
+        else if (!phase.empty())
+            f.span = SpanPhase::Resident;
+        f.write = label == "write";
+        f.failed = label.ends_with("!fail");
+        f.onDemand = label.starts_with("swapin:");
+        f.bytesInUse = label == "gpu.bytes_in_use";
+    }
+    return facts;
+}
+
 namespace
 {
 
-/** The label facts a timeline reads, derived once per name id. */
-struct LabelFlags
-{
-    bool write = false;  ///< output access ("write")
-    bool failed = false; ///< aborted transfer attempt ("...!fail")
-};
-
-std::vector<LabelFlags>
-labelFlags(const NameTable &names)
-{
-    std::vector<LabelFlags> flags(names.size());
-    for (std::size_t id = 0; id < names.size(); ++id) {
-        std::string_view n = names.name(static_cast<NameId>(id));
-        flags[id].write = n == "write";
-        flags[id].failed = n.ends_with("!fail");
-    }
-    return flags;
-}
-
 /** Append `ev`'s timeline record to `out` if it orders memory traffic. */
 void
-addRecord(const TraceEvent &ev, const std::vector<LabelFlags> &labels,
+addRecord(const TraceEvent &ev, const std::vector<LabelFacts> &facts,
           std::vector<TimelineRecord> &out)
 {
     if (ev.tensor < 0)
@@ -63,7 +70,7 @@ addRecord(const TraceEvent &ev, const std::vector<LabelFlags> &labels,
             return;
         rec.kind = TimelineKind::Access;
         rec.accessIndex = static_cast<int>(ev.value);
-        rec.write = labels[ev.name].write;
+        rec.write = facts[ev.name].write;
         break;
       case EventKind::Recompute:
         if (ev.track != kTrackCompute || ev.phase != EventPhase::Complete)
@@ -79,7 +86,7 @@ addRecord(const TraceEvent &ev, const std::vector<LabelFlags> &labels,
             rec.kind = TimelineKind::SwapIn;
         else
             return;
-        rec.failed = labels[ev.name].failed;
+        rec.failed = facts[ev.name].failed;
         break;
       default:
         return;
@@ -87,44 +94,26 @@ addRecord(const TraceEvent &ev, const std::vector<LabelFlags> &labels,
     out.push_back(rec);
 }
 
-std::vector<TimelineRecord>
-byStart(std::vector<TimelineRecord> out)
-{
-    // Records from chronological() input arrive sorted; a stable sort of
-    // sorted input is the identity.
-    auto earlier = [](const TimelineRecord &a, const TimelineRecord &b) {
-        return a.start < b.start;
-    };
-    if (!std::is_sorted(out.begin(), out.end(), earlier))
-        std::stable_sort(out.begin(), out.end(), earlier);
-    return out;
-}
-
 } // namespace
 
 std::vector<TimelineRecord>
-extractTimeline(const std::vector<TraceEvent> &events,
-                const NameTable &names)
+extractTimeline(const std::vector<const TraceEvent *> &events,
+                const std::vector<LabelFacts> &facts)
 {
-    std::vector<LabelFlags> labels = labelFlags(names);
+    // A record starts at its event's tick, so chronological input yields
+    // records already sorted by start.
     std::vector<TimelineRecord> out;
     out.reserve(events.size() / 2);
-    for (const TraceEvent &ev : events)
-        addRecord(ev, labels, out);
-    return byStart(std::move(out));
+    for (const TraceEvent *ev : events)
+        addRecord(*ev, facts, out);
+    return out;
 }
 
 std::vector<TimelineRecord>
 extractTimeline(const Tracer &tracer)
 {
-    // Walk the ring in place rather than copying it: only about half of
-    // its events become records.
-    std::vector<LabelFlags> labels = labelFlags(tracer.names());
-    std::vector<TimelineRecord> out;
-    out.reserve(tracer.size() / 2);
-    tracer.forEach(
-        [&](const TraceEvent &ev) { addRecord(ev, labels, out); });
-    return byStart(std::move(out));
+    return extractTimeline(tracer.chronological(),
+                           labelFacts(tracer.names()));
 }
 
 } // namespace capu::obs

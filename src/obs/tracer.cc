@@ -91,9 +91,7 @@ Tracer::clear()
     blocks_.clear();
     blocks_.shrink_to_fit();
     size_ = 0;
-    chrono_.clear();
-    chrono_.shrink_to_fit();
-    chronoDirty_ = true;
+    chrono_.reset();
     next_ = 0;
     recorded_ = 0;
 }
@@ -128,7 +126,7 @@ Tracer::record(const TraceEvent &ev)
     if (!enabled_)
         return;
     ++recorded_;
-    chronoDirty_ = true;
+    chrono_.valid = false;
     if (size_ < capacity_) {
         if (size_ % kBlockEvents == 0) {
             blocks_.emplace_back();
@@ -287,20 +285,35 @@ Tracer::eventsSince(std::uint64_t mark) const
     return out;
 }
 
-const std::vector<TraceEvent> &
+const std::vector<const TraceEvent *> &
 Tracer::chronological() const
 {
-    if (!chronoDirty_)
-        return chrono_;
-    chrono_.clear();
-    chrono_.reserve(size_);
-    forEach([&](const TraceEvent &ev) { chrono_.push_back(ev); });
-    std::stable_sort(chrono_.begin(), chrono_.end(),
-                     [](const TraceEvent &a, const TraceEvent &b) {
-                         return a.ts < b.ts;
-                     });
-    chronoDirty_ = false;
-    return chrono_;
+    if (chrono_.valid)
+        return chrono_.order;
+    // Sort 16-byte (tick, emission sequence) keys rather than the 64-byte
+    // events; the sequence counts from the oldest surviving event, so the
+    // stable sort keeps ties in emission order even across a wrapped ring.
+    struct Key
+    {
+        Tick ts;
+        std::size_t seq;
+    };
+    std::vector<Key> keys;
+    keys.reserve(size_);
+    std::size_t seq = 0;
+    forEach([&](const TraceEvent &ev) { keys.push_back({ev.ts, seq++}); });
+    std::stable_sort(keys.begin(), keys.end(),
+                     [](const Key &a, const Key &b) { return a.ts < b.ts; });
+    // Sequence k is ring slot (next_ + k) mod size_ (next_ stays 0 until
+    // the ring wraps); ring blocks never move, so the pointers hold until
+    // the next mutation.
+    chrono_.order.resize(size_);
+    for (std::size_t i = 0; i < size_; ++i) {
+        std::size_t at = next_ + keys[i].seq;
+        chrono_.order[i] = &slot(at < size_ ? at : at - size_);
+    }
+    chrono_.valid = true;
+    return chrono_.order;
 }
 
 } // namespace capu::obs

@@ -14,7 +14,8 @@
  * Events arrive in *emission* order, which is close to but not exactly
  * timestamp order (the host loop emits a kernel's interval at enqueue time,
  * which may predate an already-emitted transfer completion). Consumers that
- * need chronology use chronological(), a stable sort by tick.
+ * need chronology use chronological(): pointers into the ring, stable-
+ * sorted by tick, built once and shared by every post-hoc reader.
  *
  * Each tracer owns the NameTable its events' labels index. Hot emitters
  * intern a label once and pass the cached NameId; the string_view emitter
@@ -142,12 +143,14 @@ class Tracer
     }
 
     /**
-     * Buffered events stable-sorted by timestamp. The sort is cached and
-     * invalidated by record()/clear()/setCapacity(), so exporters and
-     * analyzers that each walk the full ring share one sort. The reference
-     * is invalidated by the next mutation.
+     * Pointers to the buffered events, stable-sorted by timestamp (ties in
+     * emission order). The order is cached and invalidated by record(),
+     * clear() and setCapacity(), so exporters and analyzers that each walk
+     * the full ring share one sort. The reference and the pointers are
+     * invalidated by the next mutation. A copied tracer starts without a
+     * cached order and builds one over its own ring.
      */
-    const std::vector<TraceEvent> &chronological() const;
+    const std::vector<const TraceEvent *> &chronological() const;
 
     /**
      * Copies of the events recorded at or after sequence number `mark`
@@ -167,11 +170,36 @@ class Tracer
         return blocks_[i / kBlockEvents][i % kBlockEvents];
     }
 
+    /**
+     * The chronological() cache. It points into the ring's blocks, so a
+     * copy (Tracer copies, Session::fork) starts empty rather than
+     * pointing into its original's ring.
+     */
+    struct ChronoCache
+    {
+        std::vector<const TraceEvent *> order;
+        bool valid = false;
+
+        ChronoCache() = default;
+        ChronoCache(const ChronoCache &) {}
+        ChronoCache &
+        operator=(const ChronoCache &)
+        {
+            reset();
+            return *this;
+        }
+        void
+        reset()
+        {
+            order = {};
+            valid = false;
+        }
+    };
+
     std::vector<std::vector<TraceEvent>> blocks_;
     std::size_t size_ = 0; ///< events buffered
     NameTable names_;
-    mutable std::vector<TraceEvent> chrono_; ///< chronological() cache
-    mutable bool chronoDirty_ = true;
+    mutable ChronoCache chrono_;
     std::vector<std::pair<std::uint32_t, std::string>> trackNames_;
     std::vector<std::pair<std::string, std::string>> meta_;
     std::size_t capacity_;

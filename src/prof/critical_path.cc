@@ -4,13 +4,15 @@
 #include <limits>
 
 #include "analysis/happens_before.hh"
-#include "obs/event_adapter.hh"
 
 namespace capu::prof
 {
 
 namespace
 {
+
+/** Cap on materialized critical-path steps (totals stay exact). */
+constexpr std::size_t kMaxPathSteps = 64;
 
 Tick
 dur(const hb::HbEvent &ev)
@@ -31,7 +33,7 @@ transferBracket(const hb::HbEvent &a, const hb::HbEvent &b)
 } // namespace
 
 CriticalPathSummary
-computeCriticalPath(const HbAnalysis &hb, std::size_t maxSteps)
+computeCriticalPath(const HbAnalysis &hb)
 {
     CriticalPathSummary out;
     const auto &events = hb.events;
@@ -43,14 +45,11 @@ computeCriticalPath(const HbAnalysis &hb, std::size_t maxSteps)
 
     // Kahn topological order; a cycle means the trace contradicts the
     // ordering rules (capuverify reports hb-cycle) — bail gracefully.
-    std::vector<std::vector<std::uint32_t>> succ(events.size());
-    std::vector<std::vector<std::uint32_t>> pred(events.size());
-    std::vector<std::uint32_t> indeg(events.size(), 0);
-    for (const auto &e : edges) {
-        succ[e.from].push_back(e.to);
-        pred[e.to].push_back(e.from);
-        ++indeg[e.to];
-    }
+    const HbCsr succ = hbSuccessors(hb);
+    const HbCsr pred = hbPredecessors(hb);
+    std::vector<std::uint32_t> indeg(events.size());
+    for (std::uint32_t i = 0; i < events.size(); ++i)
+        indeg[i] = pred.first[i + 1] - pred.first[i];
     std::vector<std::uint32_t> topo;
     topo.reserve(events.size());
     for (std::uint32_t i = 0; i < events.size(); ++i) {
@@ -58,9 +57,10 @@ computeCriticalPath(const HbAnalysis &hb, std::size_t maxSteps)
             topo.push_back(i);
     }
     for (std::size_t head = 0; head < topo.size(); ++head) {
-        for (std::uint32_t nxt : succ[topo[head]]) {
-            if (--indeg[nxt] == 0)
-                topo.push_back(nxt);
+        std::uint32_t u = topo[head];
+        for (std::uint32_t k = succ.first[u]; k < succ.first[u + 1]; ++k) {
+            if (--indeg[succ.adj[k]] == 0)
+                topo.push_back(succ.adj[k]);
         }
     }
     if (topo.size() != events.size())
@@ -81,7 +81,8 @@ computeCriticalPath(const HbAnalysis &hb, std::size_t maxSteps)
     std::vector<Tick> lf(events.size(), maxEnd);
     for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
         std::uint32_t u = *it;
-        for (std::uint32_t v : succ[u]) {
+        for (std::uint32_t k = succ.first[u]; k < succ.first[u + 1]; ++k) {
+            std::uint32_t v = succ.adj[k];
             Tick ls = lf[v] - std::min(lf[v], dur(events[v]));
             lf[u] = std::min(lf[u], ls);
         }
@@ -106,9 +107,11 @@ computeCriticalPath(const HbAnalysis &hb, std::size_t maxSteps)
     std::vector<std::uint32_t> chain;
     chain.push_back(sink);
     std::uint32_t cur = sink;
-    while (!pred[cur].empty()) {
-        std::uint32_t best = pred[cur][0];
-        for (std::uint32_t p : pred[cur]) {
+    while (pred.first[cur] < pred.first[cur + 1]) {
+        std::uint32_t best = pred.adj[pred.first[cur]];
+        for (std::uint32_t k = pred.first[cur]; k < pred.first[cur + 1];
+             ++k) {
+            std::uint32_t p = pred.adj[k];
             if (events[p].end > events[best].end ||
                 (events[p].end == events[best].end && p < best))
                 best = p;
@@ -137,8 +140,8 @@ computeCriticalPath(const HbAnalysis &hb, std::size_t maxSteps)
     }
 
     // Materialize the tail of the chain (the part nearest the makespan).
-    std::size_t first = chain.size() > maxSteps ? chain.size() - maxSteps
-                                                : 0;
+    std::size_t first =
+        chain.size() > kMaxPathSteps ? chain.size() - kMaxPathSteps : 0;
     out.steps.reserve(chain.size() - first);
     for (std::size_t i = first; i < chain.size(); ++i) {
         const hb::HbEvent &ev = events[chain[i]];
@@ -161,14 +164,6 @@ computeCriticalPath(const HbAnalysis &hb, std::size_t maxSteps)
 
     out.valid = true;
     return out;
-}
-
-CriticalPathSummary
-computeCriticalPath(const std::vector<obs::TraceEvent> &events,
-                    const obs::NameTable &names, std::size_t maxSteps)
-{
-    auto timeline = obs::extractTimeline(events, names);
-    return computeCriticalPath(buildTraceEventGraph(timeline), maxSteps);
 }
 
 } // namespace capu::prof

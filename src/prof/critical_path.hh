@@ -25,7 +25,7 @@
 #include <string>
 #include <vector>
 
-#include "obs/event.hh"
+#include "support/units.hh"
 
 namespace capu
 {
@@ -68,16 +68,11 @@ struct CriticalPathSummary
 };
 
 /**
- * Run the PERT pass over an already-built HB graph. `maxSteps` caps the
- * materialized chain (composition totals always cover the whole chain).
+ * Run the PERT pass over an already-built HB graph (a TraceView's hb()).
+ * The materialized chain keeps its last 64 steps; composition totals
+ * always cover the whole chain.
  */
-CriticalPathSummary
-computeCriticalPath(const HbAnalysis &hb, std::size_t maxSteps);
-
-/** Convenience: extract the timeline, build the HB graph, analyze. */
-CriticalPathSummary
-computeCriticalPath(const std::vector<obs::TraceEvent> &events,
-                    const obs::NameTable &names, std::size_t maxSteps = 64);
+CriticalPathSummary computeCriticalPath(const HbAnalysis &hb);
 
 } // namespace capu::prof
 

@@ -1,13 +1,11 @@
 #include "prof/profile.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
-#include <limits>
-#include <map>
 #include <string_view>
-#include <unordered_map>
 
-#include "obs/tracer.hh"
+#include "prof/trace_view.hh"
 #include "support/rng.hh"
 
 namespace capu::prof
@@ -15,6 +13,13 @@ namespace capu::prof
 
 namespace
 {
+
+/**
+ * A prefetch completing more than this fraction of the mean iteration
+ * duration before its back access counts as "early" (pinned host memory
+ * held longer than useful).
+ */
+constexpr double kEarlyMarginFrac = 0.10;
 
 /** "tensorname:PHASE" -> tensorname (before the last ':'). */
 std::string
@@ -24,47 +29,73 @@ spanTensorName(const std::string &label)
     return pos == std::string::npos ? label : label.substr(0, pos);
 }
 
-/** What a lifetime span's phase (after the last ':') says. */
-enum class SpanClass : std::uint8_t
+/**
+ * Dense slots for int64 ids (tensors or ops), handed out in first-seen
+ * order. An open-addressing table maps an id to its slot, so any id works
+ * (negative, or far beyond the number of ids) and nothing is sized by an
+ * id.
+ */
+class IdSlots
 {
-    None,     ///< malformed label: no phase
-    Relief,   ///< OUT / DROPPED: the tensor's bytes are off-device
-    Resident, ///< IN / SWAPPING_IN / SWAPPING_OUT: they are on-device
-};
-
-/** The facts the builder reads from one label, derived once per name id. */
-struct LabelFacts
-{
-    std::uint64_t hash = 0; ///< hashString(label): the digest's input
-    SpanClass span = SpanClass::None;
-    bool failed = false;     ///< aborted transfer attempt ("...!fail")
-    bool onDemand = false;   ///< on-demand swap-in ("swapin:...")
-    bool bytesInUse = false; ///< the allocator's gpu.bytes_in_use counter
-};
-
-std::vector<LabelFacts>
-labelFacts(const obs::NameTable &names)
-{
-    std::vector<LabelFacts> facts(names.size());
-    for (std::size_t id = 0; id < names.size(); ++id) {
-        const std::string &label = names.name(static_cast<obs::NameId>(id));
-        LabelFacts &f = facts[id];
-        f.hash = hashString(label.c_str());
-        auto colon = label.rfind(':');
-        std::string_view phase =
-            colon == std::string::npos
-                ? std::string_view()
-                : std::string_view(label).substr(colon + 1);
-        if (phase == "OUT" || phase == "DROPPED")
-            f.span = SpanClass::Relief;
-        else if (!phase.empty())
-            f.span = SpanClass::Resident;
-        f.failed = label.ends_with("!fail");
-        f.onDemand = label.starts_with("swapin:");
-        f.bytesInUse = label == "gpu.bytes_in_use";
+  public:
+    /** Slot of `id`, assigning the next one on first sight. */
+    std::uint32_t
+    slot(std::int64_t id)
+    {
+        if (2 * (ids_.size() + 1) > table_.size())
+            grow();
+        for (std::size_t i = bucket(id);; i = (i + 1) & (table_.size() - 1)) {
+            if (table_[i] == 0) {
+                ids_.push_back(id);
+                table_[i] = static_cast<std::uint32_t>(ids_.size());
+                return table_[i] - 1;
+            }
+            if (ids_[table_[i] - 1] == id)
+                return table_[i] - 1;
+        }
     }
-    return facts;
-}
+
+    /** Every slot, in ascending id order. */
+    std::vector<std::uint32_t>
+    byId() const
+    {
+        std::vector<std::uint32_t> order(ids_.size());
+        for (std::uint32_t s = 0; s < order.size(); ++s)
+            order[s] = s;
+        std::sort(order.begin(), order.end(),
+                  [&](std::uint32_t a, std::uint32_t b) {
+                      return ids_[a] < ids_[b];
+                  });
+        return order;
+    }
+
+  private:
+    std::size_t
+    bucket(std::int64_t id) const
+    {
+        // Fibonacci hashing: the multiply spreads sequential ids.
+        return static_cast<std::size_t>(
+            (static_cast<std::uint64_t>(id) * 0x9e3779b97f4a7c15ull) >>
+            shift_);
+    }
+
+    void
+    grow()
+    {
+        table_.assign(table_.empty() ? 64 : 2 * table_.size(), 0);
+        shift_ = 64 - static_cast<unsigned>(std::countr_zero(table_.size()));
+        for (std::uint32_t s = 0; s < ids_.size(); ++s) {
+            std::size_t i = bucket(ids_[s]);
+            while (table_[i] != 0)
+                i = (i + 1) & (table_.size() - 1);
+            table_[i] = s + 1;
+        }
+    }
+
+    std::vector<std::int64_t> ids_;    ///< slot -> id
+    std::vector<std::uint32_t> table_; ///< slot + 1; 0 marks an empty cell
+    unsigned shift_ = 0;
+};
 
 /** Bucket categories in sweep priority order (idle is the remainder). */
 enum Cat : int
@@ -137,38 +168,30 @@ Profile::conservationError() const
 }
 
 Profile
-buildProfile(const std::vector<obs::TraceEvent> &events,
-             const obs::NameTable &names, const ProfileOptions &opts)
+buildProfile(const TraceView &view, const ProfileOptions &opts)
 {
     Profile out;
-    out.meta = opts.meta;
-    out.droppedEvents = opts.droppedEvents;
-    out.events = events.size();
-    if (events.empty())
-        return out;
-
-    // Chronological working copy; the replay track carries synthesized-
-    // iteration markers only and must not distinguish a replayed run
-    // from an executed one.
-    std::vector<const obs::TraceEvent *> evs;
-    evs.reserve(events.size());
-    for (const auto &ev : events) {
-        if (ev.track != obs::kTrackReplay)
-            evs.push_back(&ev);
-    }
-    // A live tracer hands over chronological() output, already sorted; a
-    // stable sort of sorted input is the identity.
-    auto byTs = [](const obs::TraceEvent *a, const obs::TraceEvent *b) {
-        return a->ts < b->ts;
+    out.meta = view.meta();
+    out.droppedEvents = view.dropped();
+    out.events = view.events().size();
+    const obs::NameTable &names = view.names();
+    const std::vector<obs::LabelFacts> &facts = view.facts();
+    // The replay track carries synthesized-iteration markers only and must
+    // not distinguish a replayed run from an executed one, so both walks
+    // skip it.
+    auto replayed = [](const obs::TraceEvent *ev) {
+        return ev->track == obs::kTrackReplay;
     };
-    if (!std::is_sorted(evs.begin(), evs.end(), byTs))
-        std::stable_sort(evs.begin(), evs.end(), byTs);
-    if (evs.empty())
-        return out;
-    const std::vector<LabelFacts> facts = labelFacts(names);
 
     // --- iteration windows + session window ---
-    for (const obs::TraceEvent *ev : evs) {
+    const obs::TraceEvent *firstEv = nullptr;
+    Tick lastEnd = 0;
+    for (const obs::TraceEvent *ev : view.events()) {
+        if (replayed(ev))
+            continue;
+        if (!firstEv)
+            firstEv = ev;
+        lastEnd = std::max(lastEnd, ev->ts + ev->dur);
         if (ev->phase != obs::EventPhase::Complete ||
             ev->kind != obs::EventKind::Marker)
             continue;
@@ -181,6 +204,8 @@ buildProfile(const std::vector<obs::TraceEvent> &events,
             out.iterations.push_back(it);
         }
     }
+    if (!firstEv)
+        return out;
     std::sort(out.iterations.begin(), out.iterations.end(),
               [](const IterationProfile &a, const IterationProfile &b) {
                   return a.begin != b.begin ? a.begin < b.begin
@@ -191,90 +216,59 @@ buildProfile(const std::vector<obs::TraceEvent> &events,
         out.sessionEnd = out.iterations.back().end;
     } else {
         // Aborted/partial run: attribute whatever the trace covers.
-        out.sessionBegin = evs.front()->ts;
-        out.sessionEnd = evs.front()->ts;
-        for (const obs::TraceEvent *ev : evs)
-            out.sessionEnd = std::max(out.sessionEnd, ev->ts + ev->dur);
+        out.sessionBegin = firstEv->ts;
+        out.sessionEnd = lastEnd;
     }
     out.wallTicks = out.sessionEnd - out.sessionBegin;
+    for (auto &it : out.iterations)
+        it.digest = 1469598103934665603ull; // FNV-1a offset basis
 
-    // --- shape-class drift attribution (capudrift) ---
-    // The drift track marks each iteration's class at its begin tick and
-    // records novel-class / re-measurement decisions; static runs emit
-    // nothing on it, leaving the summary all-zero.
-    {
-        std::vector<Tick> begins;
-        begins.reserve(out.iterations.size());
-        for (const auto &it : out.iterations)
-            begins.push_back(it.begin);
-        for (const obs::TraceEvent *ev : evs) {
-            if (ev->track != obs::kTrackDrift)
-                continue;
-            const std::string &label = names.name(ev->name);
-            if (label.starts_with("drift.class:")) {
-                auto pos = std::upper_bound(begins.begin(), begins.end(),
-                                            ev->ts);
-                if (pos == begins.begin())
-                    continue;
-                std::size_t idx =
-                    static_cast<std::size_t>(pos - begins.begin()) - 1;
-                if (ev->ts < out.iterations[idx].end) {
-                    out.iterations[idx].shapeClass =
-                        std::atoi(label.c_str() + 12);
-                }
-            } else if (label.starts_with("drift.novel")) {
-                ++out.drift.novel;
-            } else if (label.starts_with("drift.remeasure")) {
-                ++out.drift.remeasures;
-            }
-        }
-        for (const auto &it : out.iterations) {
-            if (it.shapeClass < 0)
-                continue;
-            auto cls = static_cast<std::size_t>(it.shapeClass);
-            if (out.drift.iterationsPerClass.size() <= cls) {
-                out.drift.iterationsPerClass.resize(cls + 1, 0);
-                out.drift.wallPerClass.resize(cls + 1, 0);
-            }
-            ++out.drift.iterationsPerClass[cls];
-            out.drift.wallPerClass[cls] += it.end - it.begin;
-        }
-        for (int n : out.drift.iterationsPerClass)
-            out.drift.classes += n > 0 ? 1 : 0;
-    }
-
-    // --- accounts keyed by tensor / op id ---
-    std::map<std::int64_t, TensorAccount> tensors;
-    std::map<std::int64_t, OpAccount> ops;
-    auto tacc = [&](std::int64_t id) -> TensorAccount & {
-        auto &acc = tensors[id];
-        acc.tensor = id;
-        return acc;
-    };
-
-    // --- single walk: occupancy intervals + per-tensor raw material ---
-    std::vector<Boundary> bounds;
-    // Per tensor: sorted access ticks, stall-end ticks, resident and
-    // off-device (relief) lifetime intervals.
-    std::unordered_map<std::int64_t, std::vector<Tick>> accesses;
-    std::unordered_map<std::int64_t, std::vector<Tick>> stallEnds;
+    // --- accounts in dense slots, one table per id space ---
     struct Span
     {
         Tick begin = 0;
-        SpanClass phase = SpanClass::None;
+        obs::SpanPhase phase = obs::SpanPhase::None;
         std::uint64_t bytes = 0;
     };
-    std::unordered_map<std::int64_t, Span> openSpans;
+    struct TensorSlot
+    {
+        TensorAccount acc;
+        bool live = false; ///< has an account, not just access ticks
+        bool spanOpen = false;
+        Span span; ///< the open lifetime span, while spanOpen
+        std::vector<Tick> accesses;  ///< access ticks, ascending
+        std::vector<Tick> stallEnds; ///< end ticks of stalls charged here
+    };
+    IdSlots tensorIds;
+    std::vector<TensorSlot> tensors;
+    auto tensorSlot = [&](std::int64_t id) {
+        std::uint32_t s = tensorIds.slot(id);
+        if (s == tensors.size())
+            tensors.emplace_back().acc.tensor = id;
+        return s;
+    };
+    // The account of tensor slot `s`, opened on first use.
+    auto tacc = [&](std::uint32_t s) -> TensorAccount & {
+        tensors[s].live = true;
+        return tensors[s].acc;
+    };
+    IdSlots opIds;
+    std::vector<OpAccount> ops;
+
+    // --- single walk: occupancy intervals, per-tensor raw material, drift
+    // markers and iteration digests ---
+    std::vector<Boundary> bounds;
+    // Resident (on-device) lifetime intervals, by tensor slot.
     struct Residency
     {
+        std::uint32_t slot = 0;
         Tick begin = 0;
         Tick end = 0;
     };
-    std::unordered_map<std::int64_t, std::vector<Residency>> resident;
+    std::vector<Residency> resident;
     struct H2d
     {
-        std::int64_t tensor = -1;
-        Tick start = 0;
+        std::uint32_t slot = 0;
         Tick end = 0;
         bool onDemand = false;
     };
@@ -288,29 +282,65 @@ buildProfile(const std::vector<obs::TraceEvent> &events,
         bounds.push_back({a, cat, +1});
         bounds.push_back({b, cat, -1});
     };
-    auto closeSpan = [&](std::int64_t id, const Span &span, Tick endTs) {
-        TensorAccount &acc = tacc(id);
+    auto closeSpan = [&](std::uint32_t s, Tick endTs) {
+        const Span &span = tensors[s].span;
+        tensors[s].spanOpen = false;
+        TensorAccount &acc = tacc(s);
         if (acc.bytes == 0)
             acc.bytes = span.bytes;
-        if (span.phase == SpanClass::Relief) {
+        if (span.phase == obs::SpanPhase::Relief) {
             acc.reliefByteTicks += static_cast<double>(span.bytes) *
                                    static_cast<double>(endTs - span.begin);
-        } else if (span.phase == SpanClass::Resident) {
+        } else if (span.phase == obs::SpanPhase::Resident) {
             // IN / SWAPPING_IN / SWAPPING_OUT all hold device bytes.
-            resident[id].push_back({span.begin, endTs});
+            resident.push_back({s, span.begin, endTs});
         }
     };
 
-    for (const obs::TraceEvent *pev : evs) {
+    // Events arrive in tick order, so the iteration whose window may hold
+    // the event (the last one beginning at or before it) only moves forward.
+    std::size_t iterAt = 0;
+    for (const obs::TraceEvent *pev : view.events()) {
+        if (replayed(pev))
+            continue;
         const obs::TraceEvent &ev = *pev;
+        while (iterAt + 1 < out.iterations.size() &&
+               out.iterations[iterAt + 1].begin <= ev.ts)
+            ++iterAt;
+        IterationProfile *iter = nullptr;
+        if (iterAt < out.iterations.size() &&
+            out.iterations[iterAt].begin <= ev.ts &&
+            ev.ts < out.iterations[iterAt].end) {
+            iter = &out.iterations[iterAt];
+            iter->digest =
+                mixEvent(iter->digest, ev, iter->begin, facts[ev.name].hash);
+        }
+
+        // Shape-class drift attribution (capudrift): the drift track marks
+        // each iteration's class at its begin tick and records novel-class
+        // and re-measurement decisions; static runs emit nothing on it.
+        if (ev.track == obs::kTrackDrift) {
+            const std::string &label = names.name(ev.name);
+            if (label.starts_with("drift.class:")) {
+                if (iter)
+                    iter->shapeClass = std::atoi(label.c_str() + 12);
+            } else if (label.starts_with("drift.novel")) {
+                ++out.drift.novel;
+            } else if (label.starts_with("drift.remeasure")) {
+                ++out.drift.remeasures;
+            }
+        }
+
         switch (ev.phase) {
           case obs::EventPhase::Complete:
             if (ev.track == obs::kTrackCompute) {
                 if (ev.kind == obs::EventKind::Kernel) {
                     addInterval(kCompute, ev.ts, ev.ts + ev.dur);
                     if (ev.op >= 0) {
-                        OpAccount &oa = ops[ev.op];
-                        oa.op = ev.op;
+                        std::uint32_t s = opIds.slot(ev.op);
+                        if (s == ops.size())
+                            ops.emplace_back().op = ev.op;
+                        OpAccount &oa = ops[s];
                         if (oa.name.empty())
                             oa.name = names.name(ev.name);
                         ++oa.count;
@@ -319,7 +349,7 @@ buildProfile(const std::vector<obs::TraceEvent> &events,
                 } else if (ev.kind == obs::EventKind::Recompute) {
                     addInterval(kRecompute, ev.ts, ev.ts + ev.dur);
                     if (ev.tensor >= 0) {
-                        TensorAccount &acc = tacc(ev.tensor);
+                        TensorAccount &acc = tacc(tensorSlot(ev.tensor));
                         acc.recomputeTicks += ev.dur;
                         ++acc.recomputeOps;
                     }
@@ -328,14 +358,15 @@ buildProfile(const std::vector<obs::TraceEvent> &events,
                 if (ev.kind == obs::EventKind::Stall) {
                     addInterval(kSwapStall, ev.ts, ev.ts + ev.dur);
                     if (ev.tensor >= 0) {
-                        TensorAccount &acc = tacc(ev.tensor);
+                        std::uint32_t s = tensorSlot(ev.tensor);
+                        TensorAccount &acc = tacc(s);
                         acc.stallTicks += ev.dur;
                         if (acc.name.empty()) {
                             const std::string &label = names.name(ev.name);
                             if (label.starts_with("stall:"))
                                 acc.name = label.substr(6);
                         }
-                        stallEnds[ev.tensor].push_back(ev.ts + ev.dur);
+                        tensors[s].stallEnds.push_back(ev.ts + ev.dur);
                     }
                 } else if (ev.kind == obs::EventKind::OomStep) {
                     addInterval(kOom, ev.ts, ev.ts + ev.dur);
@@ -344,16 +375,17 @@ buildProfile(const std::vector<obs::TraceEvent> &events,
                        ev.track == obs::kTrackH2D) {
                 if (ev.kind != obs::EventKind::Transfer || ev.tensor < 0)
                     break;
-                TensorAccount &acc = tacc(ev.tensor);
+                std::uint32_t s = tensorSlot(ev.tensor);
+                TensorAccount &acc = tacc(s);
                 acc.transferTicks += ev.dur;
                 if (facts[ev.name].failed)
                     break; // occupancy only: the copy never completed
                 acc.bytes = std::max(acc.bytes, ev.bytes);
+                const std::string &label = names.name(ev.name);
                 if (ev.track == obs::kTrackD2H) {
                     acc.swapOutBytes += ev.bytes;
                     ++acc.swapOutCount;
                     if (acc.name.empty()) {
-                        const std::string &label = names.name(ev.name);
                         if (label.starts_with("swapout:"))
                             acc.name = label.substr(8);
                         else if (label.starts_with("oom-swapout:"))
@@ -364,18 +396,19 @@ buildProfile(const std::vector<obs::TraceEvent> &events,
                     ++acc.swapInCount;
                     bool onDemand = facts[ev.name].onDemand;
                     if (acc.name.empty()) {
-                        acc.name =
-                            names.name(ev.name).substr(onDemand ? 7 : 9);
+                        if (onDemand)
+                            acc.name = label.substr(7);
+                        else if (label.starts_with("prefetch:"))
+                            acc.name = label.substr(9);
                     }
-                    h2ds.push_back(
-                        {ev.tensor, ev.ts, ev.ts + ev.dur, onDemand});
+                    h2ds.push_back({s, ev.ts + ev.dur, onDemand});
                 }
             }
             break;
 
           case obs::EventPhase::Instant:
             if (ev.kind == obs::EventKind::Access && ev.tensor >= 0)
-                accesses[ev.tensor].push_back(ev.ts);
+                tensors[tensorSlot(ev.tensor)].accesses.push_back(ev.ts);
             break;
 
           case obs::EventPhase::Counter:
@@ -390,33 +423,46 @@ buildProfile(const std::vector<obs::TraceEvent> &events,
 
           case obs::EventPhase::SpanBegin:
             if (ev.kind == obs::EventKind::Lifetime) {
-                auto it = openSpans.find(ev.tensor);
-                if (it != openSpans.end())
-                    closeSpan(ev.tensor, it->second, ev.ts);
-                Span span;
-                span.begin = ev.ts;
-                span.phase = facts[ev.name].span;
-                span.bytes = ev.bytes;
-                if (tacc(ev.tensor).name.empty())
-                    tacc(ev.tensor).name = spanTensorName(names.name(ev.name));
-                openSpans[ev.tensor] = span;
+                std::uint32_t s = tensorSlot(ev.tensor);
+                if (tensors[s].spanOpen)
+                    closeSpan(s, ev.ts);
+                tensors[s].span = {ev.ts, facts[ev.name].span, ev.bytes};
+                tensors[s].spanOpen = true;
+                TensorAccount &acc = tacc(s);
+                if (acc.name.empty())
+                    acc.name = spanTensorName(names.name(ev.name));
             }
             break;
 
           case obs::EventPhase::SpanEnd:
             if (ev.kind == obs::EventKind::Lifetime) {
-                auto it = openSpans.find(ev.tensor);
-                if (it != openSpans.end()) {
-                    closeSpan(ev.tensor, it->second, ev.ts);
-                    openSpans.erase(it);
-                }
+                std::uint32_t s = tensorSlot(ev.tensor);
+                if (tensors[s].spanOpen)
+                    closeSpan(s, ev.ts);
             }
             break;
         }
     }
     // Spans still open when the trace ends extend to the session edge.
-    for (auto &[id, span] : openSpans)
-        closeSpan(id, span, out.sessionEnd);
+    for (std::uint32_t s = 0; s < tensors.size(); ++s) {
+        if (tensors[s].spanOpen)
+            closeSpan(s, out.sessionEnd);
+    }
+
+    // --- drift summary ---
+    for (const auto &it : out.iterations) {
+        if (it.shapeClass < 0)
+            continue;
+        auto cls = static_cast<std::size_t>(it.shapeClass);
+        if (out.drift.iterationsPerClass.size() <= cls) {
+            out.drift.iterationsPerClass.resize(cls + 1, 0);
+            out.drift.wallPerClass.resize(cls + 1, 0);
+        }
+        ++out.drift.iterationsPerClass[cls];
+        out.drift.wallPerClass[cls] += it.end - it.begin;
+    }
+    for (int n : out.drift.iterationsPerClass)
+        out.drift.classes += n > 0 ? 1 : 0;
 
     // --- bucket sweep ---
     // Iteration edges join the boundary set so no segment straddles an
@@ -465,106 +511,67 @@ buildProfile(const std::vector<obs::TraceEvent> &events,
         cursor = next;
     }
 
-    // --- iteration digests ---
-    if (!out.iterations.empty()) {
-        std::vector<Tick> begins;
-        begins.reserve(out.iterations.size());
-        for (const auto &it : out.iterations)
-            begins.push_back(it.begin);
-        for (auto &it : out.iterations)
-            it.digest = 1469598103934665603ull; // FNV-1a offset basis
-        for (const obs::TraceEvent *ev : evs) {
-            auto pos = std::upper_bound(begins.begin(), begins.end(),
-                                        ev->ts);
-            if (pos == begins.begin())
-                continue; // before the first iteration
-            std::size_t idx =
-                static_cast<std::size_t>(pos - begins.begin()) - 1;
-            IterationProfile &it = out.iterations[idx];
-            if (ev->ts >= it.end)
-                continue; // inter-iteration gap
-            it.digest = mixEvent(it.digest, *ev, it.begin,
-                                 facts[ev->name].hash);
-        }
-    }
-
     // --- prefetch timeliness ---
-    for (auto &[id, ts] : accesses)
-        std::sort(ts.begin(), ts.end());
     double meanIter =
         out.iterations.empty()
             ? static_cast<double>(out.wallTicks)
             : static_cast<double>(out.wallTicks) /
                   static_cast<double>(out.iterations.size());
-    Tick earlyMargin = static_cast<Tick>(meanIter * opts.earlyMarginFrac);
+    Tick earlyMargin = static_cast<Tick>(meanIter * kEarlyMarginFrac);
     for (const H2d &tr : h2ds) {
-        TensorAccount &acc = tacc(tr.tensor);
+        TensorSlot &t = tensors[tr.slot];
+        PrefetchTimeliness &pf = t.acc.prefetch;
         if (tr.onDemand) {
-            ++acc.prefetch.missed;
+            ++pf.missed;
             continue;
         }
-        auto se = stallEnds.find(tr.tensor);
-        bool late = false;
-        if (se != stallEnds.end()) {
-            // A prefetch the back access still waited on emits a Stall
-            // whose end is exactly the transfer's completion tick.
-            late = std::find(se->second.begin(), se->second.end(),
-                             tr.end) != se->second.end();
-        }
-        if (late) {
-            ++acc.prefetch.late;
+        // A prefetch the back access still waited on emits a Stall whose
+        // end is exactly the transfer's completion tick.
+        if (std::find(t.stallEnds.begin(), t.stallEnds.end(), tr.end) !=
+            t.stallEnds.end()) {
+            ++pf.late;
             continue;
         }
-        const auto &acc_ts = accesses[tr.tensor];
+        // Chronological input leaves each tensor's access ticks sorted.
+        const std::vector<Tick> &acc_ts = t.accesses;
         auto next = std::lower_bound(acc_ts.begin(), acc_ts.end(), tr.end);
         if (next == acc_ts.end()) {
-            ++acc.prefetch.early; // fetched, never read before trace end
+            ++pf.early; // fetched, never read before trace end
             continue;
         }
         Tick margin = *next - tr.end;
         if (margin > earlyMargin)
-            ++acc.prefetch.early;
+            ++pf.early;
         else
-            ++acc.prefetch.onTime;
+            ++pf.onTime;
     }
 
-    // --- peak residency + finalization ---
-    for (auto &[id, acc] : tensors) {
-        auto it = resident.find(id);
-        if (it != resident.end()) {
-            for (const auto &r : it->second) {
-                if (r.begin <= out.peakTs && out.peakTs < r.end) {
-                    acc.residentAtPeak = true;
-                    break;
-                }
-            }
-        }
+    // --- peak residency + finalization, in ascending id order ---
+    for (const Residency &r : resident) {
+        if (r.begin <= out.peakTs && out.peakTs < r.end)
+            tensors[r.slot].acc.residentAtPeak = true;
+    }
+    for (std::uint32_t s : tensorIds.byId()) {
+        TensorAccount &acc = tensors[s].acc;
+        if (!tensors[s].live)
+            continue;
         acc.overheadTicks = acc.stallTicks + acc.recomputeTicks;
         if (acc.name.empty())
-            acc.name = "tensor" + std::to_string(id);
-    }
-
-    out.tensors.reserve(tensors.size());
-    for (auto &[id, acc] : tensors)
+            acc.name = "tensor" + std::to_string(acc.tensor);
         out.tensors.push_back(std::move(acc));
-    out.ops.reserve(ops.size());
-    for (auto &[id, oa] : ops)
-        out.ops.push_back(std::move(oa));
-
-    if (opts.withCriticalPath) {
-        out.critical = computeCriticalPath(events, names, opts.maxPathSteps);
     }
+    for (std::uint32_t s : opIds.byId())
+        out.ops.push_back(std::move(ops[s]));
+
+    if (opts.withCriticalPath)
+        out.critical = computeCriticalPath(view.hb());
     return out;
 }
 
 Profile
 buildProfile(const obs::Tracer &tracer, const ProfileOptions &opts)
 {
-    ProfileOptions effective = opts;
-    effective.droppedEvents = tracer.dropped();
-    if (effective.meta.empty())
-        effective.meta = tracer.meta();
-    return buildProfile(tracer.chronological(), tracer.names(), effective);
+    return buildProfile(TraceView(tracer), opts);
 }
 
 std::vector<const TensorAccount *>

@@ -196,41 +196,29 @@ struct Profile
 
 struct ProfileOptions
 {
-    /** Ring drops reported by the trace source (Tracer::dropped()). */
-    std::uint64_t droppedEvents = 0;
-    /** Run metadata to carry into the profile (Tracer::meta()). */
-    std::vector<std::pair<std::string, std::string>> meta;
-    /**
-     * A prefetch completing more than this fraction of the mean
-     * iteration duration before its back access counts as "early"
-     * (pinned host memory held longer than useful).
-     */
-    double earlyMarginFrac = 0.10;
-    /** Cap on materialized critical-path steps (totals stay exact). */
-    std::size_t maxPathSteps = 64;
     bool withCriticalPath = true;
 };
 
+class TraceView;
+
 /**
- * Build a profile from a raw event stream (emission order is fine; the
- * builder sorts what it needs) whose labels `names` resolves. Replay-track
- * markers are excluded from digests and buckets so replayed and executed
- * runs profile identically.
+ * Build a profile from a decoded trace (trace_view.hh); the drop count
+ * and run meta come from the view's source, and the critical path runs
+ * on view.hb(). Replay-track markers are excluded from digests and
+ * buckets so replayed and executed runs profile identically.
  */
-Profile buildProfile(const std::vector<obs::TraceEvent> &events,
-                     const obs::NameTable &names,
+Profile buildProfile(const TraceView &view, const ProfileOptions &opts = {});
+
+/** Convenience: profile a live tracer's ring through a TraceView. */
+Profile buildProfile(const obs::Tracer &tracer,
                      const ProfileOptions &opts = {});
 
-/** Convenience: profile a live tracer's ring (drops + meta carried over). */
 /**
  * Lift a PlanService metrics registry's capu.serve.* counters and gauges
  * into a ServeSummary (present=true). The inverse of the JSON "serve"
  * section: attach the result to a Profile before writing it.
  */
 ServeSummary serveSummaryFromMetrics(const obs::MetricsRegistry &metrics);
-
-Profile buildProfile(const obs::Tracer &tracer,
-                     const ProfileOptions &opts = {});
 
 /**
  * Tensors ranked by overhead charged (stalls + recompute), heaviest

@@ -1,7 +1,9 @@
 #include "support/json.hh"
 
 #include <cctype>
+#include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 namespace capu::json
@@ -188,6 +190,32 @@ class Parser
 };
 
 } // namespace
+
+std::int64_t
+Value::asI64() const
+{
+    // 2^63 is exact as a double; every double below it converts.
+    constexpr double kLimit = 9223372036854775808.0;
+    if (kind != Num || std::isnan(num))
+        return 0;
+    if (num >= kLimit)
+        return std::numeric_limits<std::int64_t>::max();
+    if (num < -kLimit)
+        return std::numeric_limits<std::int64_t>::min();
+    return static_cast<std::int64_t>(num);
+}
+
+std::uint64_t
+Value::asU64() const
+{
+    // 2^64 is exact as a double; every double below it converts.
+    constexpr double kLimit = 18446744073709551616.0;
+    if (kind != Num || !(num >= 0))
+        return 0;
+    if (num >= kLimit)
+        return std::numeric_limits<std::uint64_t>::max();
+    return static_cast<std::uint64_t>(num);
+}
 
 const Value &
 Value::operator[](const std::string &k) const

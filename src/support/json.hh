@@ -51,17 +51,14 @@ struct Value
 
     bool isNull() const { return kind == Null; }
 
-    /** Numeric accessors; 0 when the value is not a number. */
+    /**
+     * Numeric accessors; 0 when the value is not a number. The integer
+     * accessors truncate toward zero and clamp to the type's range, so a
+     * hostile file cannot make the conversion undefined.
+     */
     double asDouble() const { return kind == Num ? num : 0.0; }
-    std::int64_t asI64() const
-    {
-        return kind == Num ? static_cast<std::int64_t>(num) : 0;
-    }
-    std::uint64_t asU64() const
-    {
-        return kind == Num && num >= 0 ? static_cast<std::uint64_t>(num)
-                                       : 0;
-    }
+    std::int64_t asI64() const;
+    std::uint64_t asU64() const;
 };
 
 /** Parse `text` into `out`; false on malformed input or trailing bytes. */

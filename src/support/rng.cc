@@ -41,17 +41,6 @@ Rng::chance(double p)
 }
 
 std::uint64_t
-hashCombine(std::uint64_t a, std::uint64_t b)
-{
-    // Boost-style combine widened to 64 bit with an extra mix round.
-    std::uint64_t h = a ^ (b + 0x9e3779b97f4a7c15ull + (a << 12) + (a >> 4));
-    h ^= h >> 33;
-    h *= 0xff51afd7ed558ccdull;
-    h ^= h >> 33;
-    return h;
-}
-
-std::uint64_t
 hashString(const char *s)
 {
     std::uint64_t h = 0xcbf29ce484222325ull;

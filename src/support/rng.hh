@@ -40,8 +40,21 @@ class Rng
     std::uint64_t state_;
 };
 
-/** Stable 64-bit mix of two values; used for tensor lineage fingerprints. */
-std::uint64_t hashCombine(std::uint64_t a, std::uint64_t b);
+/**
+ * Stable 64-bit mix of two values; used for tensor lineage fingerprints
+ * and the profile's per-iteration digests. Inline: the digest walk mixes
+ * ten fields of every traced event.
+ */
+inline std::uint64_t
+hashCombine(std::uint64_t a, std::uint64_t b)
+{
+    // Boost-style combine widened to 64 bit with an extra mix round.
+    std::uint64_t h = a ^ (b + 0x9e3779b97f4a7c15ull + (a << 12) + (a >> 4));
+    h ^= h >> 33;
+    h *= 0xff51afd7ed558ccdull;
+    h ^= h >> 33;
+    return h;
+}
 
 /** Stable 64-bit hash of a string (FNV-1a). */
 std::uint64_t hashString(const char *s);

@@ -13,6 +13,7 @@
 #include <map>
 #include <memory>
 #include <numeric>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -74,8 +75,8 @@ TEST(Tracer, RingDropsOldest)
             [&](const obs::TraceEvent &ev) { ts.push_back(ev.ts); });
         EXPECT_EQ(ts, want);
         ts.clear();
-        for (const obs::TraceEvent &ev : tracer.chronological())
-            ts.push_back(ev.ts);
+        for (const obs::TraceEvent *ev : tracer.chronological())
+            ts.push_back(ev->ts);
         EXPECT_EQ(ts, want);
     }
 }
@@ -89,9 +90,9 @@ TEST(Tracer, ChronologicalSortsByTimestamp)
     tracer.instant(obs::kTrackHost, obs::EventKind::Marker, 20, "b");
     auto evs = tracer.chronological();
     ASSERT_EQ(evs.size(), 3u);
-    EXPECT_EQ(tracer.name(evs[0].name), "a");
-    EXPECT_EQ(tracer.name(evs[1].name), "b");
-    EXPECT_EQ(tracer.name(evs[2].name), "c");
+    EXPECT_EQ(tracer.name(evs[0]->name), "a");
+    EXPECT_EQ(tracer.name(evs[1]->name), "b");
+    EXPECT_EQ(tracer.name(evs[2]->name), "c");
 }
 
 TEST(Tracer, ChronologicalCacheInvalidatedByRecordAndClear)
@@ -108,12 +109,58 @@ TEST(Tracer, ChronologicalCacheInvalidatedByRecordAndClear)
     tracer.instant(obs::kTrackHost, obs::EventKind::Marker, 15, "c");
     const auto &second = tracer.chronological();
     ASSERT_EQ(second.size(), 3u);
-    EXPECT_EQ(tracer.name(second[0].name), "a");
-    EXPECT_EQ(tracer.name(second[1].name), "c");
-    EXPECT_EQ(tracer.name(second[2].name), "b");
+    EXPECT_EQ(tracer.name(second[0]->name), "a");
+    EXPECT_EQ(tracer.name(second[1]->name), "c");
+    EXPECT_EQ(tracer.name(second[2]->name), "b");
     // ...and so does clear().
     tracer.clear();
     EXPECT_TRUE(tracer.chronological().empty());
+}
+
+TEST(Tracer, CopyOwnsItsChronologicalOrder)
+{
+    obs::Tracer tracer;
+    tracer.setEnabled(true);
+    tracer.setTrackName(obs::kTrackHost, "host");
+    for (Tick t : {30, 10, 20, 10, 40})
+        tracer.instant(obs::kTrackHost, obs::EventKind::Marker, t, "m");
+    ASSERT_EQ(tracer.chronological().size(), 5u); // cache the original's
+    std::ostringstream before;
+    obs::writeChromeTrace(before, tracer);
+
+    obs::Tracer copy(tracer);
+    tracer.clear();
+    // The copy's order points into the copy's own ring, never into the
+    // (now cleared) original's.
+    std::set<const obs::TraceEvent *> owned;
+    copy.forEach([&](const obs::TraceEvent &ev) { owned.insert(&ev); });
+    const auto &order = copy.chronological();
+    ASSERT_EQ(order.size(), 5u);
+    for (const obs::TraceEvent *ev : order)
+        ASSERT_EQ(owned.count(ev), 1u);
+    std::ostringstream after;
+    obs::writeChromeTrace(after, copy);
+    EXPECT_EQ(after.str(), before.str());
+}
+
+TEST(Tracer, ChronologicalTiesKeepEmissionOrderAcrossWrap)
+{
+    // A ring of 8 wrapped 2.5 times by runs of three equal ticks: ties
+    // straddle the overwrite cursor, where slot order and emission order
+    // disagree.
+    obs::Tracer tracer(8);
+    tracer.setEnabled(true);
+    for (int k = 0; k < 20; ++k) {
+        tracer.instant(obs::kTrackHost, obs::EventKind::Marker, k / 3, "m",
+                       -1, -1, static_cast<std::uint64_t>(k));
+    }
+    std::vector<const obs::TraceEvent *> want;
+    tracer.forEach([&](const obs::TraceEvent &ev) { want.push_back(&ev); });
+    std::stable_sort(want.begin(), want.end(),
+                     [](const obs::TraceEvent *a, const obs::TraceEvent *b) {
+                         return a->ts < b->ts;
+                     });
+    EXPECT_EQ(tracer.chronological(), want);
 }
 
 TEST(Tracer, DroppedSurfacesAsMetricCounter)
@@ -214,7 +261,7 @@ TEST(Tracer, NamesSurviveClearCapacityAndWrap)
     EXPECT_EQ(tracer.names().size(), 3u);
     tracer.instant(obs::kTrackHost, obs::EventKind::Marker, 1, "b");
     ASSERT_EQ(tracer.size(), 1u);
-    EXPECT_EQ(tracer.chronological()[0].name, b);
+    EXPECT_EQ(tracer.chronological()[0]->name, b);
 }
 
 TEST(Tracer, DisabledTracerInternsNothing)

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -24,6 +25,7 @@
 #include "prof/profile.hh"
 #include "prof/report.hh"
 #include "prof/trace_io.hh"
+#include "prof/trace_view.hh"
 
 using namespace capu;
 
@@ -314,17 +316,101 @@ TEST(ProfRoundTrip, ChromeTraceImportMatchesLiveRing)
 
     // The export is lossless, so the profile built from the file must be
     // bit-identical to the one built from the live ring.
-    prof::ProfileOptions popts;
-    popts.droppedEvents = bundle.dropped;
-    popts.meta = bundle.meta;
-    prof::Profile from_file =
-        prof::buildProfile(bundle.events, bundle.names, popts);
+    prof::Profile from_file = prof::buildProfile(prof::TraceView(bundle));
     prof::Profile live = prof::buildProfile(tracer);
     prof::ProfileDiff d = prof::diffProfiles(live, from_file);
     EXPECT_TRUE(d.identical)
         << "first diverging iteration " << d.firstDivergingIteration;
     EXPECT_EQ(from_file.peakBytes, live.peakBytes);
     EXPECT_EQ(from_file.critical.makespan, live.critical.makespan);
+}
+
+// --- imported traces with unusual content -------------------------------
+
+namespace
+{
+
+/** Import a Chrome trace given as text, through a temp file. */
+prof::TraceBundle
+importText(const char *stem, const std::string &text)
+{
+    std::string path = tempPath(stem);
+    {
+        std::ofstream os(path);
+        os << text;
+    }
+    prof::TraceBundle bundle;
+    std::string err;
+    EXPECT_TRUE(prof::importChromeTrace(path, bundle, &err)) << err;
+    std::remove(path.c_str());
+    return bundle;
+}
+
+std::uint64_t
+fnv1a(const std::string &bytes)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (char c : bytes) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+} // namespace
+
+TEST(ProfImport, HostileIdsProfileAsBefore)
+{
+    // Lifetime spans on a negative tensor id and on 2^62, a swap-in of
+    // the 2^62 tensor and a kernel whose op id is 2^62: no account may be
+    // dropped or sized by its id.
+    const std::string big = "4611686018427387904";
+    prof::TraceBundle bundle = importText(
+        "prof_hostile_ids.json",
+        R"({"traceEvents":[
+{"name":"iteration:0","cat":"marker","pid":0,"tid":0,"ts":0.000,"ph":"X","dur":100.000,"args":{}},
+{"name":"neg:IN","cat":"tensor","pid":0,"tid":0,"ts":1.000,"ph":"b","id":-7,"args":{"bytes":64}},
+{"name":"big:OUT","cat":"tensor","pid":0,"tid":0,"ts":2.000,"ph":"b","id":)" +
+            big + R"(,"args":{"bytes":128}},
+{"name":"conv","cat":"kernel","pid":0,"tid":1,"ts":3.000,"ph":"X","dur":5.000,"args":{"op":)" +
+            big + R"(}},
+{"name":"big:OUT","cat":"tensor","pid":0,"tid":0,"ts":10.000,"ph":"e","id":)" +
+            big + R"(,"args":{}},
+{"name":"swapin:big","cat":"transfer","pid":0,"tid":3,"ts":10.000,"ph":"X","dur":4.000,"args":{"tensor":)" +
+            big + R"(,"bytes":128}},
+{"name":"neg:IN","cat":"tensor","pid":0,"tid":0,"ts":20.000,"ph":"e","id":-7,"args":{}}
+],"displayTimeUnit":"ns","otherData":{"recorded":7,"dropped":0}})");
+    ASSERT_EQ(bundle.events.size(), 7u);
+    prof::Profile p = prof::buildProfile(prof::TraceView(bundle));
+    ASSERT_EQ(p.tensors.size(), 2u);
+    EXPECT_EQ(p.tensors[0].tensor, -7);
+    EXPECT_EQ(p.tensors[1].tensor, std::int64_t{1} << 62);
+    ASSERT_EQ(p.ops.size(), 1u);
+    EXPECT_EQ(p.ops[0].op, std::int64_t{1} << 62);
+
+    // The rendered bytes, pinned as the profile builder wrote them before
+    // its accounts moved from id-keyed maps to dense slots.
+    std::ostringstream os;
+    prof::renderProfile(os, p, prof::ReportFormat::Json);
+    EXPECT_EQ(os.str().size(), 1802u);
+    EXPECT_EQ(fnv1a(os.str()), 0x7d502880558eb5d7ull);
+}
+
+TEST(ProfImport, ShortTransferLabelFallsBackToTensorName)
+{
+    // An H2D transfer whose label has neither the prefetch: nor the
+    // swapin: prefix leaves the account to the tensor<id> default.
+    prof::TraceBundle bundle = importText(
+        "prof_short_label.json",
+        R"({"traceEvents":[
+{"name":"iteration:0","cat":"marker","pid":0,"tid":0,"ts":0,"ph":"X","dur":10,"args":{}},
+{"name":"x","cat":"transfer","pid":0,"tid":3,"ts":1,"ph":"X","dur":1,"args":{"tensor":5}}
+]})");
+    prof::Profile p;
+    EXPECT_NO_THROW(p = prof::buildProfile(prof::TraceView(bundle)));
+    ASSERT_EQ(p.tensors.size(), 1u);
+    EXPECT_EQ(p.tensors[0].name, "tensor5");
+    EXPECT_EQ(p.tensors[0].swapInCount, 1);
 }
 
 // --- rendering ----------------------------------------------------------

@@ -1,7 +1,12 @@
-/** @file Unit tests for the support library (strfmt, logging, rng, units). */
+/** @file Unit tests for the support library (strfmt, logging, rng, units,
+ *  json). */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
+#include "support/json.hh"
 #include "support/logging.hh"
 #include "support/rng.hh"
 #include "support/strfmt.hh"
@@ -251,4 +256,47 @@ TEST(Units, ParseCountEnforcesRange)
         EXPECT_EQ(std::string(e.what()),
                   "--iters needs a whole number, got 'abc'");
     }
+}
+
+// --- JSON numbers: integer accessors clamp instead of overflowing ---
+
+namespace
+{
+
+json::Value
+number(const char *text)
+{
+    json::Value v;
+    EXPECT_TRUE(json::parse(text, v)) << text;
+    return v;
+}
+
+} // namespace
+
+TEST(Json, IntegerAccessorsClampOutOfRangeNumbers)
+{
+    constexpr auto i64max = std::numeric_limits<std::int64_t>::max();
+    constexpr auto i64min = std::numeric_limits<std::int64_t>::min();
+    constexpr auto u64max = std::numeric_limits<std::uint64_t>::max();
+    EXPECT_EQ(number("1e30").asI64(), i64max);
+    EXPECT_EQ(number("-1e30").asI64(), i64min);
+    EXPECT_EQ(number("1e30").asU64(), u64max);
+    EXPECT_EQ(number("-1e30").asU64(), 0u);
+    // 2^63 is one past the largest int64 but fits a uint64.
+    EXPECT_EQ(number("9223372036854775808").asI64(), i64max);
+    EXPECT_EQ(number("9223372036854775808").asU64(),
+              std::uint64_t{1} << 63);
+    EXPECT_EQ(number("-1").asI64(), -1);
+    EXPECT_EQ(number("-1").asU64(), 0u);
+}
+
+TEST(Json, IntegerAccessorsKeepInRangeNumbers)
+{
+    EXPECT_EQ(number("4611686018427387904").asI64(), std::int64_t{1} << 62);
+    EXPECT_EQ(number("-9223372036854775808").asI64(),
+              std::numeric_limits<std::int64_t>::min());
+    EXPECT_EQ(number("12345").asU64(), 12345u);
+    EXPECT_EQ(number("2.9").asI64(), 2);
+    EXPECT_EQ(number("-2.9").asI64(), -2);
+    EXPECT_EQ(number("\"7\"").asI64(), 0); // not a number
 }

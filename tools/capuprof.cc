@@ -30,6 +30,7 @@
 #include "prof/profile.hh"
 #include "prof/report.hh"
 #include "prof/trace_io.hh"
+#include "prof/trace_view.hh"
 #include "support/json.hh"
 #include "support/logging.hh"
 #include "support/units.hh"
@@ -152,10 +153,8 @@ loadInput(const std::string &path, const Options &opt)
         if (!prof::importChromeTrace(path, bundle, &err))
             fatal("{}: {}", path, err);
         prof::ProfileOptions popts;
-        popts.droppedEvents = bundle.dropped;
-        popts.meta = bundle.meta;
         popts.withCriticalPath = opt.withCriticalPath;
-        return prof::buildProfile(bundle.events, bundle.names, popts);
+        return prof::buildProfile(prof::TraceView(bundle), popts);
     }
     fatal("{}: neither a Chrome trace (traceEvents) nor a capuprof "
           "profile (capuprof)", path);

@@ -40,6 +40,7 @@
 #include "policy/vdnn_policy.hh"
 #include "prof/profile.hh"
 #include "prof/report.hh"
+#include "prof/trace_view.hh"
 #include "serve/request_queue.hh"
 #include "serve/service.hh"
 #include "stats/table.hh"
@@ -672,8 +673,12 @@ main(int argc, char **argv)
         if (!opt.metricsFile.empty() &&
             obs::writeMetricsFile(opt.metricsFile, o.metrics))
             inform("wrote per-iteration metrics to {}", opt.metricsFile);
+        // The profile and --verify decode the trace once, through one view.
+        std::optional<prof::TraceView> view;
+        if (opt.profile || !opt.profileJson.empty() || opt.verify)
+            view.emplace(o.tracer);
         if (opt.profile || !opt.profileJson.empty()) {
-            prof::Profile profile = prof::buildProfile(o.tracer);
+            prof::Profile profile = prof::buildProfile(*view);
             if (!opt.profileJson.empty() &&
                 prof::writeProfileJsonFile(opt.profileJson, profile))
                 inform("wrote capuprof profile to {}", opt.profileJson);
@@ -748,13 +753,12 @@ main(int argc, char **argv)
             // the happens-before event model, race-scan it, and cross-check
             // every ordering edge the executor claims against the
             // timestamps it actually produced.
-            auto timeline = obs::extractTimeline(o.tracer);
-            HbAnalysis hb = buildTraceEventGraph(timeline);
+            const HbAnalysis &hb = view->hb();
             LintReport races = checkHappensBefore(hb, &session->graph());
             LintReport stamps = checkTimestamps(hb, &session->graph());
             for (auto &d : stamps.diags)
                 races.diags.push_back(std::move(d));
-            std::cout << "verify: " << timeline.size()
+            std::cout << "verify: " << view->timeline().size()
                       << " timeline records, " << hb.events.size()
                       << " events, " << hb.edges.size() << " edges checked"
                       << (o.tracer.dropped() > 0
