@@ -15,7 +15,6 @@
 #ifndef CAPU_BENCH_SERVE_COMMON_HH
 #define CAPU_BENCH_SERVE_COMMON_HH
 
-#include <algorithm>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -48,18 +47,6 @@ inline constexpr ServeTenant kQuickServeTenants[] = {
     {"resnet50", 192},
     {"vgg16", 96},
 };
-
-/** Nearest-rank percentile over a copy of `v` (p in [0, 1]). */
-inline double
-servePercentile(std::vector<double> v, double p)
-{
-    if (v.empty())
-        return 0.0;
-    std::sort(v.begin(), v.end());
-    auto idx = static_cast<std::size_t>(
-        p * static_cast<double>(v.size() - 1) + 0.5);
-    return v[std::min(idx, v.size() - 1)];
-}
 
 /**
  * Round-robin request stream over `tenants`: every tenant appears once

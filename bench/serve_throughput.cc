@@ -47,6 +47,7 @@
 #include "bench/serve_common.hh"
 #include "obs/metrics.hh"
 #include "support/logging.hh"
+#include "support/percentile.hh"
 #include "support/strfmt.hh"
 #include "support/thread_pool.hh"
 #include "support/units.hh"
@@ -120,18 +121,17 @@ struct PhaseRounds
         }
     }
 
-    double medianReqPerSec() const { return servePercentile(reqPerSec, 0.5); }
+    double medianReqPerSec() const { return percentile(reqPerSec, 0.5); }
 
     std::string
     describe() const
     {
-        return fmt("{} req in {} rounds, median {} req/s (min {}, max {}), "
-                   "p50 {} ms, p99 {} ms",
+        return fmt("{} req in {} rounds, median {} req/s (min {}, max {}, "
+                   "n={}), p50 {} ms, p99 {} ms (n={})",
                    requests, reqPerSec.size(), medianReqPerSec(),
-                   servePercentile(reqPerSec, 0.0),
-                   servePercentile(reqPerSec, 1.0),
-                   servePercentile(latencyMs, 0.5),
-                   servePercentile(latencyMs, 0.99));
+                   percentile(reqPerSec, 0.0), percentile(reqPerSec, 1.0),
+                   reqPerSec.size(), percentile(latencyMs, 0.5),
+                   percentile(latencyMs, 0.99), latencyMs.size());
     }
 
     std::string
@@ -140,8 +140,8 @@ struct PhaseRounds
         return fmt("{\"requests\": {}, \"rounds\": {}, \"req_per_sec\": {}, "
                    "\"p50_ms\": {}, \"p99_ms\": {}}",
                    requests, reqPerSec.size(), jsonNum(medianReqPerSec()),
-                   jsonNum(servePercentile(latencyMs, 0.5)),
-                   jsonNum(servePercentile(latencyMs, 0.99)));
+                   jsonNum(percentile(latencyMs, 0.5)),
+                   jsonNum(percentile(latencyMs, 0.99)));
     }
 };
 
@@ -249,8 +249,9 @@ main(int argc, char **argv)
         std::cout << "  cold: " << cold.describe() << "\n";
         std::cout << "  warm: " << warm.describe() << "\n";
         std::cout << "  fork+run: " << forkrun.requests << " req, p50 "
-                  << servePercentile(forkrun.latencyMs, 0.5)
-                  << " ms (1 guided iteration each)\n";
+                  << percentile(forkrun.latencyMs, 0.5) << " ms (n="
+                  << forkrun.latencyMs.size()
+                  << ", 1 guided iteration each)\n";
         std::cout << "  speedup: " << speedup
                   << "x warm over cold (median round each); cold "
                   << cold.measured << " measured sessions / " << cold_misses
@@ -355,7 +356,7 @@ main(int argc, char **argv)
                << "  \"cold\": " << cold.json() << ",\n"
                << "  \"warm\": " << warm.json() << ",\n"
                << "  \"fork_run_p50_ms\": "
-               << jsonNum(servePercentile(forkrun.latencyMs, 0.5)) << ",\n"
+               << jsonNum(percentile(forkrun.latencyMs, 0.5)) << ",\n"
                << "  \"warm_speedup\": " << jsonNum(speedup) << ",\n"
                << "  \"identical\": "
                << (ledger.identical() ? "true" : "false") << ",\n"

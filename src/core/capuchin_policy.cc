@@ -9,6 +9,19 @@
 namespace capu
 {
 
+namespace
+{
+
+/**
+ * Feedback deadband: back-access stalls shorter than this fraction of the
+ * item's SwapTime are ignored. Without it, residual jitter-sized stalls
+ * keep marching in-triggers earlier every iteration until prefetches bunch
+ * up at iteration start and the loop oscillates.
+ */
+constexpr double kFeedbackDeadband = 0.02;
+
+} // namespace
+
 CapuchinPolicy::CapuchinPolicy(CapuchinOptions opts) : opts_(opts)
 {
 }
@@ -125,7 +138,6 @@ CapuchinPolicy::buildPlan(ExecContext &ctx, ClassState &cs, bool audit)
     PolicyMakerOptions pm_opts;
     pm_opts.enableSwap = opts_.enableSwap;
     pm_opts.enableRecompute = opts_.enableRecompute;
-    pm_opts.minTensorBytes = opts_.minTensorBytes;
     PolicyMaker maker(ctx.graph(), cs.tracker, pm_opts);
 
     auto target = static_cast<std::uint64_t>(
@@ -400,7 +412,7 @@ CapuchinPolicy::passiveEvict(ExecContext &ctx, ClassState &cs,
         if (t.kind != TensorKind::FeatureMap &&
             t.kind != TensorKind::Gradient)
             return;
-        if (ctx.tensorBytes(id) < opts_.minTensorBytes)
+        if (ctx.tensorBytes(id) < kMinTensorBytes)
             return;
         if (ctx.isPinned(id) || ctx.status(id) != TensorStatus::In)
             return;
@@ -437,7 +449,7 @@ CapuchinPolicy::onBackAccessStall(ExecContext &ctx, TensorId id, Tick stall)
     if (item.mode != RegenChoice::Swap)
         return;
     auto deadband = static_cast<Tick>(
-        static_cast<double>(item.swapTime) * opts_.feedbackDeadband);
+        static_cast<double>(item.swapTime) * kFeedbackDeadband);
     if (stall <= deadband)
         return; // within tolerance: shifting earlier would over-prefetch
     ctx.obs().tracer.instant(obs::kTrackPolicy, obs::EventKind::Decision,
@@ -492,7 +504,7 @@ CapuchinPolicy::endIteration(ExecContext &ctx, const IterationStats &stats)
     }
 
     if (opts_.driftThreshold > 0.0 && cs.driftBase > 0.0 &&
-        cs.remeasures < opts_.maxRemeasures &&
+        cs.remeasures < kMaxRemeasures &&
         cs.driftAbs / cs.driftBase > opts_.driftThreshold) {
         // Guided timestamps no longer match the trace the plan assumes:
         // schedule a full re-measurement instead of refining a stale plan.

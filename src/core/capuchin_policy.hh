@@ -37,6 +37,9 @@
 namespace capu
 {
 
+/** Upper bound on drift-triggered re-measurements per shape class. */
+inline constexpr int kMaxRemeasures = 2;
+
 struct CapuchinOptions
 {
     /** Allow swap in the plan (off = recompute-only, Fig. 8b). */
@@ -49,15 +52,6 @@ struct CapuchinOptions
     bool enablePrefetch = true;
     /** In-trigger shift per feedback event, as fraction of SwapTime. */
     double feedbackStep = 0.05;
-    /**
-     * Feedback deadband: ignore back-access stalls shorter than this
-     * fraction of the item's SwapTime. Without it, residual jitter-sized
-     * stalls keep marching in-triggers earlier every iteration until
-     * prefetches bunch up at iteration start and the loop oscillates.
-     */
-    double feedbackDeadband = 0.02;
-    /** Ignore tensors below this size. */
-    std::uint64_t minTensorBytes = 1ull << 20;
     /** Plan this much beyond the measured eviction total (headroom). */
     double savingMargin = 1.05;
     /**
@@ -78,8 +72,6 @@ struct CapuchinOptions
      * it.
      */
     double driftThreshold = 0.0;
-    /** Upper bound on drift-triggered re-measurements per shape class. */
-    int maxRemeasures = 2;
     /**
      * Optional plan audit (capulint): invoked every time a plan is built
      * from a *complete* measured trace, before guided execution resumes.

@@ -47,7 +47,7 @@ PolicyMaker::gatherCandidates(const BytesFn &tensor_bytes,
         if (t.kind != TensorKind::FeatureMap)
             continue;
         std::uint64_t bytes = tensor_bytes(t.id);
-        if (bytes < opts_.minTensorBytes)
+        if (bytes < kMinTensorBytes)
             continue;
         const auto &recs = tracker_.accessesOf(t.id);
         if (recs.size() < 2)
@@ -98,16 +98,6 @@ PolicyMaker::gatherCandidates(const BytesFn &tensor_bytes,
         cands.push_back(std::move(c));
     }
     return cands;
-}
-
-void
-PolicyMaker::initRecomputeState(Candidate &cand,
-                                const std::vector<Candidate> &all) const
-{
-    std::unordered_set<TensorId> cand_set;
-    for (const auto &c : all)
-        cand_set.insert(c.tensor);
-    initRecomputeState(cand, cand_set);
 }
 
 void
@@ -262,17 +252,6 @@ laneWait(const std::vector<Xfer> &lane)
     return total;
 }
 
-/** Marginal growth in total lane waiting if `probe` were added. */
-Tick
-queueDelay(std::vector<Xfer> lane, Xfer probe)
-{
-    std::sort(lane.begin(), lane.end());
-    Tick before = laneWait(lane);
-    lane.push_back(probe);
-    std::sort(lane.begin(), lane.end());
-    return laneWait(lane) - before;
-}
-
 bool
 containsTensor(const std::vector<TensorId> &v, TensorId t)
 {
@@ -282,194 +261,25 @@ containsTensor(const std::vector<TensorId> &v, TensorId t)
 } // namespace
 
 void
-PolicyMaker::runReference(Plan &plan, std::vector<Candidate> cands) const
+PolicyMaker::select(Plan &plan, std::vector<Candidate> cands) const
 {
-    struct Recomp
-    {
-        TensorId tensor;
-        std::vector<TensorId> srcs;
-        Tick rpTime;
-    };
-    std::vector<Recomp> recomps;
-
-    std::vector<Xfer> chosen_out, chosen_in;
-
-    auto exposure = [&](const Candidate &c) -> Tick {
-        Tick interval = c.backTime - c.evictTime;
-        Tick round_trip = 2 * c.swapTime;
-        Tick exposed = round_trip > interval ? round_trip - interval : 0;
-        exposed += queueDelay(chosen_out, Xfer{c.evictTime, c.swapTime});
-        Tick in_anchor = c.backTime > c.swapTime ? c.backTime - c.swapTime
-                                                 : 0;
-        exposed += queueDelay(chosen_in, Xfer{in_anchor, c.swapTime});
-        return exposed;
-    };
-    auto can_recompute = [](const Candidate &c) {
-        return c.rpTime > 0;
-    };
-
-    std::int64_t saving = static_cast<std::int64_t>(plan.targetBytes);
-
-    auto emit_swap = [&](std::size_t idx) {
-        Candidate c = cands[idx];
-        cands.erase(cands.begin() + static_cast<std::ptrdiff_t>(idx));
-        PlannedEviction item;
-        item.tensor = c.tensor;
-        item.mode = RegenChoice::Swap;
-        item.bytes = c.bytes;
-        item.evictAfterAccess = c.evictAfterAccess;
-        item.backAccess = c.backAccess;
-        item.evictTime = c.evictTime;
-        item.backTime = c.backTime;
-        item.swapTime = c.swapTime;
-        item.freeTime = c.freeTime;
-        item.estimatedOverhead = exposure(c);
-        chooseInTrigger(item, plan.peak);
-        plan.items.push_back(item);
-        ++plan.swapCount;
-        plan.plannedBytes += c.bytes;
-        chosen_out.push_back(Xfer{c.evictTime, c.swapTime});
-        chosen_in.push_back(
-            Xfer{c.backTime > c.swapTime ? c.backTime - c.swapTime : 0,
-                 c.swapTime});
-        saving -= static_cast<std::int64_t>(c.bytes);
-    };
-
-    auto emit_recompute = [&](std::size_t idx) {
-        Candidate c = cands[idx];
-        cands.erase(cands.begin() + static_cast<std::ptrdiff_t>(idx));
-
-        // Algorithm 2, lines 5-12: targets whose source set contained the
-        // newly chosen tensor now start from its sources instead, and the
-        // shared prefix is replayed once more per such target.
-        int ext_ct = 1;
-        for (auto &rp : recomps) {
-            if (containsTensor(rp.srcs, c.tensor)) {
-                rp.srcs.erase(
-                    std::remove(rp.srcs.begin(), rp.srcs.end(), c.tensor),
-                    rp.srcs.end());
-                for (TensorId s : c.srcs) {
-                    if (!containsTensor(rp.srcs, s))
-                        rp.srcs.push_back(s);
-                }
-                ++ext_ct;
-            }
-        }
-        recomps.push_back(Recomp{c.tensor, c.srcs, c.rpTime});
-
-        // Algorithm 2, lines 17-34: update the remaining candidates.
-        for (auto &cand : cands) {
-            if (!can_recompute(cand))
-                continue;
-            if (containsTensor(cand.srcs, c.tensor)) {
-                cand.srcs.erase(std::remove(cand.srcs.begin(),
-                                            cand.srcs.end(), c.tensor),
-                                cand.srcs.end());
-                for (TensorId s : c.srcs) {
-                    if (!containsTensor(cand.srcs, s))
-                        cand.srcs.push_back(s);
-                }
-                cand.rpTime += c.rpTime;
-                cand.extTime = 0;
-                for (const auto &rp : recomps) {
-                    if (containsTensor(rp.srcs, cand.tensor))
-                        cand.extTime += cand.rpTime;
-                }
-            }
-            if (containsTensor(c.srcs, cand.tensor)) {
-                cand.extTime =
-                    static_cast<Tick>(ext_ct) * cand.rpTime;
-            }
-        }
-
-        PlannedEviction item;
-        item.tensor = c.tensor;
-        item.mode = RegenChoice::Recompute;
-        item.bytes = c.bytes;
-        item.evictAfterAccess = c.evictAfterAccess;
-        item.backAccess = c.backAccess;
-        item.evictTime = c.evictTime;
-        item.backTime = c.backTime;
-        item.recomputeTime = c.rpTime + c.extTime;
-        item.estimatedOverhead = item.recomputeTime;
-        plan.items.push_back(item);
-        ++plan.recomputeCount;
-        plan.plannedBytes += c.bytes;
-        saving -= static_cast<std::int64_t>(c.bytes);
-    };
-
-    while (saving > 0 && !cands.empty()) {
-        // Best swap: maximal FT, i.e. minimal exposure.
-        std::size_t s_idx = cands.size();
-        if (opts_.enableSwap) {
-            for (std::size_t i = 0; i < cands.size(); ++i) {
-                if (s_idx == cands.size() ||
-                    exposure(cands[i]) < exposure(cands[s_idx]) ||
-                    (exposure(cands[i]) == exposure(cands[s_idx]) &&
-                     cands[i].freeTime > cands[s_idx].freeTime)) {
-                    s_idx = i;
-                }
-            }
-        }
-        if (s_idx < cands.size() && exposure(cands[s_idx]) == 0) {
-            emit_swap(s_idx); // fully hidden: swap is free (§4.5)
-            continue;
-        }
-
-        std::size_t r_idx = cands.size();
-        if (opts_.enableRecompute) {
-            for (std::size_t i = 0; i < cands.size(); ++i) {
-                if (!can_recompute(cands[i]))
-                    continue;
-                if (r_idx == cands.size() ||
-                    cands[i].msps() > cands[r_idx].msps()) {
-                    r_idx = i;
-                }
-            }
-        }
-
-        bool have_s = s_idx < cands.size();
-        bool have_r = r_idx < cands.size();
-        if (have_s && have_r) {
-            Tick s_over = exposure(cands[s_idx]);
-            Tick r_over = cands[r_idx].rpTime + cands[r_idx].extTime;
-            if (s_over <= r_over)
-                emit_swap(s_idx);
-            else
-                emit_recompute(r_idx);
-        } else if (have_s) {
-            emit_swap(s_idx);
-        } else if (have_r) {
-            emit_recompute(r_idx);
-        } else {
-            break; // nothing actionable left
-        }
-    }
-
-    if (saving > 0) {
-        warn("policy maker covered {} of {} saving target",
-             formatBytes(plan.plannedBytes), formatBytes(plan.targetBytes));
-    }
-}
-
-void
-PolicyMaker::runIncremental(Plan &plan, std::vector<Candidate> cands) const
-{
-    // Same selection rules and tie-breaks as runReference, with the
-    // rescans replaced by incremental bookkeeping:
+    // Algorithm 1 picks the best swap (minimal exposure, then maximal FT)
+    // or the best recompute (maximal MSPS, first in gather order) until
+    // the saving target is met; Algorithm 2 updates the remaining
+    // candidates after each recompute. Instead of rescanning every
+    // candidate per pick:
     //  - exposures are cached per candidate and stamped with a lane
     //    epoch; only an emitted swap changes the PCIe lanes, so picks
     //    that recompute invalidate nothing;
     //  - the best-MSPS candidate comes from a lazy max-heap keyed
-    //    (msps desc, gather index asc) — exactly the old scan's
+    //    (msps desc, gather index asc) — exactly a scan's
     //    first-occurrence-of-max order — with stale entries dropped on
     //    pop;
     //  - an emitted recompute updates only the candidates its Algorithm-2
     //    branches can touch, found through per-source reverse indexes
     //    instead of a cands × recomps sweep;
     //  - candidates are never copied or erased: a liveness flag keeps the
-    //    gather order (= the old vector order under erases) for
-    //    tie-breaking.
+    //    gather order (= a vector's order under erases) for tie-breaking.
     struct Recomp
     {
         TensorId tensor;
@@ -497,7 +307,7 @@ PolicyMaker::runIncremental(Plan &plan, std::vector<Candidate> cands) const
     // src tensor -> emitted recompute indices whose srcs (may) contain it.
     std::unordered_map<TensorId, std::vector<std::size_t>> recomps_by_src;
     // Exact count of emitted recomputes whose srcs contain the tensor
-    // (the old code's "for rp in recomps: contains(rp.srcs, t)" tally).
+    // (the "for rp in recomps: contains(rp.srcs, t)" tally).
     std::unordered_map<TensorId, int> recomp_src_count;
 
     for (std::size_t i = 0; i < n; ++i) {
@@ -549,10 +359,11 @@ PolicyMaker::runIncremental(Plan &plan, std::vector<Candidate> cands) const
     std::vector<Tick> exp_cache(n, 0);
     std::vector<std::uint64_t> exp_epoch(n, 0); // 0 = never computed
 
-    // queueDelay() split at the lane epoch: each lane is sorted and its
-    // waiting total taken once per epoch. A probe is appended to a copy
-    // of the sorted lane and sorted again — the very array queueDelay's
-    // second sort receives, so equal-anchor transfers keep their order.
+    // A probe's queueing delay is the growth in its lane's waiting total.
+    // Each lane is sorted and its total taken once per lane epoch; a probe
+    // is appended to a copy of the sorted lane and sorted again — the
+    // array a sort of the unsorted lane plus the probe would give, so
+    // equal-anchor transfers keep their order.
     struct SortedLane
     {
         std::vector<Xfer> xfers;
@@ -733,9 +544,8 @@ PolicyMaker::runIncremental(Plan &plan, std::vector<Candidate> cands) const
     };
 
     while (saving > 0 && alive_count > 0) {
-        // Best swap: maximal FT, i.e. minimal exposure. Scan order over
-        // the liveness mask equals the reference's vector order, so ties
-        // resolve identically.
+        // Best swap: maximal FT, i.e. minimal exposure; ties go to the
+        // first live candidate in gather order.
         std::size_t s_idx = n;
         Tick s_exp = 0;
         if (opts_.enableSwap) {
@@ -781,16 +591,11 @@ PolicyMaker::runIncremental(Plan &plan, std::vector<Candidate> cands) const
     }
 }
 
-Plan
-PolicyMaker::build(std::uint64_t mem_saving_target,
-                   const BytesFn &tensor_bytes, const SwapTimeFn &swap_time,
-                   std::uint64_t gpu_capacity)
+std::vector<PolicyMaker::Candidate>
+PolicyMaker::prepare(Plan &plan, const BytesFn &tensor_bytes,
+                     const SwapTimeFn &swap_time,
+                     std::uint64_t gpu_capacity) const
 {
-    Plan plan;
-    plan.targetBytes = mem_saving_target;
-    if (mem_saving_target == 0 || tracker_.empty())
-        return plan;
-
     // Peak window of the hypothetical (infinite-memory) usage curve; the
     // curve covers non-weight tensors, so compare against the capacity
     // left after the persistent weights.
@@ -807,24 +612,26 @@ PolicyMaker::build(std::uint64_t mem_saving_target,
     std::vector<Candidate> cands =
         gatherCandidates(tensor_bytes, swap_time, plan.peak);
     if (opts_.enableRecompute) {
-        if (opts_.incremental) {
-            // One candidate-set for all lineage walks, not one per call.
-            std::unordered_set<TensorId> cand_set;
-            cand_set.reserve(cands.size());
-            for (const auto &c : cands)
-                cand_set.insert(c.tensor);
-            for (auto &c : cands)
-                initRecomputeState(c, cand_set);
-        } else {
-            for (auto &c : cands)
-                initRecomputeState(c, cands);
-        }
+        std::unordered_set<TensorId> cand_set;
+        cand_set.reserve(cands.size());
+        for (const auto &c : cands)
+            cand_set.insert(c.tensor);
+        for (auto &c : cands)
+            initRecomputeState(c, cand_set);
     }
+    return cands;
+}
 
-    if (opts_.incremental)
-        runIncremental(plan, std::move(cands));
-    else
-        runReference(plan, std::move(cands));
+Plan
+PolicyMaker::build(std::uint64_t mem_saving_target,
+                   const BytesFn &tensor_bytes, const SwapTimeFn &swap_time,
+                   std::uint64_t gpu_capacity)
+{
+    Plan plan;
+    plan.targetBytes = mem_saving_target;
+    if (mem_saving_target == 0 || tracker_.empty())
+        return plan;
+    select(plan, prepare(plan, tensor_bytes, swap_time, gpu_capacity));
     return plan;
 }
 

@@ -81,20 +81,16 @@ struct Plan
     std::string summary() const;
 };
 
+/**
+ * Tensors smaller than this are never planned (not worth a transfer or a
+ * replay); the passive-mode victim search skips them too.
+ */
+inline constexpr std::uint64_t kMinTensorBytes = 1ull << 20;
+
 struct PolicyMakerOptions
 {
     bool enableSwap = true;
     bool enableRecompute = true;
-    /** Ignore tensors smaller than this (not worth a transfer/replay). */
-    std::uint64_t minTensorBytes = 1ull << 20;
-    /**
-     * Use the incremental Algorithm-2 engine (exposure caching, MSPS
-     * max-heap, per-source reverse indexes). Off = the original
-     * full-rescan loop, kept as the byte-identical reference oracle the
-     * IncrementalPlan tests compare against. Both engines produce the
-     * same plan.
-     */
-    bool incremental = true;
 };
 
 class PolicyMaker
@@ -152,12 +148,20 @@ class PolicyMaker
         }
     };
 
+    /**
+     * Everything build() decides before selection: the peak window (into
+     * `plan.peak`), the candidates in gather order and, when recompute is
+     * enabled, each candidate's initial lineage state (sources, replay
+     * time).
+     */
+    std::vector<Candidate> prepare(Plan &plan, const BytesFn &tensor_bytes,
+                                   const SwapTimeFn &swap_time,
+                                   std::uint64_t gpu_capacity) const;
+
     std::vector<Candidate> gatherCandidates(const BytesFn &tensor_bytes,
                                             const SwapTimeFn &swap_time,
                                             const PeakWindow &peak) const;
 
-    void initRecomputeState(Candidate &cand,
-                            const std::vector<Candidate> &all) const;
     void initRecomputeState(
         Candidate &cand,
         const std::unordered_set<TensorId> &cand_set) const;
@@ -165,10 +169,16 @@ class PolicyMaker
     void chooseInTrigger(PlannedEviction &item,
                          const PeakWindow &peak) const;
 
-    /** Original full-rescan Algorithm-2 loop (reference oracle). */
-    void runReference(Plan &plan, std::vector<Candidate> cands) const;
-    /** Incremental engine; emits the same plan as runReference. */
-    void runIncremental(Plan &plan, std::vector<Candidate> cands) const;
+    /**
+     * Algorithms 1 and 2 over the prepared candidates, with exposure
+     * caching, an MSPS max-heap and per-source reverse indexes in place
+     * of full rescans.
+     */
+    void select(Plan &plan, std::vector<Candidate> cands) const;
+
+    /** The full-rescan oracle the IncrementalPlan tests compare against
+     *  (tests/policy_maker_test.cc); it shares prepare() with build(). */
+    friend class ReferencePlanner;
 };
 
 } // namespace capu

@@ -1,9 +1,6 @@
 #include "exec/cost_model.hh"
 
 #include <algorithm>
-#include <bit>
-
-#include "support/rng.hh"
 
 namespace capu
 {
@@ -20,7 +17,7 @@ CostModel::effectiveFlopsFraction(const Operation &op) const
 }
 
 Tick
-CostModel::computeDuration(const Operation &op, bool fast_algo) const
+CostModel::opDuration(const Operation &op, bool fast_algo) const
 {
     if (op.category == OpCategory::Source) {
         // Synthetic input batches materialize on-device; only launch cost.
@@ -43,39 +40,6 @@ CostModel::computeDuration(const Operation &op, bool fast_algo) const
         kernel_s *= op.fallbackSlowdown;
 
     return dev_.launchOverhead + static_cast<Tick>(kernel_s * 1e9 + 0.5);
-}
-
-std::size_t
-CostModel::ShapeKeyHash::operator()(const ShapeKey &k) const
-{
-    std::uint64_t h = (k.source ? 1u : 0u) | (k.fastAlgo ? 2u : 0u);
-    h = hashCombine(h, std::bit_cast<std::uint64_t>(k.flops));
-    h = hashCombine(h, std::bit_cast<std::uint64_t>(k.memBytes));
-    h = hashCombine(h, k.fastWorkspaceBytes);
-    h = hashCombine(h, std::bit_cast<std::uint64_t>(k.fallbackSlowdown));
-    h = hashCombine(h, std::bit_cast<std::uint64_t>(k.fastAlgoSpeedup));
-    return static_cast<std::size_t>(h);
-}
-
-Tick
-CostModel::opDuration(const Operation &op, bool fast_algo) const
-{
-    if (!memoize_)
-        return computeDuration(op, fast_algo);
-
-    ShapeKey key{op.category == OpCategory::Source,
-                 fast_algo,
-                 op.flops,
-                 op.memBytes,
-                 op.fastWorkspaceBytes,
-                 op.fallbackSlowdown,
-                 op.fastAlgoSpeedup};
-    auto it = durationCache_.find(key);
-    if (it != durationCache_.end())
-        return it->second;
-    Tick d = computeDuration(op, fast_algo);
-    durationCache_.emplace(key, d);
-    return d;
 }
 
 } // namespace capu

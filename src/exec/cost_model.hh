@@ -14,19 +14,15 @@
  * needs none but is `fallbackSlowdown`x slower (§6.3.2's VGG16 batch-228
  * regression).
  *
- * opDuration() is memoized: the duration is a pure function of the op's
- * shape fields (category, flops, memBytes, workspace, slowdown, speedup)
- * and the algorithm choice, given a fixed device spec — and real models
- * repeat the same layer shape dozens of times per iteration, so the cache
- * hit rate is high. The cache is per-CostModel (each Session owns one), so
- * no synchronization is needed even when sweeps run sessions in parallel.
+ * opDuration() is a pure function of the op's shape fields and the
+ * algorithm choice, given a fixed device spec: a handful of floating-point
+ * operations, cheaper to recompute than to look up in a shape cache.
  */
 
 #ifndef CAPU_EXEC_COST_MODEL_HH
 #define CAPU_EXEC_COST_MODEL_HH
 
-#include <cstdint>
-#include <unordered_map>
+#include <utility>
 
 #include "graph/operation.hh"
 #include "sim/gpu_device.hh"
@@ -52,36 +48,8 @@ class CostModel
 
     const GpuDeviceSpec &device() const { return dev_; }
 
-    /** Disable/enable the shape cache (tests compare against cold path). */
-    void setMemoize(bool on) { memoize_ = on; }
-
   private:
-    /**
-     * The shape fields the duration is a function of, given the device.
-     * Keyed exactly (not by hash alone) so a hash collision can never
-     * return the wrong duration.
-     */
-    struct ShapeKey
-    {
-        bool source;
-        bool fastAlgo;
-        double flops;
-        double memBytes;
-        std::uint64_t fastWorkspaceBytes;
-        double fallbackSlowdown;
-        double fastAlgoSpeedup;
-        bool operator==(const ShapeKey &) const = default;
-    };
-    struct ShapeKeyHash
-    {
-        std::size_t operator()(const ShapeKey &k) const;
-    };
-
-    Tick computeDuration(const Operation &op, bool fast_algo) const;
-
     GpuDeviceSpec dev_;
-    bool memoize_ = true;
-    mutable std::unordered_map<ShapeKey, Tick, ShapeKeyHash> durationCache_;
 };
 
 } // namespace capu

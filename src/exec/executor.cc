@@ -8,6 +8,19 @@
 namespace capu
 {
 
+namespace
+{
+
+/**
+ * Eager activations are allocated with this slack factor: graph mode's
+ * buffer forwarding, pruning and fusion shrink the activation footprint
+ * relative to op-by-op execution (paper §6.4.1: ResNet-50 fits 190 in
+ * graph mode but only 122 eagerly).
+ */
+constexpr double kEagerActivationSlack = 1.5;
+
+} // namespace
+
 Executor::Executor(const Graph &graph, ExecConfig config,
                    MemoryPolicy *policy)
     : graph_(graph), config_(std::move(config)), policy_(policy),
@@ -108,7 +121,7 @@ Executor::allocBytes(TensorId id) const
     if (config_.eagerMode && (t.kind == TensorKind::FeatureMap ||
                               t.kind == TensorKind::Gradient)) {
         return static_cast<std::uint64_t>(
-            static_cast<double>(t.bytes) * config_.eagerActivationSlack);
+            static_cast<double>(t.bytes) * kEagerActivationSlack);
     }
     return t.bytes;
 }
@@ -639,10 +652,8 @@ Executor::recomputeTensor(TensorId target, Tick at)
 
         for (TensorId in : op.inputs)
             at = ensureResident(in, at);
-        if (config_.checkFingerprints) {
-            for (TensorId in : op.inputs)
-                verifyFingerprint(in, op);
-        }
+        for (TensorId in : op.inputs)
+            verifyFingerprint(in, op);
 
         bool fast = true;
         std::optional<MemHandle> ws;
@@ -781,10 +792,8 @@ Executor::runOp(OpId id)
         t = ensureResident(in, t);
         clock_ = std::max(clock_, t);
     }
-    if (config_.checkFingerprints) {
-        for (TensorId in : op.inputs)
-            verifyFingerprint(in, op);
-    }
+    for (TensorId in : op.inputs)
+        verifyFingerprint(in, op);
 
     // (2) Workspace: fast algorithm if scratch fits right now, else the
     // slower no-workspace fallback (cuDNN under a workspace limit).
@@ -1544,16 +1553,12 @@ Executor::evictSwapAsync(TensorId id)
     // Stage the pinned host destination before touching PCIe: staging
     // consumes no simulated time, and a failure here must degrade to
     // drop-for-recompute instead of aborting the run.
-    bool fresh_host = false;
-    if (!st.hasHostCopy) {
-        st.hostHandle = hostStage(id, wireBytes(bytes));
-        if (st.hostHandle == 0) {
-            swapToDropFallback(id);
-            return;
-        }
-        st.hasHostCopy = true;
-        fresh_host = true;
+    st.hostHandle = hostStage(id, wireBytes(bytes));
+    if (st.hostHandle == 0) {
+        swapToDropFallback(id);
+        return;
     }
+    st.hasHostCopy = true;
     // The evicting access's kernel must retire before the copy may start.
     Tick ready = std::max(clock_, currentOp_ != kInvalidOp ? currentOpEnd_
                                                            : clock_);
@@ -1562,12 +1567,10 @@ Executor::evictSwapAsync(TensorId id)
                                   static_cast<std::int64_t>(id));
     if (!done) {
         // Retries exhausted: release the staging we just reserved and
-        // degrade. Pre-existing host copies stay valid.
-        if (fresh_host) {
-            mem_.host().deallocate(st.hostHandle);
-            st.hostHandle = 0;
-            st.hasHostCopy = false;
-        }
+        // degrade.
+        mem_.host().deallocate(st.hostHandle);
+        st.hostHandle = 0;
+        st.hasHostCopy = false;
         swapToDropFallback(id);
         return;
     }
@@ -1624,23 +1627,17 @@ Executor::evictSwapSync(TensorId id)
         notePhase(id, ObsPhase::Out, when);
         return true;
     }
-    bool fresh_host = false;
-    if (!st.hasHostCopy) {
-        st.hostHandle = hostStage(id, wireBytes(bytes));
-        if (st.hostHandle == 0)
-            return false; // caller (passive mode) picks another disposal
-        st.hasHostCopy = true;
-        fresh_host = true;
-    }
+    st.hostHandle = hostStage(id, wireBytes(bytes));
+    if (st.hostHandle == 0)
+        return false; // caller (passive mode) picks another disposal
+    st.hasHostCopy = true;
     auto done = pcie_.tryTransfer(CopyDir::DeviceToHost, wireBytes(bytes),
                                   clock_, tensorLabel("oom-swapout:", id),
                                   static_cast<std::int64_t>(id));
     if (!done) {
-        if (fresh_host) {
-            mem_.host().deallocate(st.hostHandle);
-            st.hostHandle = 0;
-            st.hasHostCopy = false;
-        }
+        mem_.host().deallocate(st.hostHandle);
+        st.hostHandle = 0;
+        st.hasHostCopy = false;
         return false;
     }
     mem_.freeAt(*done, *st.gpuHandle);

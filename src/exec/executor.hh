@@ -154,19 +154,8 @@ struct ExecConfig
     /** Host-side dispatch cost per op in eager mode (Python interpreter). */
     Tick eagerHostOverhead = ticksFromUs(30);
 
-    /**
-     * Eager activations are allocated with this slack factor: graph mode's
-     * buffer forwarding, pruning and fusion shrink the activation footprint
-     * relative to op-by-op execution (paper §6.4.1: ResNet-50 fits 190 in
-     * graph mode but only 122 eagerly).
-     */
-    double eagerActivationSlack = 1.5;
-
     /** Keep recompute intermediates that are themselves targets (§5.3). */
     bool collectiveRecompute = true;
-
-    /** Verify lineage fingerprints on every consumption. */
-    bool checkFingerprints = true;
 
     /** Observability: off, metrics-only, or metrics + event tracing. */
     obs::ObsLevel obsLevel = obs::ObsLevel::Off;

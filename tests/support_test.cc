@@ -5,9 +5,11 @@
 
 #include <cstdint>
 #include <limits>
+#include <vector>
 
 #include "support/json.hh"
 #include "support/logging.hh"
+#include "support/percentile.hh"
 #include "support/rng.hh"
 #include "support/strfmt.hh"
 #include "support/units.hh"
@@ -256,6 +258,24 @@ TEST(Units, ParseCountEnforcesRange)
         EXPECT_EQ(std::string(e.what()),
                   "--iters needs a whole number, got 'abc'");
     }
+}
+
+// --- percentile: the sample at rank round(p * (n - 1)) ---
+
+TEST(Percentile, PicksTheSampleAtTheRoundedRank)
+{
+    // Unsorted input; ranks 0..4 hold 1, 2, 3, 4, 5.
+    std::vector<double> v = {4.0, 1.0, 5.0, 3.0, 2.0};
+    EXPECT_EQ(percentile(v, 0.0), 1.0);
+    EXPECT_EQ(percentile(v, 0.5), 3.0);
+    EXPECT_EQ(percentile(v, 0.6), 3.0);  // rank 2.4 rounds down
+    EXPECT_EQ(percentile(v, 0.65), 4.0); // rank 2.6 rounds up
+    EXPECT_EQ(percentile(v, 0.99), 5.0); // rank 3.96
+    EXPECT_EQ(percentile(v, 1.0), 5.0);
+    // An even count takes the upper middle sample, not a mean.
+    EXPECT_EQ(percentile({10.0, 40.0, 20.0, 30.0}, 0.5), 30.0);
+    EXPECT_EQ(percentile({7.0}, 0.99), 7.0);
+    EXPECT_EQ(percentile({}, 0.5), 0.0);
 }
 
 // --- JSON numbers: integer accessors clamp instead of overflowing ---

@@ -13,7 +13,6 @@
  *   <model> <batch> [policy] [warm-iterations]
  */
 
-#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <fstream>
@@ -29,6 +28,7 @@
 #include "serve/request_queue.hh"
 #include "serve/service.hh"
 #include "support/logging.hh"
+#include "support/percentile.hh"
 #include "support/rng.hh"
 #include "support/units.hh"
 
@@ -210,17 +210,6 @@ generateMix(int n, std::uint64_t seed, int warm_iters)
     return reqs;
 }
 
-double
-percentile(std::vector<double> sorted, double p)
-{
-    if (sorted.empty())
-        return 0.0;
-    std::sort(sorted.begin(), sorted.end());
-    auto idx = static_cast<std::size_t>(
-        p * static_cast<double>(sorted.size() - 1) + 0.5);
-    return sorted[std::min(idx, sorted.size() - 1)];
-}
-
 } // namespace
 
 int
@@ -318,9 +307,9 @@ main(int argc, char **argv)
                   << service.templateSessions() << " template sessions\n";
         std::cout << "latency: cold p50 " << percentile(cold_ms, 0.50)
                   << " ms p99 " << percentile(cold_ms, 0.99)
-                  << " ms (" << cold_ms.size() << "), warm p50 "
+                  << " ms (n=" << cold_ms.size() << "), warm p50 "
                   << percentile(warm_ms, 0.50) << " ms p99 "
-                  << percentile(warm_ms, 0.99) << " ms ("
+                  << percentile(warm_ms, 0.99) << " ms (n="
                   << warm_ms.size() << ")\n";
         std::cout << "admission: peak " << queue.stats().peakAdmitted
                   << " of " << opt.gpus << " gpus\n";

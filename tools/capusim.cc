@@ -13,16 +13,15 @@
  *   capusim --list
  */
 
-#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <limits>
-#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "analysis/lint_hooks.hh"
@@ -31,7 +30,6 @@
 #include "exec/session.hh"
 #include "faults/fault_spec.hh"
 #include "models/workload.hh"
-#include "models/zoo.hh"
 #include "analysis/happens_before.hh"
 #include "obs/chrome_trace.hh"
 #include "obs/obs.hh"
@@ -45,6 +43,7 @@
 #include "serve/service.hh"
 #include "stats/table.hh"
 #include "support/logging.hh"
+#include "support/percentile.hh"
 #include "support/units.hh"
 
 using namespace capu;
@@ -89,27 +88,6 @@ struct Options
     bool replay = true;
     int replayAudit = -1; ///< -1 = library default
 };
-
-const std::map<std::string, ModelKind> kModels = {
-    {"vgg16", ModelKind::Vgg16},
-    {"resnet50", ModelKind::ResNet50},
-    {"resnet152", ModelKind::ResNet152},
-    {"inceptionv3", ModelKind::InceptionV3},
-    {"inceptionv4", ModelKind::InceptionV4},
-    {"densenet", ModelKind::DenseNet121},
-    {"bert", ModelKind::BertBase},
-};
-
-Graph
-buildByName(const std::string &name, std::int64_t batch)
-{
-    if (name == "lstm")
-        return buildLstm(batch);
-    auto it = kModels.find(name);
-    if (it == kModels.end())
-        fatal("unknown model '{}' (try --list)", name);
-    return buildModel(it->second, batch);
-}
 
 std::unique_ptr<MemoryPolicy>
 policyByName(const std::string &name, bool lint, bool faults_on = false)
@@ -440,7 +418,7 @@ main(int argc, char **argv)
 
         // Dynamic workloads (capudrift): the builder returns the variant
         // union graph and the seeded schedule rides in the ExecConfig. The
-        // static kind routes through the same buildByName path as ever.
+        // static kind builds the named model directly.
         WorkloadKind wkind;
         if (!workloadFromString(opt.workload, wkind))
             fatal("unknown workload '{}' (static, varlen, batch-ramp, "
@@ -448,7 +426,7 @@ main(int argc, char **argv)
                   opt.workload);
         auto buildG = [&](std::int64_t b) -> Graph {
             if (wkind == WorkloadKind::Static)
-                return buildByName(opt.model, b);
+                return buildModelByName(opt.model, b);
             return buildWorkload(wkind, opt.model, b, opt.workloadSeed)
                 .graph;
         };
@@ -715,17 +693,11 @@ main(int argc, char **argv)
             t.print(std::cout);
         }
         if (opt.repeat > 1 || opt.warmup > 0) {
-            std::vector<double> sorted = wall_ms;
-            std::sort(sorted.begin(), sorted.end());
-            double median =
-                sorted.size() % 2 == 1
-                    ? sorted[sorted.size() / 2]
-                    : 0.5 * (sorted[sorted.size() / 2 - 1] +
-                             sorted[sorted.size() / 2]);
-            std::cout << "timing: median wall " << median << " ms over "
-                      << opt.repeat << " repeats (" << opt.warmup
-                      << " warmup), min " << sorted.front() << " ms, max "
-                      << sorted.back() << " ms\n";
+            std::cout << "timing: median wall " << percentile(wall_ms, 0.5)
+                      << " ms over " << wall_ms.size() << " repeats ("
+                      << opt.warmup << " warmup), min "
+                      << percentile(wall_ms, 0.0) << " ms, max "
+                      << percentile(wall_ms, 1.0) << " ms\n";
         }
         if (!opt.csv && (r.replay.replayed > 0 || r.replay.audits > 0)) {
             std::cout << "replay: " << r.replay.executed << " executed, "
