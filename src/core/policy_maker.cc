@@ -360,28 +360,65 @@ PolicyMaker::select(Plan &plan, std::vector<Candidate> cands) const
     std::vector<std::uint64_t> exp_epoch(n, 0); // 0 = never computed
 
     // A probe's queueing delay is the growth in its lane's waiting total.
-    // Each lane is sorted and its total taken once per lane epoch; a probe
-    // is appended to a copy of the sorted lane and sorted again — the
-    // array a sort of the unsorted lane plus the probe would give, so
-    // equal-anchor transfers keep their order.
+    // Once per lane epoch each lane is sorted, and its total, the tick it
+    // is busy until before each transfer and whether two anchors tie are
+    // recorded. Without ties the sorted order is unique, so a probe with
+    // a new anchor goes in at its lower bound: it waits for the busy tick
+    // before its slot, and each later transfer starts later by a shift;
+    // past the first zero shift the lane is unchanged. Otherwise the
+    // probe is appended to a copy of the sorted lane and sorted again
+    // (the array a sort of the unsorted lane plus the probe would give):
+    // the order of equal-anchor transfers changes laneWait when their
+    // durations differ, and std::sort does not keep it.
     struct SortedLane
     {
         std::vector<Xfer> xfers;
+        std::vector<Tick> busy; // busy[j]: busy until, before xfers[j]
         Tick wait = 0;
+        bool ties = false; // two xfers share an anchor
     };
     SortedLane sorted_out, sorted_in;
     std::uint64_t sorted_epoch = 0;
     std::vector<Xfer> probed;
     auto probe_delay = [&probed](const SortedLane &lane, Xfer probe) {
-        probed.assign(lane.xfers.begin(), lane.xfers.end());
-        probed.push_back(probe);
-        std::sort(probed.begin(), probed.end());
-        return laneWait(probed) - lane.wait;
+        auto at = std::lower_bound(lane.xfers.begin(), lane.xfers.end(),
+                                   probe);
+        if (lane.ties ||
+            (at != lane.xfers.end() && at->anchor == probe.anchor)) {
+            probed.assign(lane.xfers.begin(), lane.xfers.end());
+            probed.push_back(probe);
+            std::sort(probed.begin(), probed.end());
+            return laneWait(probed) - lane.wait;
+        }
+        auto k = static_cast<std::size_t>(at - lane.xfers.begin());
+        Tick start = std::max(probe.anchor, lane.busy[k]);
+        Tick delay = start - probe.anchor;
+        Tick busy = start + probe.dur;
+        for (std::size_t j = k; j < lane.xfers.size(); ++j) {
+            Tick anchor = lane.xfers[j].anchor;
+            Tick shift = std::max(anchor, busy) -
+                         std::max(anchor, lane.busy[j]);
+            if (shift == 0)
+                break;
+            delay += shift;
+            busy = lane.busy[j + 1] + shift;
+        }
+        return delay;
     };
     auto sort_lane = [](SortedLane &lane, const std::vector<Xfer> &chosen) {
         lane.xfers = chosen;
         std::sort(lane.xfers.begin(), lane.xfers.end());
-        lane.wait = laneWait(lane.xfers);
+        lane.busy.assign(1, 0);
+        lane.wait = 0;
+        lane.ties = false;
+        for (std::size_t j = 0; j < lane.xfers.size(); ++j) {
+            const Xfer &x = lane.xfers[j];
+            Tick start = std::max(x.anchor, lane.busy[j]);
+            lane.wait += start - x.anchor;
+            lane.busy.push_back(start + x.dur);
+            if (j > 0 && lane.xfers[j - 1].anchor == x.anchor)
+                lane.ties = true;
+        }
     };
 
     auto exposure_of = [&](std::size_t i) -> Tick {

@@ -3,12 +3,14 @@
  * Tests for the Tensor Access Tracker and Policy Maker: FT ranking, the
  * MSPS/Algorithm-2 recompute machinery, in-trigger placement, the
  * swap/recompute crossover, and the incremental selection engine against
- * a full-rescan oracle on every zoo model.
+ * a full-rescan oracle on every zoo model and on lanes with tied anchors.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <unordered_map>
 
 #include "core/access_tracker.hh"
 #include "core/capuchin_policy.hh"
@@ -18,6 +20,7 @@
 #include "graph/graph.hh"
 #include "models/zoo.hh"
 #include "support/logging.hh"
+#include "support/rng.hh"
 #include "support/units.hh"
 
 using namespace capu;
@@ -722,3 +725,99 @@ TEST(IncrementalPlan, InceptionV3) { checkIncrementalMatchesReference(ModelKind:
 TEST(IncrementalPlan, InceptionV4) { checkIncrementalMatchesReference(ModelKind::InceptionV4, 120, {0x2ad54f67f92f30d3ull, 3}); }
 TEST(IncrementalPlan, DenseNet121) { checkIncrementalMatchesReference(ModelKind::DenseNet121, 200, {0xdfdc26d5b109818full, 6}); }
 TEST(IncrementalPlan, BertBase) { checkIncrementalMatchesReference(ModelKind::BertBase, 110, {0x493fcad2710f03f2ull, 23}); }
+
+/**
+ * Lanes whose transfers tie on their anchors. Each seed plans a chain of
+ * 40-48 feature maps of 16-64 MiB evicted at one of four ticks and read
+ * back at one of four others. Swap time is proportional to bytes, so
+ * equal-anchor transfers of different durations are common, and their
+ * order decides the queueing delay. Odd seeds plan swap-only, so the
+ * lanes grow past the 16 transfers above which libstdc++'s std::sort
+ * partitions unstably.
+ */
+TEST(IncrementalPlan, TiedAnchorLanes)
+{
+    setLogEnabled(false);
+    const Tick ms = kTickPerMs;
+    int tied_plans = 0;
+    std::size_t max_swaps = 0;
+    for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+        Rng rng(seed);
+        PlannerFixture f;
+        std::vector<TensorId> maps{f.t1, f.t2, f.t3};
+        std::size_t n_maps = 40 + rng.uniformInt(0, 8);
+        while (maps.size() < n_maps) {
+            f.bytes = rng.uniformInt(2, 8) * 8_MiB;
+            maps.push_back(
+                f.addLayer("x" + std::to_string(maps.size()), maps.back()));
+        }
+
+        // Forward kernels of 0.5-2 ms (recompute costs), then one evict
+        // and one back access per map, recorded in time order.
+        std::vector<AccessRecord> recs;
+        std::unordered_map<TensorId, int> count;
+        auto add = [&](TensorId t, Tick time, OpId op, bool output) {
+            AccessRecord r;
+            r.tensor = t;
+            r.accessIndex = ++count[t];
+            r.time = time;
+            r.isOutput = output;
+            r.op = op;
+            recs.push_back(r);
+        };
+        add(f.images, 0, f.g.tensor(f.images).producer, true);
+        Tick t = ms;
+        TensorId in = f.images;
+        for (TensorId m : maps) {
+            OpId op = f.g.tensor(m).producer;
+            add(in, t, op, false);
+            t += rng.uniformInt(1, 4) * ms / 2;
+            add(m, t, op, true);
+            in = m;
+        }
+        for (TensorId m : maps)
+            add(m, t + rng.uniformInt(1, 4) * ms, kInvalidOp, false);
+        for (TensorId m : maps) {
+            add(m, t + 40 * ms + rng.uniformInt(0, 3) * ms / 2, kInvalidOp,
+                false);
+        }
+        std::stable_sort(recs.begin(), recs.end(),
+                         [](const AccessRecord &a, const AccessRecord &b) {
+                             return a.time < b.time;
+                         });
+        for (const AccessRecord &r : recs)
+            f.tracker.record(r);
+
+        PolicyMakerOptions opts;
+        opts.enableRecompute = seed % 2 == 0;
+        PolicyMaker maker(f.g, f.tracker, opts);
+        auto bytes_fn = [&](TensorId id) { return f.g.tensor(id).bytes; };
+        auto swap_fn = [&](std::uint64_t b) {
+            return static_cast<Tick>(b / 8_MiB) * ms / 2;
+        };
+        std::uint64_t target = 0;
+        for (TensorId m : maps)
+            target += f.g.tensor(m).bytes;
+        Plan ref =
+            ReferencePlanner::build(maker, target, bytes_fn, swap_fn, 1);
+        Plan inc = maker.build(target, bytes_fn, swap_fn, 1);
+        std::string label = "seed " + std::to_string(seed);
+        expectPlansIdentical(ref, inc, label.c_str());
+
+        max_swaps = std::max(max_swaps, inc.swapCount);
+        bool tied = false;
+        for (const auto &a : inc.items) {
+            for (const auto &b : inc.items) {
+                tied |= a.mode == RegenChoice::Swap &&
+                        b.mode == RegenChoice::Swap &&
+                        a.evictTime == b.evictTime &&
+                        a.swapTime != b.swapTime;
+            }
+        }
+        tied_plans += tied;
+    }
+    // Guards against a vacuous fixture: many plans must put transfers of
+    // different durations on one anchor, and some lane must pass 16.
+    EXPECT_GE(tied_plans, 30);
+    EXPECT_GT(max_swaps, 16u);
+}
