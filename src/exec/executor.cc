@@ -19,6 +19,9 @@ namespace
  */
 constexpr double kEagerActivationSlack = 1.5;
 
+// Chunk owner tags are TensorIds; an untagged chunk reads as no tensor.
+static_assert(BfcAllocator::kNoOwner == kInvalidTensor);
+
 } // namespace
 
 Executor::Executor(const Graph &graph, ExecConfig config,
@@ -146,6 +149,35 @@ Executor::effectiveStatus(const TensorState &st, Tick at) const
 }
 
 void
+Executor::bindGpu(TensorId id, MemHandle h)
+{
+    TensorState &st = state(id);
+    if (st.gpuHandle)
+        panic("tensor {} bound to GPU chunk {} while holding chunk {}",
+              graph_.tensor(id).name, h, *st.gpuHandle);
+    TensorId prev = mem_.gpu().tagOwner(h, id);
+    if (prev != kInvalidTensor)
+        panic("tensors {} and {} share GPU chunk {}",
+              graph_.tensor(prev).name, graph_.tensor(id).name, h);
+    st.gpuHandle = h;
+}
+
+MemHandle
+Executor::unbindGpu(TensorId id)
+{
+    TensorState &st = state(id);
+    if (!st.gpuHandle)
+        panic("unbind of tensor {} holding no GPU chunk",
+              graph_.tensor(id).name);
+    MemHandle h = *st.gpuHandle;
+    st.gpuHandle.reset();
+    if (mem_.gpu().tagOwner(h, BfcAllocator::kNoOwner) != id)
+        panic("GPU chunk {} of tensor {} carries another owner tag", h,
+              graph_.tensor(id).name);
+    return h;
+}
+
+void
 Executor::setup()
 {
     if (setupDone_)
@@ -236,8 +268,8 @@ Executor::setupWeights()
                     describeTensor(t)),
                 t.bytes, oomContext(t.id));
         }
+        bindGpu(t.id, *h);
         TensorState &st = state(t.id);
-        st.gpuHandle = *h;
         st.status = TensorStatus::In;
         st.produced = true;
         st.weightVersion = 0;
@@ -267,10 +299,8 @@ Executor::abortIteration()
             st.pinCount = 0;
             continue;
         }
-        if (st.gpuHandle) {
-            mem_.freeNow(clock_, *st.gpuHandle);
-            st.gpuHandle.reset();
-        }
+        if (st.gpuHandle)
+            mem_.freeNow(clock_, unbindGpu(id));
         if (st.hasHostCopy) {
             noteRetired(id);
             mem_.host().deallocate(st.hostHandle);
@@ -350,8 +380,7 @@ Executor::finishIterationState()
         if (st.gpuHandle) {
             warn("tensor {} still resident at iteration end",
                  graph_.tensor(id).name);
-            mem_.freeAt(std::max(clock_, st.swapOutDone), *st.gpuHandle);
-            st.gpuHandle.reset();
+            mem_.freeAt(std::max(clock_, st.swapOutDone), unbindGpu(id));
         }
         if (st.hasHostCopy) {
             noteRetired(id);
@@ -510,7 +539,7 @@ Executor::ensureResident(TensorId id, Tick at)
                                      wireBytes(allocBytes(id)), at,
                                      tensorLabel("swapin:", id),
                                      static_cast<std::int64_t>(id));
-          st.gpuHandle = h;
+          bindGpu(id, h);
           st.status = TensorStatus::In;
           st.swapInReady = done;
           ++stats_.swapInCount;
@@ -622,8 +651,7 @@ Executor::recomputeTensor(TensorId target, Tick at)
             }
             TensorState &st = state(tid);
             if (st.gpuHandle) {
-                mem_.freeAt(when, *st.gpuHandle);
-                st.gpuHandle.reset();
+                mem_.freeAt(when, unbindGpu(tid));
                 st.status = st.hasHostCopy ? TensorStatus::Out
                                            : TensorStatus::Recompute;
                 notePhase(tid,
@@ -679,7 +707,7 @@ Executor::recomputeTensor(TensorId target, Tick at)
                 h = allocateOrDie(at, allocBytes(out),
                                   graph_.tensor(out).name, out);
             }
-            ost.gpuHandle = *h;
+            bindGpu(out, *h);
             ost.status = TensorStatus::In;
             ost.swapInReady = 0;
             notePhase(out, ObsPhase::In, at);
@@ -718,8 +746,7 @@ Executor::recomputeTensor(TensorId target, Tick at)
                     continue;
                 }
                 // Non-collective: release; it will be replayed again later.
-                mem_.freeAt(end, *ost.gpuHandle);
-                ost.gpuHandle.reset();
+                mem_.freeAt(end, unbindGpu(out));
                 ost.status = ost.hasHostCopy ? TensorStatus::Out
                                              : TensorStatus::Recompute;
                 notePhase(out,
@@ -826,8 +853,7 @@ Executor::runOp(OpId id)
                            mem_.gpu().allocationSize(*ist.gpuHandle);
         if (movable) {
             TensorState &ost = state(out0);
-            ost.gpuHandle = ist.gpuHandle;
-            ist.gpuHandle.reset();
+            bindGpu(out0, unbindGpu(in0));
             ost.status = TensorStatus::In;
             ost.swapInReady = 0;
             ost.produced = true;
@@ -851,7 +877,7 @@ Executor::runOp(OpId id)
         }
         MemHandle h = allocateOrDie(t, allocBytes(out),
                                     graph_.tensor(out).name, out);
-        st.gpuHandle = h;
+        bindGpu(out, h);
         st.status = TensorStatus::In;
         st.swapInReady = 0;
         st.produced = true;
@@ -972,8 +998,7 @@ Executor::releaseIfDead(TensorId id, Tick at)
                                      ? st.swapOutDone
                                      : at);
         when = std::max(when, st.swapInReady);
-        mem_.freeAt(when, *st.gpuHandle);
-        st.gpuHandle.reset();
+        mem_.freeAt(when, unbindGpu(id));
     }
     if (st.hasHostCopy) {
         noteRetired(id);
@@ -1359,92 +1384,65 @@ Executor::canRegenerateStably(TensorId id)
 std::vector<TensorId>
 Executor::victimsForContiguous(std::uint64_t bytes)
 {
-    // Live chunk offsets with their owning tensors, ascending, so the
-    // address-ordered chunk walk below can merge-join them. In-place
-    // forwarding moves a handle rather than sharing it, so an offset has
-    // at most one owner.
-    std::vector<std::pair<MemHandle, TensorId>> owners;
-    for (std::size_t i = 0; i < states_.size(); ++i) {
-        if (states_[i].gpuHandle)
-            owners.emplace_back(*states_[i].gpuHandle,
-                                static_cast<TensorId>(i));
-    }
-    std::sort(owners.begin(), owners.end());
-    for (std::size_t i = 1; i < owners.size(); ++i) {
-        if (owners[i].first == owners[i - 1].first)
-            panic("tensors {} and {} share GPU chunk {}",
-                  graph_.tensor(owners[i - 1].second).name,
-                  graph_.tensor(owners[i].second).name, owners[i].first);
-    }
-    std::size_t next_owner = 0;
-    auto owner_of = [&](MemHandle offset) {
-        while (next_owner < owners.size() &&
-               owners[next_owner].first < offset)
-            ++next_owner;
-        return next_owner < owners.size() &&
-                       owners[next_owner].first == offset
-                   ? owners[next_owner].second
-                   : kInvalidTensor;
-    };
-
     // Sliding window over the arena: the cheapest run of chunks (all free
     // or evictable) whose total size covers the request. Cost = evicted
     // bytes; of equally cheap windows the lowest-addressed wins. Chunks
     // owned by no tensor (workspaces, in-flight transfers), by weights, or
     // by pinned/non-resident tensors block a window. Chunks with an
     // in-flight deferred free count as zero-cost — the allocation retry
-    // loop waits for their transfers anyway.
-    auto chunks = mem_.gpu().snapshot();
-    // Per chunk reached by the walk: the tensor evicting it would free,
-    // or kInvalidTensor when it costs nothing (free or free-pending).
-    std::vector<TensorId> victim(chunks.size(), kInvalidTensor);
-    auto blocks = [&](std::size_t i) {
-        if (chunks[i].free || mem_.isFreePending(chunks[i].offset))
+    // loop waits for their transfers anyway. One walk of the chunk list
+    // reads everything: each chunk's owner tag mirrors the handle of the
+    // tensor that owns it (bindGpu/unbindGpu).
+    using Chunk = BfcAllocator::Chunk;
+    auto blocks = [&](const Chunk &c) {
+        if (c.free || c.pendingFree)
             return false;
-        TensorId tid = owner_of(chunks[i].offset);
-        if (tid == kInvalidTensor ||
-            graph_.tensor(tid).kind == TensorKind::Weight)
+        if (c.owner == kInvalidTensor ||
+            graph_.tensor(c.owner).kind == TensorKind::Weight)
             return true;
-        const TensorState &st = state(tid);
-        if (st.pinCount > 0 ||
-            effectiveStatus(st, clock_) != TensorStatus::In)
-            return true;
-        victim[i] = tid;
-        return false;
+        const TensorState &st = state(c.owner);
+        return st.pinCount > 0 ||
+               effectiveStatus(st, clock_) != TensorStatus::In;
     };
+    // Inside a window every chunk passed blocks(), so the allocated ones
+    // without a pending free are exactly its victims.
+    auto evicts = [](const Chunk &c) { return !c.free && !c.pendingFree; };
 
+    const BfcAllocator &gpu = mem_.gpu();
     std::uint64_t best_cost = ~0ull;
-    std::size_t best_lo = 0;
-    std::size_t best_hi = 0;
-    std::size_t lo = 0;
+    auto best_lo = gpu.end();
+    auto best_hi = gpu.end();
+    auto lo = gpu.begin();
     std::uint64_t span = 0;
     std::uint64_t cost = 0;
-    for (std::size_t hi = 0; hi < chunks.size(); ++hi) {
-        if (blocks(hi)) {
-            lo = hi + 1;
+    for (auto hi = gpu.begin(); hi != gpu.end(); ++hi) {
+        if (blocks(*hi)) {
+            lo = hi;
+            ++lo;
             span = 0;
             cost = 0;
             continue;
         }
-        span += chunks[hi].size;
-        if (victim[hi] != kInvalidTensor)
-            cost += chunks[hi].size;
-        while (lo < hi && span - chunks[lo].size >= bytes) {
-            span -= chunks[lo].size;
-            if (victim[lo] != kInvalidTensor)
-                cost -= chunks[lo].size;
+        span += hi->size;
+        if (evicts(*hi))
+            cost += hi->size;
+        while (lo != hi && span - lo->size >= bytes) {
+            span -= lo->size;
+            if (evicts(*lo))
+                cost -= lo->size;
             ++lo;
         }
         if (span >= bytes && cost < best_cost) {
             best_cost = cost;
             best_lo = lo;
-            best_hi = hi + 1;
+            best_hi = hi;
+            ++best_hi;
         }
     }
     std::vector<TensorId> best;
-    for (std::size_t i = best_lo; i < best_hi; ++i) {
-        if (victim[i] != kInvalidTensor)
-            best.push_back(victim[i]);
+    for (auto it = best_lo; it != best_hi; ++it) {
+        if (evicts(*it))
+            best.push_back(it->owner);
     }
     return best;
 }
@@ -1541,8 +1539,7 @@ Executor::evictSwapAsync(TensorId id)
                                           ? currentOpEnd_
                                           : clock_);
         Tick when = std::max(ready, st.swapInReady);
-        mem_.freeAt(when, *st.gpuHandle);
-        st.gpuHandle.reset();
+        mem_.freeAt(when, unbindGpu(id));
         st.status = TensorStatus::Out;
         ++stats_.elidedWritebacks;
         obs_.metrics.add("swap.writeback_elided");
@@ -1574,8 +1571,7 @@ Executor::evictSwapAsync(TensorId id)
         swapToDropFallback(id);
         return;
     }
-    mem_.freeAt(*done, *st.gpuHandle);
-    st.gpuHandle.reset();
+    mem_.freeAt(*done, unbindGpu(id));
     st.status = TensorStatus::SwappingOut;
     st.swapOutDone = *done;
     ++stats_.swapOutCount;
@@ -1617,8 +1613,7 @@ Executor::evictSwapSync(TensorId id)
     // writeback redundant; just free the device chunk.
     if (st.hasHostCopy) {
         Tick when = std::max(clock_, st.swapInReady);
-        mem_.freeAt(when, *st.gpuHandle);
-        st.gpuHandle.reset();
+        mem_.freeAt(when, unbindGpu(id));
         st.status = TensorStatus::Out;
         ++stats_.elidedWritebacks;
         ++stats_.oomEvictions;
@@ -1640,8 +1635,7 @@ Executor::evictSwapSync(TensorId id)
         st.hasHostCopy = false;
         return false;
     }
-    mem_.freeAt(*done, *st.gpuHandle);
-    st.gpuHandle.reset();
+    mem_.freeAt(*done, unbindGpu(id));
     st.status = TensorStatus::SwappingOut;
     st.swapOutDone = *done;
     ++stats_.swapOutCount;
@@ -1673,8 +1667,7 @@ Executor::evictDrop(TensorId id)
     }
     Tick when = std::max(clock_, currentOp_ != kInvalidOp ? currentOpEnd_
                                                           : clock_);
-    mem_.freeAt(when, *st.gpuHandle);
-    st.gpuHandle.reset();
+    mem_.freeAt(when, unbindGpu(id));
     // A tensor with a surviving host copy regenerates by swap-in; only
     // host-copy-less drops take the recomputation path.
     st.status = st.hasHostCopy ? TensorStatus::Out : TensorStatus::Recompute;
@@ -1715,7 +1708,7 @@ Executor::prefetchAsync(TensorId id)
     Tick done = pcie_.transfer(CopyDir::HostToDevice, wireBytes(bytes),
                                ready, tensorLabel("prefetch:", id),
                                static_cast<std::int64_t>(id));
-    st.gpuHandle = *h;
+    bindGpu(id, *h);
     st.status = TensorStatus::SwappingIn;
     st.swapInReady = done;
     ++stats_.swapInCount;

@@ -270,6 +270,7 @@ struct TensorState
 {
     TensorStatus status = TensorStatus::Out;
     bool produced = false;
+    /// Written only by Executor::bindGpu / unbindGpu (chunk owner tags).
     std::optional<MemHandle> gpuHandle;
     std::uint64_t hostHandle = 0; ///< nonzero while a host copy exists
     bool hasHostCopy = false;
@@ -488,6 +489,17 @@ class Executor : public ExecContext
     /** PCIe bytes after swap compression (== bytes when disabled). */
     std::uint64_t wireBytes(std::uint64_t bytes) const;
     TensorStatus effectiveStatus(const TensorState &st, Tick at) const;
+
+    /**
+     * The only writers of TensorState::gpuHandle. bindGpu points `id` at
+     * chunk `h` and tags the chunk with `id`, panicking if another tensor
+     * owns it; unbindGpu clears both and returns the handle. The tags are
+     * what victimsForContiguous reads, so they mirror the handles exactly.
+     */
+    void bindGpu(TensorId id, MemHandle h);
+    MemHandle unbindGpu(TensorId id);
+    /** Drives bindGpu's sharing panic directly (tests/executor_test.cc). */
+    friend struct ExecutorBindAccess;
 
     /** Allocate under the full OOM protocol; advances `at` on waits. */
     MemHandle allocateOrDie(Tick &at, std::uint64_t bytes,

@@ -43,6 +43,9 @@ void
 MemoryManager::freeNow(Tick now, MemHandle handle)
 {
     deferred_.applyUpTo(now, gpu_);
+    if (gpu_.isFreePending(handle))
+        panic("freeNow of handle {}, which has a deferred free posted",
+              handle);
     gpu_.deallocate(handle);
     sampleUsage(now);
 }
@@ -50,6 +53,7 @@ MemoryManager::freeNow(Tick now, MemHandle handle)
 void
 MemoryManager::freeAt(Tick when, MemHandle handle)
 {
+    gpu_.markFreePending(handle);
     deferred_.post(when, handle);
 }
 
@@ -64,12 +68,6 @@ std::optional<Tick>
 MemoryManager::nextPendingFree() const
 {
     return deferred_.nextMaturity();
-}
-
-bool
-MemoryManager::isFreePending(MemHandle handle) const
-{
-    return deferred_.isPending(handle);
 }
 
 void

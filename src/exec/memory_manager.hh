@@ -44,10 +44,17 @@ class MemoryManager
      */
     std::optional<MemHandle> allocateWaiting(Tick &now, std::uint64_t bytes);
 
-    /** Free immediately (refcount hit zero at a known-past tick). */
+    /**
+     * Free immediately (refcount hit zero at a known-past tick). Panics if
+     * the chunk still has a deferred free posted.
+     */
     void freeNow(Tick now, MemHandle handle);
 
-    /** Free effective at future tick `when`. */
+    /**
+     * Free effective at future tick `when`. Panics if the chunk is free or
+     * already has a deferred free posted: a second free would otherwise
+     * release whichever allocation reuses the chunk next.
+     */
     void freeAt(Tick when, MemHandle handle);
 
     /** Whether allocate(bytes) would succeed right now (no waiting). */
@@ -61,7 +68,11 @@ class MemoryManager
     std::optional<Tick> nextPendingFree() const;
 
     /** Whether the chunk at `handle` has an unmatured deferred free. */
-    bool isFreePending(MemHandle handle) const;
+    bool
+    isFreePending(MemHandle handle) const
+    {
+        return gpu_.isFreePending(handle);
+    }
 
     /** Drain every pending free (end of simulation). */
     void drainAll();

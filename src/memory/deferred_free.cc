@@ -7,7 +7,6 @@ void
 DeferredFreeQueue::post(Tick when, MemHandle handle)
 {
     heap_.push(Entry{when, nextSeq_++, handle});
-    pendingHandles_.insert(handle);
 }
 
 void
@@ -15,9 +14,6 @@ DeferredFreeQueue::applyUpTo(Tick now, BfcAllocator &alloc)
 {
     while (!heap_.empty() && heap_.top().when <= now) {
         alloc.deallocate(heap_.top().handle);
-        auto it = pendingHandles_.find(heap_.top().handle);
-        if (it != pendingHandles_.end())
-            pendingHandles_.erase(it);
         heap_.pop();
     }
 }
@@ -28,20 +24,6 @@ DeferredFreeQueue::nextMaturity() const
     if (heap_.empty())
         return std::nullopt;
     return heap_.top().when;
-}
-
-void
-DeferredFreeQueue::clear()
-{
-    while (!heap_.empty())
-        heap_.pop();
-    pendingHandles_.clear();
-}
-
-bool
-DeferredFreeQueue::isPending(MemHandle handle) const
-{
-    return pendingHandles_.count(handle) > 0;
 }
 
 void

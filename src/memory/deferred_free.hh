@@ -8,6 +8,10 @@
  * here and applies all matured frees before each allocation. When an
  * allocation fails, waiting for `nextMaturity()` and retrying is exactly the
  * paper's "delay sync when OOM" behaviour.
+ *
+ * Whether a chunk has a posted free is a mark on the chunk itself
+ * (BfcAllocator::markFreePending, set by MemoryManager::freeAt and cleared
+ * when deallocate applies the free); this queue holds only the order.
  */
 
 #ifndef CAPU_MEMORY_DEFERRED_FREE_HH
@@ -17,7 +21,6 @@
 #include <functional>
 #include <optional>
 #include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "memory/bfc_allocator.hh"
@@ -42,12 +45,6 @@ class DeferredFreeQueue
 
     bool empty() const { return heap_.empty(); }
 
-    /** Drop all pending frees without applying (simulation reset). */
-    void clear();
-
-    /** Whether `handle` has a posted-but-unmatured free. */
-    bool isPending(MemHandle handle) const;
-
     /**
      * capureplay: add `delta` to every pending maturity. Sequence numbers
      * are preserved, so equal-maturity frees still apply in post order.
@@ -58,7 +55,6 @@ class DeferredFreeQueue
     std::vector<std::pair<Tick, MemHandle>> snapshotPending() const;
 
   private:
-    std::unordered_multiset<MemHandle> pendingHandles_;
     struct Entry
     {
         Tick when;

@@ -455,6 +455,48 @@ TEST(Executor, VictimsForContiguousMidIteration)
     EXPECT_TRUE(probed);
 }
 
+namespace capu
+{
+
+struct ExecutorBindAccess
+{
+    static void
+    bind(Executor &ex, TensorId id, MemHandle h)
+    {
+        ex.bindGpu(id, h);
+    }
+};
+
+} // namespace capu
+
+TEST(Executor, BindingOwnedChunkPanics)
+{
+    // Chunk owner tags mirror the tensors' handles, so a second tensor
+    // bound to a chunk another tensor owns is caught at bind time, not
+    // only when a victim search happens to walk past the chunk.
+    ChainGraph cg(2, 1_MiB, 1e6, true);
+    Executor ex(cg.graph, testConfig(64_MiB), nullptr);
+    ex.setup();
+    TensorId weight = kInvalidTensor;
+    for (const auto &t : cg.graph.tensors()) {
+        if (t.kind == TensorKind::Weight) {
+            weight = t.id;
+            break;
+        }
+    }
+    ASSERT_NE(weight, kInvalidTensor);
+    MemHandle chunk = *ex.tensorState(weight).gpuHandle;
+    EXPECT_EQ(ex.memory().gpu().tagOwner(chunk, weight), weight);
+    try {
+        ExecutorBindAccess::bind(ex, cg.features[0], chunk);
+        ADD_FAILURE() << "binding an owned chunk did not panic";
+    } catch (const PanicError &e) {
+        EXPECT_NE(std::string(e.what()).find("share GPU chunk"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(Session, RunsAndReportsThroughput)
 {
     ChainGraph cg(4, 1_MiB);
