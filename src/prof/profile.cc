@@ -594,21 +594,4 @@ rankTensors(const Profile &profile)
     return ranked;
 }
 
-ServeSummary
-serveSummaryFromMetrics(const obs::MetricsRegistry &metrics)
-{
-    ServeSummary s;
-    s.present = true;
-    s.hits = metrics.counter("capu.serve.hit");
-    s.misses = metrics.counter("capu.serve.miss");
-    s.evictions = metrics.counter("capu.serve.evict");
-    s.diskLoads = metrics.counter("capu.serve.disk_load");
-    s.cacheEntries = static_cast<std::uint64_t>(
-        metrics.gauge("capu.serve.cache.entries"));
-    s.cacheBytes = static_cast<std::uint64_t>(
-        metrics.gauge("capu.serve.cache.bytes"));
-    s.hitRate = metrics.gauge("capu.serve.hit_rate");
-    return s;
-}
-
 } // namespace capu::prof

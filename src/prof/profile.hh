@@ -36,7 +36,6 @@
 #include <vector>
 
 #include "obs/event.hh"
-#include "obs/metrics.hh"
 #include "prof/critical_path.hh"
 
 namespace capu::obs
@@ -146,23 +145,6 @@ struct DriftSummary
     std::vector<Tick> wallPerClass;
 };
 
-/**
- * Planning-service attribution (capuserve), filled from the service's
- * capu.serve.* counters. Absent (present=false, section omitted from the
- * JSON) unless the profiled run drove a PlanService.
- */
-struct ServeSummary
-{
-    bool present = false;
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t evictions = 0;
-    std::uint64_t diskLoads = 0;
-    std::uint64_t cacheEntries = 0;
-    std::uint64_t cacheBytes = 0;
-    double hitRate = 0.0;
-};
-
 struct Profile
 {
     int schema = 1;
@@ -182,7 +164,6 @@ struct Profile
     std::vector<OpAccount> ops;         ///< ascending op id
     CriticalPathSummary critical;
     DriftSummary drift;
-    ServeSummary serve;
 
     std::uint64_t peakBytes = 0; ///< max gpu.bytes_in_use sample
     Tick peakTs = 0;
@@ -212,13 +193,6 @@ Profile buildProfile(const TraceView &view, const ProfileOptions &opts = {});
 /** Convenience: profile a live tracer's ring through a TraceView. */
 Profile buildProfile(const obs::Tracer &tracer,
                      const ProfileOptions &opts = {});
-
-/**
- * Lift a PlanService metrics registry's capu.serve.* counters and gauges
- * into a ServeSummary (present=true). The inverse of the JSON "serve"
- * section: attach the result to a Profile before writing it.
- */
-ServeSummary serveSummaryFromMetrics(const obs::MetricsRegistry &metrics);
 
 /**
  * Tensors ranked by overhead charged (stalls + recompute), heaviest

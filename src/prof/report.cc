@@ -180,15 +180,6 @@ renderCommon(std::ostream &os, const Profile &p, std::size_t topK,
         emit(d);
     }
 
-    if (p.serve.present) {
-        heading("planning service (capuserve)");
-        os << p.serve.hits << " hits, " << p.serve.misses << " misses ("
-           << static_cast<int>(p.serve.hitRate * 100) << "% hit rate), "
-           << p.serve.evictions << " evictions, " << p.serve.diskLoads
-           << " disk loads; cache " << p.serve.cacheEntries << " entries / "
-           << formatBytes(p.serve.cacheBytes) << "\n";
-    }
-
     heading("top costly tensors");
     Table tensors = tensorTable(p, topK);
     if (tensors.rows() == 0) {
@@ -277,16 +268,6 @@ writeProfileJson(std::ostream &os, const Profile &p)
         first = false;
     }
     os << "]},\n";
-    if (p.serve.present) {
-        // Additive section: only present when the run drove a PlanService
-        // (capuserve); older readers skip unknown keys.
-        os << "  \"serve\": {\"hits\": " << p.serve.hits
-           << ", \"misses\": " << p.serve.misses << ", \"evictions\": "
-           << p.serve.evictions << ", \"disk_loads\": " << p.serve.diskLoads
-           << ", \"cache_entries\": " << p.serve.cacheEntries
-           << ", \"cache_bytes\": " << p.serve.cacheBytes
-           << ", \"hit_rate\": " << jsonNum(p.serve.hitRate) << "},\n";
-    }
     os << "  \"tensors\": [";
     first = true;
     for (const auto &a : p.tensors) {
@@ -441,17 +422,6 @@ loadProfileJson(const std::string &path, Profile &out, std::string *err)
                 static_cast<int>(j["iterations"].asI64()));
             out.drift.wallPerClass.push_back(j["wall_ns"].asU64());
         }
-    }
-    if (root.has("serve")) {
-        const json::Value &s = root["serve"];
-        out.serve.present = true;
-        out.serve.hits = s["hits"].asU64();
-        out.serve.misses = s["misses"].asU64();
-        out.serve.evictions = s["evictions"].asU64();
-        out.serve.diskLoads = s["disk_loads"].asU64();
-        out.serve.cacheEntries = s["cache_entries"].asU64();
-        out.serve.cacheBytes = s["cache_bytes"].asU64();
-        out.serve.hitRate = s["hit_rate"].asDouble();
     }
     for (const json::Value &j : root["tensors"].arr) {
         TensorAccount a;

@@ -1,5 +1,7 @@
 #include "serve/plan_cache.hh"
 
+#include <algorithm>
+
 #include "core/plan_io.hh"
 
 namespace capu::serve
@@ -32,7 +34,8 @@ PlanCache::find(const ServeKey &key)
 
 const PlanCache::Entry *
 PlanCache::insert(const ServeKey &key, Plan plan,
-                  std::uint64_t graph_fingerprint)
+                  std::uint64_t graph_fingerprint,
+                  std::unique_ptr<Session> template_session)
 {
     auto it = map_.find(key);
     if (it != map_.end()) {
@@ -49,6 +52,7 @@ PlanCache::insert(const ServeKey &key, Plan plan,
     e.version = ++nextVersion_;
     e.bytes = entryFootprint(plan);
     e.plan = std::move(plan);
+    e.templateSession = std::move(template_session);
     bytes_ += e.bytes;
     lru_.push_front(std::move(e));
     map_[key] = lru_.begin();
@@ -66,12 +70,19 @@ PlanCache::evictOne()
     if (lru_.empty())
         return;
     Entry &victim = lru_.back();
-    if (hook_)
-        hook_(victim);
     bytes_ -= victim.bytes;
     map_.erase(victim.key);
     lru_.pop_back();
     ++stats_.evictions;
+}
+
+std::size_t
+PlanCache::templateSessions() const
+{
+    return static_cast<std::size_t>(
+        std::count_if(lru_.begin(), lru_.end(), [](const Entry &e) {
+            return e.templateSession != nullptr;
+        }));
 }
 
 void

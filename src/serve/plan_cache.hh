@@ -10,20 +10,23 @@
  * can detect that the cache has moved on (a re-planned key gets a new
  * version, never a mutated entry).
  *
- * The cache itself is not thread-safe; PlanService serializes access. An
- * eviction hook lets the owner drop the per-entry template session (the
- * fork source for warm requests) in lockstep with the plan entry.
+ * Each entry owns the template session that produced its plan (the fork
+ * source for warm requests), so evicting an entry destroys its template
+ * in the same step: a fork source never outlives the plan it would answer
+ * with. The cache itself is not thread-safe; PlanService serializes
+ * access.
  */
 
 #ifndef CAPU_SERVE_PLAN_CACHE_HH
 #define CAPU_SERVE_PLAN_CACHE_HH
 
 #include <cstdint>
-#include <functional>
 #include <list>
+#include <memory>
 #include <unordered_map>
 
 #include "core/policy_maker.hh"
+#include "exec/session.hh"
 #include "support/rng.hh"
 
 namespace capu::serve
@@ -95,9 +98,12 @@ class PlanCache
         std::uint64_t version = 0;
         /** Approximate resident footprint, for the byte-capacity bound. */
         std::uint64_t bytes = 0;
+        /**
+         * The warmed-up session that produced `plan`, forked to answer
+         * warm requests; nullptr when the inserter kept none.
+         */
+        std::unique_ptr<Session> templateSession;
     };
-
-    using EvictionHook = std::function<void(const Entry &)>;
 
     /**
      * @param max_entries Entry-count capacity (0 = unbounded).
@@ -108,9 +114,6 @@ class PlanCache
     {
     }
 
-    /** Called just before an LRU victim is removed. */
-    void setEvictionHook(EvictionHook hook) { hook_ = std::move(hook); }
-
     /**
      * Look `key` up; a hit moves the entry to the front of the LRU order
      * and returns it (valid until the next insert()). Counts hit/miss.
@@ -118,14 +121,19 @@ class PlanCache
     const Entry *find(const ServeKey &key);
 
     /**
-     * Insert (or replace) the plan for `key`, evicting LRU victims until
-     * both capacity bounds hold again. Returns the resident entry.
+     * Insert (or replace) the plan for `key` together with the session
+     * that produced it, evicting LRU victims until both capacity bounds
+     * hold again. Returns the resident entry, or nullptr when the entry
+     * alone exceeds the capacity.
      */
     const Entry *insert(const ServeKey &key, Plan plan,
-                        std::uint64_t graph_fingerprint);
+                        std::uint64_t graph_fingerprint,
+                        std::unique_ptr<Session> template_session = nullptr);
 
     const PlanCacheStats &stats() const { return stats_; }
     std::size_t entries() const { return lru_.size(); }
+    /** Entries that hold a template session. */
+    std::size_t templateSessions() const;
     std::uint64_t bytes() const { return bytes_; }
     std::size_t maxEntries() const { return maxEntries_; }
     std::uint64_t maxBytes() const { return maxBytes_; }
@@ -142,7 +150,6 @@ class PlanCache
     std::uint64_t bytes_ = 0;
     std::uint64_t nextVersion_ = 0;
     PlanCacheStats stats_;
-    EvictionHook hook_;
 };
 
 } // namespace capu::serve

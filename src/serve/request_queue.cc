@@ -12,8 +12,6 @@ RequestQueue::RequestQueue(PlanService &service, RequestQueueConfig cfg,
 {
     if (cfg_.gpus < 1)
         cfg_.gpus = 1;
-    if (cfg_.batchSize < 1)
-        cfg_.batchSize = 1;
     if (!pool) {
         ownPool_ = std::make_unique<ThreadPool>();
         pool = ownPool_.get();
@@ -66,14 +64,11 @@ RequestQueue::drain()
         queue_.clear();
     }
     std::vector<PlanResponse> responses(work.size());
-    for (std::size_t base = 0; base < work.size(); base += cfg_.batchSize) {
-        std::size_t n = std::min(cfg_.batchSize, work.size() - base);
-        pool_->forEachIndex(n, [&](std::size_t i) {
-            acquireGpu();
-            responses[base + i] = service_.handle(work[base + i]);
-            releaseGpu();
-        });
-    }
+    pool_->forEachIndex(work.size(), [&](std::size_t i) {
+        acquireGpu();
+        responses[i] = service_.handle(work[i]);
+        releaseGpu();
+    });
     {
         std::lock_guard<std::mutex> lock(mutex_);
         stats_.drained += work.size();

@@ -1,9 +1,9 @@
 /**
  * @file
- * capuserve — request admission and batched fan-out.
+ * capuserve — request admission and fan-out.
  *
  * Tenants enqueue PlanRequests; drain() answers everything queued by
- * fanning batches over the work-stealing ThreadPool, with a token-based
+ * fanning it over the work-stealing ThreadPool, with a token-based
  * admission gate modelling the simulated GPU pool: at most `gpus` planning
  * sessions run concurrently (a cold measured run monopolizes a device;
  * admitting more requests than devices would only thrash the host).
@@ -31,8 +31,6 @@ struct RequestQueueConfig
 {
     /** Admission tokens: planning sessions in flight at once. */
     int gpus = 4;
-    /** Requests handed to the pool per fan-out round. */
-    std::size_t batchSize = 8;
 };
 
 struct RequestQueueStats

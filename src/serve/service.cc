@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <ios>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -60,13 +61,6 @@ PlanService::PlanService(PlanServiceConfig cfg, obs::MetricsRegistry *metrics)
     : cfg_(std::move(cfg)), metrics_(metrics),
       cache_(cfg_.cacheEntries, cfg_.cacheBytes)
 {
-    // Evicting a plan entry drops its template session in the same step:
-    // a fork source must never outlive the plan it would answer with.
-    cache_.setEvictionHook([this](const PlanCache::Entry &victim) {
-        sessions_.drop(victim.key);
-        if (metrics_)
-            metrics_->add("capu.serve.evict");
-    });
 }
 
 ServeKey
@@ -81,10 +75,10 @@ PlanService::keyFor(const PlanRequest &request) const
 }
 
 void
-PlanService::count(const char *name)
+PlanService::count(const char *name, std::uint64_t delta)
 {
     if (metrics_)
-        metrics_->add(name);
+        metrics_->add(name, delta);
 }
 
 void
@@ -121,45 +115,49 @@ PlanService::fillFromEntry(PlanResponse &resp, const PlanCache::Entry &entry)
     resp.plannedBytes = entry.plan.plannedBytes;
 }
 
-bool
-PlanService::tryLoadFromDisk(const ServeKey &key, const PlanRequest &req,
-                             PlanResponse &resp)
+void
+PlanService::endMeasurement(const ServeKey &key, Measurement &m,
+                            const std::string &error)
+{
+    m.error = error;
+    m.done = true;
+    measuring_.erase(key);
+    measured_.notify_all();
+}
+
+std::unique_ptr<Session>
+PlanService::loadFromDisk(const ServeKey &key, const PlanRequest &req,
+                          Plan &plan, std::uint64_t &fingerprint,
+                          PlanResponse &resp)
 {
     if (cfg_.planDir.empty())
-        return false;
+        return nullptr;
     // Validation needs the graph fingerprint, and the warm path needs a
     // template session anyway — build the graph once, reuse it for both.
     Graph graph = buildModelByName(req.model, req.batch);
     std::uint64_t fp = graphFingerprint(graph);
-    Plan plan;
-    PlanLoadStatus st = loadPlanFile(planPath(key), plan, fp);
+    Plan loaded;
+    PlanLoadStatus st = loadPlanFile(planPath(key), loaded, fp);
     if (st != PlanLoadStatus::Ok) {
         if (st != PlanLoadStatus::Truncated)
             warn("capuserve: stored plan for {}@{} rejected: {}", req.model,
                  req.batch, planLoadStatusName(st));
-        return false;
+        return nullptr;
     }
     // Seed a session with the loaded plan (no measured iteration) and run
     // one guided iteration so the template is warm for future forks.
     auto policy = makeServePolicy(req.policy);
-    static_cast<CapuchinPolicy *>(policy.get())->seedPlan(plan);
-    Session session(std::move(graph), cfg_.exec, std::move(policy));
-    auto r = session.run(1);
+    static_cast<CapuchinPolicy *>(policy.get())->seedPlan(loaded);
+    auto session = std::make_unique<Session>(std::move(graph), cfg_.exec,
+                                             std::move(policy));
+    auto r = session->run(1);
     if (r.oom)
-        return false;
+        return nullptr;
     resp.fromDisk = true;
     resp.imagesPerSec = r.steadyThroughput(req.batch, /*skip=*/0);
-
-    std::lock_guard<std::mutex> lock(mutex_);
-    const PlanCache::Entry *entry = cache_.insert(key, std::move(plan), fp);
-    if (!entry)
-        return false;
-    sessions_.store(key, std::move(session));
-    resp.ok = true;
-    fillFromEntry(resp, *entry);
-    count("capu.serve.disk_load");
-    publishGauges();
-    return true;
+    plan = std::move(loaded);
+    fingerprint = fp;
+    return session;
 }
 
 PlanResponse
@@ -169,11 +167,14 @@ PlanService::handle(const PlanRequest &request)
     ++inflight_;
     PlanResponse resp;
     try {
-        resp = handleLocked(request);
+        resp = answer(request);
     } catch (const FatalError &e) {
-        count("capu.serve.error");
         resp = PlanResponse{};
         resp.error = e.what();
+    }
+    if (!resp.ok) {
+        std::lock_guard<std::mutex> lock(mutex_);
+        count("capu.serve.error");
     }
     --inflight_;
     resp.latencyMs = nowMs() - t0;
@@ -181,15 +182,27 @@ PlanService::handle(const PlanRequest &request)
 }
 
 PlanResponse
-PlanService::handleLocked(const PlanRequest &request)
+PlanService::answer(const PlanRequest &request)
 {
     ServeKey key = keyFor(request);
     PlanResponse resp;
-
+    std::shared_ptr<Measurement> leading;
     std::optional<Session> fork;
     {
-        std::lock_guard<std::mutex> lock(mutex_);
+        std::unique_lock<std::mutex> lock(mutex_);
         publishGauges();
+        // Single flight: wait out each measurement of this key in
+        // progress, without touching the cache's counters, before the
+        // lookup below.
+        for (auto it = measuring_.find(key); it != measuring_.end();
+             it = measuring_.find(key)) {
+            std::shared_ptr<Measurement> m = it->second;
+            measured_.wait(lock, [&] { return m->done; });
+            if (!m->error.empty()) {
+                resp.error = m->error;
+                return resp;
+            }
+        }
         if (const PlanCache::Entry *entry = cache_.find(key)) {
             count("capu.serve.hit");
             resp.ok = true;
@@ -197,62 +210,101 @@ PlanService::handleLocked(const PlanRequest &request)
             fillFromEntry(resp, *entry);
             // Materialize the fork while the template cannot be evicted;
             // its warm iterations run outside the lock.
-            fork = sessions_.forkFor(key);
+            fork = entry->templateSession->fork();
         } else {
             count("capu.serve.miss");
+            leading = std::make_shared<Measurement>();
+            measuring_.emplace(key, leading);
         }
     }
-    if (resp.hit) {
-        if (fork && request.warmIterations > 0) {
-            auto r = fork->run(request.warmIterations);
-            if (r.oom) {
-                resp.ok = false;
-                resp.error = "warm fork OOMed: " + r.oomMessage;
-            } else {
-                resp.imagesPerSec =
-                    r.steadyThroughput(request.batch, /*skip=*/0);
-            }
+    if (leading)
+        return measure(key, request, *leading);
+
+    if (request.warmIterations > 0) {
+        auto r = fork->run(request.warmIterations);
+        if (r.oom) {
+            resp.ok = false;
+            resp.error = "warm fork OOMed: " + r.oomMessage;
+        } else {
+            resp.imagesPerSec = r.steadyThroughput(request.batch, /*skip=*/0);
         }
-        std::lock_guard<std::mutex> lock(mutex_);
-        publishGauges();
-        return resp;
     }
-
-    // Miss: prefer a validated on-disk plan (cross-process warm start),
-    // else run the cold measured session. Both happen outside the lock;
-    // concurrent misses on the same key both measure — the deterministic
-    // simulation makes their plans identical, and the loser's insert just
-    // bumps the entry version.
-    if (tryLoadFromDisk(key, request, resp))
-        return resp;
-
-    Graph graph = buildModelByName(request.model, request.batch);
-    std::uint64_t fp = graphFingerprint(graph);
-    Session session(std::move(graph), cfg_.exec,
-                    makeServePolicy(request.policy));
-    auto r = session.run(cfg_.coldIterations);
-    if (r.oom) {
-        count("capu.serve.error");
-        resp.error = "cold planning run OOMed: " + r.oomMessage;
-        return resp;
-    }
-    auto *capu = dynamic_cast<CapuchinPolicy *>(session.policy());
-    Plan plan = capu ? capu->plan() : Plan{};
-    resp.imagesPerSec = r.steadyThroughput(request.batch, /*skip=*/1);
-
-    if (!cfg_.planDir.empty())
-        savePlanFile(planPath(key), plan, fp);
-
     std::lock_guard<std::mutex> lock(mutex_);
-    const PlanCache::Entry *entry = cache_.insert(key, std::move(plan), fp);
-    if (entry) {
-        sessions_.store(key, std::move(session));
-        resp.ok = true;
-        fillFromEntry(resp, *entry);
-    } else {
-        resp.error = "plan cache capacity is zero";
-    }
     publishGauges();
+    return resp;
+}
+
+PlanResponse
+PlanService::measure(const ServeKey &key, const PlanRequest &request,
+                     Measurement &m)
+{
+    // Ends the measurement with an error on every exit that inserted
+    // nothing — an error response, a FatalError or a PanicError — so no
+    // waiter waits for it forever.
+    struct EndOnExit
+    {
+        PlanService &svc;
+        const ServeKey &key;
+        Measurement &m;
+        std::string error;
+
+        ~EndOnExit()
+        {
+            std::lock_guard<std::mutex> lock(svc.mutex_);
+            if (!m.done)
+                svc.endMeasurement(key, m, error);
+        }
+    } guard{*this, key, m, "cold planning run did not finish"};
+
+    PlanResponse resp;
+    try {
+        // Prefer a validated on-disk plan (cross-process warm start), else
+        // run the cold measured session. Both happen outside the lock.
+        Plan plan;
+        std::uint64_t fp = 0;
+        std::unique_ptr<Session> session =
+            loadFromDisk(key, request, plan, fp, resp);
+        if (!session) {
+            Graph graph = buildModelByName(request.model, request.batch);
+            fp = graphFingerprint(graph);
+            session = std::make_unique<Session>(
+                std::move(graph), cfg_.exec, makeServePolicy(request.policy));
+            auto r = session->run(cfg_.coldIterations);
+            if (r.oom) {
+                resp.error = "cold planning run OOMed: " + r.oomMessage;
+                guard.error = resp.error;
+                return resp;
+            }
+            auto *capu = dynamic_cast<CapuchinPolicy *>(session->policy());
+            plan = capu ? capu->plan() : Plan{};
+            resp.imagesPerSec =
+                r.steadyThroughput(request.batch, /*skip=*/1);
+            if (!cfg_.planDir.empty())
+                savePlanFile(planPath(key), plan, fp);
+        }
+        // Insert and end the measurement under one lock hold: its waiters
+        // then find the entry, or share the error when it did not fit.
+        std::lock_guard<std::mutex> lock(mutex_);
+        std::uint64_t evicted = cache_.stats().evictions;
+        const PlanCache::Entry *entry = cache_.insert(
+            key, std::move(plan), fp, std::move(session));
+        evicted = cache_.stats().evictions - evicted;
+        if (evicted > 0)
+            count("capu.serve.evict", evicted);
+        if (entry) {
+            resp.ok = true;
+            fillFromEntry(resp, *entry);
+            if (resp.fromDisk)
+                count("capu.serve.disk_load");
+        } else {
+            resp.error = "plan cache capacity is zero";
+        }
+        endMeasurement(key, m, resp.error);
+        publishGauges();
+    } catch (const std::exception &e) {
+        guard.error = e.what();
+        throw;
+    }
     return resp;
 }
 

@@ -7,8 +7,9 @@
  * one simulated GPU pool:
  *
  *  - cold (miss): build the graph, run a short Capuchin session (measured
- *    iteration + guided refinement), extract the learned plan, insert it
- *    into the PlanCache and retain the session as the key's template;
+ *    iteration + guided refinement), extract the learned plan and insert
+ *    it into the PlanCache together with the session, which the entry
+ *    keeps as the key's template;
  *  - warm (hit): return the cached plan and fork the template session
  *    (capufork) so the tenant starts guided execution immediately — the
  *    measured iteration is never re-run, and the returned plan is
@@ -19,28 +20,33 @@
  * plan — version and graph-fingerprint validated — before measuring.
  *
  * Thread-safety: handle() may be called from many pool workers at once.
- * Cache and session-manager access is serialized by one mutex; cold
- * planning runs outside the lock (concurrent misses on the same key both
- * measure — deterministic simulation makes their plans identical, and the
- * second insert simply bumps the entry version, oneDNN-cache style).
+ * Cache access is serialized by one mutex; cold planning runs outside
+ * the lock. Misses are single-flight: the first miss on a key registers
+ * a measurement and runs it; a request that finds its key being measured
+ * waits without touching the cache's counters, then looks up again (a
+ * hit answered by a fork), or returns the measurement's error when it
+ * inserted no entry.
  *
- * Observability: capu.serve.hit / miss / evict / inflight counters plus
- * cache occupancy and hit-rate gauges, published into the registry passed
- * at construction (capuscope conventions).
+ * Observability: capu.serve.hit / miss / evict / disk_load / error
+ * counters (error counts every response that is not ok) plus inflight,
+ * cache occupancy and hit-rate gauges, published into the registry
+ * passed at construction (capuscope conventions).
  */
 
 #ifndef CAPU_SERVE_SERVICE_HH
 #define CAPU_SERVE_SERVICE_HH
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <string>
+#include <unordered_map>
 
 #include "exec/executor.hh"
 #include "obs/metrics.hh"
 #include "serve/plan_cache.hh"
-#include "serve/session_manager.hh"
 
 namespace capu::serve
 {
@@ -104,7 +110,7 @@ class PlanService
     const PlanCacheStats &cacheStats() const { return cache_.stats(); }
     std::size_t cacheEntries() const { return cache_.entries(); }
     std::uint64_t cacheBytes() const { return cache_.bytes(); }
-    std::size_t templateSessions() const { return sessions_.size(); }
+    std::size_t templateSessions() const { return cache_.templateSessions(); }
 
     /** Requests currently being answered (admission gauge). */
     int inflight() const { return inflight_; }
@@ -117,19 +123,37 @@ class PlanService
     void publishGauges();
 
   private:
-    PlanResponse handleLocked(const PlanRequest &request);
+    /** One key's measurement in progress; fields guarded by mutex_. */
+    struct Measurement
+    {
+        bool done = false;
+        /** Why it inserted no entry ("" when it did). */
+        std::string error;
+    };
+
+    PlanResponse answer(const PlanRequest &request);
+    PlanResponse measure(const ServeKey &key, const PlanRequest &request,
+                         Measurement &m);
+    std::unique_ptr<Session> loadFromDisk(const ServeKey &key,
+                                          const PlanRequest &req, Plan &plan,
+                                          std::uint64_t &fingerprint,
+                                          PlanResponse &resp);
+    /** Caller holds mutex_. */
+    void endMeasurement(const ServeKey &key, Measurement &m,
+                        const std::string &error);
     static void fillFromEntry(PlanResponse &resp,
                               const PlanCache::Entry &entry);
-    bool tryLoadFromDisk(const ServeKey &key, const PlanRequest &req,
-                         PlanResponse &resp);
     std::string planPath(const ServeKey &key) const;
-    void count(const char *name);
+    /** Caller holds mutex_ (the registry is not thread-safe). */
+    void count(const char *name, std::uint64_t delta = 1);
 
     PlanServiceConfig cfg_;
     obs::MetricsRegistry *metrics_;
-    std::mutex mutex_; ///< guards cache_ + sessions_
+    std::mutex mutex_; ///< guards cache_ + measuring_
     PlanCache cache_;
-    SessionManager sessions_;
+    std::unordered_map<ServeKey, std::shared_ptr<Measurement>, ServeKeyHash>
+        measuring_;
+    std::condition_variable measured_; ///< a measurement finished
     std::atomic<int> inflight_{0};
 };
 

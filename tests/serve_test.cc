@@ -7,8 +7,8 @@
  * plans), rejection of bad-magic / version-mismatch / fingerprint-mismatch
  * / truncated / corrupted files, seeded sessions (loadPlan + seedPlan)
  * running deterministically without mutating the loaded plan, PlanCache
- * LRU / byte-capacity / versioning semantics with the eviction hook, and
- * PlanService cold/warm digest identity, template-session lifetime, and
+ * LRU / byte-capacity / versioning semantics, and PlanService cold/warm
+ * digest identity, template-session lifetime, single-flight misses and
  * the on-disk warm-start path.
  */
 
@@ -16,9 +16,11 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <latch>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "analysis/baseline_plans.hh"
@@ -400,22 +402,16 @@ planOfBytes(std::uint64_t bytes)
     return p;
 }
 
-TEST(PlanCacheTest, LruEvictionOrderAndHook)
+TEST(PlanCacheTest, LruEvictionOrder)
 {
     PlanCache cache(/*max_entries=*/2, /*max_bytes=*/0);
-    std::vector<ServeKey> evicted;
-    cache.setEvictionHook(
-        [&](const PlanCache::Entry &e) { evicted.push_back(e.key); });
-
     cache.insert(key(1), planOfBytes(10), 0);
     cache.insert(key(2), planOfBytes(10), 0);
     ASSERT_NE(cache.find(key(1)), nullptr); // 1 now most recently used
     cache.insert(key(3), planOfBytes(10), 0);
 
     EXPECT_EQ(cache.entries(), 2u);
-    ASSERT_EQ(evicted.size(), 1u);
-    EXPECT_TRUE(evicted[0] == key(2)); // LRU victim, not key 1
-    EXPECT_EQ(cache.find(key(2)), nullptr);
+    EXPECT_EQ(cache.find(key(2)), nullptr); // LRU victim, not key 1
     EXPECT_NE(cache.find(key(1)), nullptr);
     EXPECT_NE(cache.find(key(3)), nullptr);
 
@@ -581,6 +577,64 @@ TEST(PlanServiceTest, DiskWarmStartAcrossServices)
     std::remove(path.str().c_str());
 }
 
+/** Answers `req` from `n` threads that all start at once. */
+std::vector<PlanResponse>
+handleConcurrently(PlanService &service, const PlanRequest &req, int n)
+{
+    std::vector<PlanResponse> resps(static_cast<std::size_t>(n));
+    std::latch start(n);
+    std::vector<std::thread> threads;
+    for (int i = 0; i < n; ++i) {
+        threads.emplace_back([&, i] {
+            start.arrive_and_wait();
+            resps[static_cast<std::size_t>(i)] = service.handle(req);
+        });
+    }
+    for (std::thread &t : threads)
+        t.join();
+    return resps;
+}
+
+TEST(PlanServiceTest, ConcurrentMissesMeasureOnce)
+{
+    PlanService service(serviceConfig(), nullptr);
+    PlanRequest req;
+    req.model = "resnet50";
+    req.batch = 192;
+    req.warmIterations = 0;
+
+    std::vector<PlanResponse> resps = handleConcurrently(service, req, 4);
+    for (const PlanResponse &r : resps) {
+        ASSERT_TRUE(r.ok) << r.error;
+        EXPECT_EQ(r.digest, resps[0].digest);
+    }
+    // One request measured; the other three waited for it and forked.
+    EXPECT_EQ(service.cacheStats().misses, 1u);
+    EXPECT_EQ(service.cacheStats().hits, 3u);
+    EXPECT_EQ(service.templateSessions(), 1u);
+}
+
+TEST(PlanServiceTest, ConcurrentMissesShareLeaderError)
+{
+    // A 2 GiB device is too small for resnet50@192: the cold measured run
+    // OOMs some milliseconds in, so the other requests arrive while it
+    // runs.
+    PlanServiceConfig cfg = serviceConfig();
+    cfg.exec.device.memCapacity = 2ull << 30;
+    PlanService service(cfg, nullptr);
+    PlanRequest req;
+    req.model = "resnet50";
+    req.batch = 192;
+    req.warmIterations = 0;
+
+    for (const PlanResponse &r : handleConcurrently(service, req, 4)) {
+        EXPECT_FALSE(r.ok);
+        EXPECT_NE(r.error.find("cold planning run OOMed"), std::string::npos)
+            << r.error;
+    }
+    EXPECT_EQ(service.cacheEntries(), 0u);
+}
+
 TEST(PlanServiceTest, UnknownModelIsAnErrorResponse)
 {
     PlanService service(serviceConfig(), nullptr);
@@ -599,7 +653,6 @@ TEST(RequestQueueTest, DrainPreservesOrderAndCountsAdmission)
     PlanService service(serviceConfig(), nullptr);
     RequestQueueConfig qcfg;
     qcfg.gpus = 2;
-    qcfg.batchSize = 2;
     RequestQueue queue(service, qcfg);
 
     PlanRequest a;
@@ -612,8 +665,7 @@ TEST(RequestQueueTest, DrainPreservesOrderAndCountsAdmission)
     b.warmIterations = 0;
     queue.enqueue(a);
     queue.enqueue(b);
-    queue.enqueue(a); // repeat: must be a hit by drain time or a miss —
-                      // either way the response slot must match request 2
+    queue.enqueue(a); // repeat of request 0
 
     std::vector<PlanResponse> resps = queue.drain();
     ASSERT_EQ(resps.size(), 3u);
@@ -627,6 +679,10 @@ TEST(RequestQueueTest, DrainPreservesOrderAndCountsAdmission)
     // Responses 0 and 2 answer the same key: identical plans.
     EXPECT_EQ(resps[0].digest, resps[2].digest);
     EXPECT_NE(resps[0].digest, resps[1].digest);
+    // The repeat either found a's plan cached or waited for its
+    // measurement: a hit either way.
+    EXPECT_EQ(service.cacheStats().misses, 2u);
+    EXPECT_EQ(service.cacheStats().hits, 1u);
 }
 
 } // namespace

@@ -11,6 +11,7 @@
  *
  * Stream file format, one request per line (# starts a comment):
  *   <model> <batch> [policy] [warm-iterations]
+ * Any other non-blank line is a usage error naming <file>:<line>.
  */
 
 #include <chrono>
@@ -39,6 +40,7 @@ namespace
 {
 
 constexpr std::uint64_t kIntMax = std::numeric_limits<int>::max();
+constexpr std::uint64_t kInt64Max = std::numeric_limits<std::int64_t>::max();
 constexpr std::uint64_t kSizeMax = std::numeric_limits<std::size_t>::max();
 
 struct Options
@@ -48,7 +50,6 @@ struct Options
     int mix = 0;
     std::uint64_t seed = 0;
     int gpus = 4;
-    std::size_t queueBatch = 8;
     std::size_t cacheEntries = 64;
     std::uint64_t cacheBytes = 64ull << 20;
     int coldIterations = 4;
@@ -73,7 +74,6 @@ usage()
         "  --device <name>      p100 (default) | v100\n"
         "  --gpus <n>           admission tokens: planning sessions in\n"
         "                       flight at once (default 4)\n"
-        "  --queue-batch <n>    requests fanned per drain round (default 8)\n"
         "  --cache-entries <n>  plan cache entry capacity (default 64)\n"
         "  --cache-bytes <n>    plan cache byte capacity, e.g. 64M or\n"
         "                       1.5G (default 64 MiB)\n"
@@ -88,7 +88,12 @@ usage()
         "  --csv                machine-readable per-request output\n"
         "  --quiet / --verbose  log verbosity\n"
         "\n"
-        "exit status: 0 ok; 1 usage error; 3 warm/cold digest mismatch\n";
+        "exit status:\n"
+        "  0  every request answered\n"
+        "  1  usage error (a malformed option or stream line)\n"
+        "  3  a request failed, a warm response's digest differs from its\n"
+        "     key's cold plan, or, when nothing was evicted, a key was not\n"
+        "     measured exactly once\n";
 }
 
 bool
@@ -114,8 +119,6 @@ parseArgs(int argc, char **argv, Options &opt)
             opt.device = next();
         else if (a == "--gpus")
             opt.gpus = static_cast<int>(count(1, kIntMax));
-        else if (a == "--queue-batch")
-            opt.queueBatch = static_cast<std::size_t>(count(1, kSizeMax));
         else if (a == "--cache-entries")
             opt.cacheEntries = static_cast<std::size_t>(count(0, kSizeMax));
         else if (a == "--cache-bytes")
@@ -152,16 +155,31 @@ loadStream(const std::string &path, int default_warm)
         fatal("cannot read request stream '{}'", path);
     std::vector<PlanRequest> reqs;
     std::string line;
-    while (std::getline(is, line)) {
+    for (int lineno = 1; std::getline(is, line); ++lineno) {
         auto hash = line.find('#');
         if (hash != std::string::npos)
             line.erase(hash);
         std::istringstream ls(line);
-        PlanRequest r;
-        r.warmIterations = default_warm;
-        if (!(ls >> r.model >> r.batch))
+        std::vector<std::string> tok;
+        for (std::string t; ls >> t;)
+            tok.push_back(std::move(t));
+        if (tok.empty())
             continue; // blank / comment-only line
-        ls >> r.policy >> r.warmIterations;
+        std::string where = path + ":" + std::to_string(lineno) + ":";
+        if (tok.size() < 2 || tok.size() > 4)
+            fatal("{} expected 2 to 4 fields (<model> <batch> [policy] "
+                  "[warm-iters]), got {}",
+                  where, tok.size());
+        PlanRequest r;
+        r.model = tok[0];
+        r.batch = static_cast<std::int64_t>(
+            parseCount(tok[1], where + " batch", 1, kInt64Max));
+        if (tok.size() > 2)
+            r.policy = tok[2];
+        r.warmIterations =
+            tok.size() > 3 ? static_cast<int>(parseCount(
+                                 tok[3], where + " warm-iters", 0, kIntMax))
+                           : default_warm;
         reqs.push_back(std::move(r));
     }
     return reqs;
@@ -246,7 +264,6 @@ main(int argc, char **argv)
         PlanService service(cfg, &metrics);
         RequestQueueConfig qcfg;
         qcfg.gpus = opt.gpus;
-        qcfg.batchSize = opt.queueBatch;
         RequestQueue queue(service, qcfg);
         for (const auto &r : reqs)
             queue.enqueue(r); // keep reqs intact for the digest check below
@@ -259,28 +276,42 @@ main(int argc, char **argv)
         service.publishGauges();
         metrics.snapshotIteration(0);
 
-        // Warm responses must agree with the cold plan they were served
-        // from: same key => same digest (bit-identical plan).
+        // Per key over its ok responses: every one carries the cold plan's
+        // digest (bit-identical plan), and the misses among them are the
+        // key's measurements.
+        struct KeyTally
+        {
+            std::uint64_t digest = 0;
+            int misses = 0;
+            std::size_t firstRequest = 0;
+        };
         std::vector<double> cold_ms, warm_ms;
         int errors = 0;
         bool digest_mismatch = false;
-        std::unordered_map<ServeKey, std::uint64_t, ServeKeyHash>
-            seen_digest;
+        std::unordered_map<ServeKey, KeyTally, ServeKeyHash> tally;
         if (opt.csv)
             std::cout << "req,hit,from_disk,digest,version,plan_items,"
                          "latency_ms,img_per_s,error\n";
         for (std::size_t i = 0; i < resps.size(); ++i) {
             const PlanResponse &r = resps[i];
-            if (!r.ok)
-                ++errors;
             (r.hit ? warm_ms : cold_ms).push_back(r.latencyMs);
-            if (r.ok) {
-                ServeKey key = service.keyFor(reqs[i]);
-                auto it = seen_digest.find(key);
-                if (it == seen_digest.end())
-                    seen_digest.emplace(key, r.digest);
-                else if (it->second != r.digest)
+            if (!r.ok) {
+                ++errors;
+                std::cerr << "capuserve: request " << i << " ("
+                          << reqs[i].model << "@" << reqs[i].batch
+                          << ") failed: " << r.error << "\n";
+            } else {
+                auto [it, first] =
+                    tally.try_emplace(service.keyFor(reqs[i]));
+                KeyTally &t = it->second;
+                if (first) {
+                    t.digest = r.digest;
+                    t.firstRequest = i;
+                } else if (t.digest != r.digest) {
                     digest_mismatch = true;
+                }
+                if (!r.hit)
+                    ++t.misses;
             }
             if (opt.csv) {
                 std::cout << i << ',' << (r.hit ? 1 : 0) << ','
@@ -318,11 +349,27 @@ main(int argc, char **argv)
             obs::writeMetricsFile(opt.metricsFile, metrics))
             inform("wrote serve metrics to {}", opt.metricsFile);
 
+        bool failed = errors > 0;
         if (digest_mismatch) {
             std::cerr << "capuserve: DIGEST MISMATCH: a warm response "
                          "disagrees with the cold plan for its key\n";
-            return 3;
+            failed = true;
         }
+        // With nothing evicted, a key is measured once and every later
+        // request for it is a hit.
+        if (cs.evictions == 0) {
+            for (const auto &[key, t] : tally) {
+                if (t.misses == 1)
+                    continue;
+                const PlanRequest &r = reqs[t.firstRequest];
+                std::cerr << "capuserve: " << r.model << "@" << r.batch
+                          << " " << r.policy << " missed " << t.misses
+                          << " times with nothing evicted\n";
+                failed = true;
+            }
+        }
+        if (failed)
+            return 3;
         return 0;
     } catch (const FatalError &e) {
         std::cerr << "capuserve: " << e.what() << "\n";

@@ -21,7 +21,6 @@
 #include <optional>
 #include <sstream>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "analysis/lint_hooks.hh"
@@ -39,8 +38,6 @@
 #include "prof/profile.hh"
 #include "prof/report.hh"
 #include "prof/trace_view.hh"
-#include "serve/request_queue.hh"
-#include "serve/service.hh"
 #include "stats/table.hh"
 #include "support/logging.hh"
 #include "support/percentile.hh"
@@ -70,7 +67,6 @@ struct Options
     unsigned jobs = 1;
     bool csv = false;
     bool list = false;
-    bool serveSmoke = false;
     bool obsSelfcheck = false;
     bool verify = false;
     bool profile = false;
@@ -216,11 +212,6 @@ usage()
         "1048576)\n"
         "  --obs-selfcheck    run the workload at every obs level and\n"
         "                     report the observability overhead\n"
-        "  --serve-smoke      drive a scripted request stream through the\n"
-        "                     capuserve planning service and assert every\n"
-        "                     warm (cache-hit) response is digest-identical\n"
-        "                     to its key's cold plan; honours --device and\n"
-        "                     --metrics (capu.serve.* counters)\n"
         "  --replay           steady-state iteration replay: once the\n"
         "                     policy stabilizes, synthesize iterations\n"
         "                     from the cached fixed point instead of\n"
@@ -315,8 +306,6 @@ parseArgs(int argc, char **argv, Options &opt)
             opt.traceCap = static_cast<std::size_t>(count(1, kSizeMax));
         else if (a == "--obs-selfcheck")
             opt.obsSelfcheck = true;
-        else if (a == "--serve-smoke")
-            opt.serveSmoke = true;
         else if (a == "--verify")
             opt.verify = true;
         else if (a == "--replay")
@@ -434,85 +423,6 @@ main(int argc, char **argv)
             cfg.variantSchedule =
                 buildWorkload(wkind, opt.model, opt.batch, opt.workloadSeed)
                     .schedule;
-
-        if (opt.serveSmoke) {
-            // Embedded capuserve request stream: three tenants, repeated,
-            // so every key is answered cold exactly once and warm after.
-            // A warm response must carry its key's cold digest — the plan
-            // the fork-cloned template runs is bit-identical to the one
-            // the cold measured session produced.
-            serve::PlanServiceConfig scfg;
-            scfg.exec = cfg;
-            obs::MetricsRegistry metrics;
-            metrics.setEnabled(true);
-            serve::PlanService svc(scfg, &metrics);
-            serve::RequestQueue queue(svc);
-            std::vector<serve::PlanRequest> reqs;
-            auto add = [&](const char *m, std::int64_t b) {
-                serve::PlanRequest r;
-                r.model = m;
-                r.batch = b;
-                reqs.push_back(r);
-            };
-            add("resnet50", 192);
-            add("vgg16", 96);
-            add("densenet", 96);
-            add("resnet50", 192);
-            add("vgg16", 96);
-            add("resnet50", 192);
-            for (const auto &r : reqs)
-                queue.enqueue(r);
-            auto resps = queue.drain();
-            svc.publishGauges();
-            metrics.snapshotIteration(0);
-            if (!opt.metricsFile.empty() &&
-                obs::writeMetricsFile(opt.metricsFile, metrics))
-                inform("wrote serve metrics to {}", opt.metricsFile);
-            if (!opt.profileJson.empty()) {
-                // Serve runs have no single session trace; the profile
-                // carries only the additive "serve" section.
-                prof::Profile sp;
-                sp.meta.emplace_back("mode", "serve-smoke");
-                sp.serve = prof::serveSummaryFromMetrics(metrics);
-                if (prof::writeProfileJsonFile(opt.profileJson, sp))
-                    inform("wrote capuprof profile to {}", opt.profileJson);
-            }
-            std::unordered_map<std::string, std::uint64_t> cold;
-            bool bad = false;
-            for (std::size_t i = 0; i < resps.size(); ++i) {
-                const auto &r = resps[i];
-                std::string tag = reqs[i].model + "@" +
-                                  std::to_string(reqs[i].batch);
-                if (!r.ok) {
-                    std::cerr << "serve-smoke: request " << tag
-                              << " failed: " << r.error << "\n";
-                    bad = true;
-                    continue;
-                }
-                auto it = cold.find(tag);
-                if (it == cold.end())
-                    cold.emplace(tag, r.digest);
-                else if (it->second != r.digest) {
-                    std::cerr << "serve-smoke: warm digest for " << tag
-                              << " differs from its cold plan\n";
-                    bad = true;
-                }
-            }
-            const serve::PlanCacheStats &scs = svc.cacheStats();
-            std::cout << "serve-smoke: " << resps.size() << " requests, "
-                      << scs.hits << " hits, " << scs.misses << " misses, "
-                      << svc.templateSessions() << " template sessions\n";
-            if (scs.hits != resps.size() - cold.size()) {
-                std::cerr << "serve-smoke: expected every repeat to hit "
-                             "the cache\n";
-                bad = true;
-            }
-            if (bad)
-                return 3;
-            std::cout << "serve-smoke: all warm responses digest-identical "
-                         "to their cold plans\n";
-            return 0;
-        }
 
         if (opt.obsSelfcheck) {
             // Self-measurement: run the same workload at every obs level,
