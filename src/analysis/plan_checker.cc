@@ -7,7 +7,7 @@
 #include <unordered_set>
 
 #include "analysis/happens_before.hh"
-#include "stats/report.hh"
+#include "stats/table.hh"
 #include "support/strfmt.hh"
 
 namespace capu
@@ -517,21 +517,25 @@ void
 printLintReport(std::ostream &os, const LintReport &report,
                 const Graph &graph)
 {
-    std::vector<DiagnosticRow> rows;
-    rows.reserve(report.diags.size());
-    for (const LintDiagnostic &d : report.diags) {
-        DiagnosticRow row;
-        row.severity = lintSeverityName(d.severity);
-        row.rule = d.rule;
-        row.subject = d.tensor == kInvalidTensor
-                          ? "<plan>"
-                          : graph.tensor(d.tensor).name;
-        row.location =
-            d.accessIndex > 0 ? fmt("access {}", d.accessIndex) : "";
-        row.message = d.message;
-        rows.push_back(std::move(row));
+    if (report.diags.empty()) {
+        os << "no findings\n";
+    } else {
+        Table t({"severity", "rule", "subject", "where", "message"});
+        for (LintSeverity sev : {LintSeverity::Error, LintSeverity::Warning}) {
+            for (const LintDiagnostic &d : report.diags) {
+                if (d.severity != sev)
+                    continue;
+                t.addRow({lintSeverityName(d.severity), d.rule,
+                          d.tensor == kInvalidTensor
+                              ? "<plan>"
+                              : graph.tensor(d.tensor).name,
+                          d.accessIndex > 0 ? fmt("access {}", d.accessIndex)
+                                            : "",
+                          d.message});
+            }
+        }
+        t.print(os);
     }
-    printDiagnostics(os, rows);
     os << report.summary() << "\n";
 }
 

@@ -152,7 +152,10 @@ class PlanChecker
                            LintReport &report) const;
 };
 
-/** Render the report as an aligned diagnostics table (stats/report). */
+/**
+ * Render the report as an aligned diagnostics table, errors first and each
+ * class in discovery order ("no findings" when empty), then its summary.
+ */
 void printLintReport(std::ostream &os, const LintReport &report,
                      const Graph &graph);
 

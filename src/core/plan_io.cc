@@ -307,7 +307,8 @@ loadPlan(std::istream &is, Plan &out, std::uint64_t expect_fingerprint,
         return PlanLoadStatus::Truncated;
     plan.recomputeCount = tmp64;
 
-    plan.items.reserve(n_items);
+    // n_items sizes no allocation: a count the payload cannot back ends in
+    // Truncated at the first missing item.
     for (std::uint64_t i = 0; i < n_items; ++i) {
         PlannedEviction it;
         std::uint32_t tensor = 0, mode = 0, trigger = 0;

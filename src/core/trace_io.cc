@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "support/logging.hh"
+#include "support/strfmt.hh"
+#include "support/units.hh"
 
 namespace capu
 {
@@ -13,6 +16,7 @@ namespace
 {
 
 constexpr const char *kHeader = "# capuchin-trace v1";
+constexpr std::uint64_t kIntMax = std::numeric_limits<int>::max();
 
 TensorKind
 kindFromName(const std::string &name)
@@ -25,7 +29,22 @@ kindFromName(const std::string &name)
         return TensorKind::Gradient;
     if (name == "workspace")
         return TensorKind::Workspace;
-    fatal("unknown tensor kind '{}' in trace", name);
+    fatal("unknown tensor kind '{}'", name);
+}
+
+/** Row count of a "<name> <rows>" section header, at most the 32-bit id
+ *  space. */
+std::size_t
+sectionRows(std::istream &is, const char *name)
+{
+    std::string line, word, rows;
+    if (std::getline(is, line)) {
+        std::istringstream ls(line);
+        ls >> word >> rows;
+    }
+    if (word != name)
+        fatal("trace missing {} section", name);
+    return parseCount(rows, fmt("trace {} count", name), 0, kInvalidTensor);
 }
 
 std::vector<std::string>
@@ -104,43 +123,63 @@ readTrace(std::istream &is)
     if (!std::getline(is, line) || line != kHeader)
         fatal("not a capuchin trace (bad header '{}')", line);
 
-    std::string word;
-    std::size_t count = 0;
-    is >> word >> count;
-    if (word != "tensors")
-        fatal("trace missing tensor table");
-    std::getline(is, line); // eat newline
-    for (std::size_t i = 0; i < count; ++i) {
+    // Tensor rows are parsed once the record count, which bounds their
+    // ids, is known.
+    std::size_t n_tensors = sectionRows(is, "tensors");
+    std::vector<std::string> tensor_rows;
+    for (std::size_t i = 0; i < n_tensors; ++i) {
         if (!std::getline(is, line))
             fatal("trace tensor table truncated at row {}", i);
-        auto cells = splitCsv(line);
+        tensor_rows.push_back(std::move(line));
+    }
+    std::size_t n_records = sectionRows(is, "records");
+    // Ids index dense per-id tables (reconstructGraph), so a tensor id must
+    // stay below tensor rows + record rows and an op id below record rows.
+    const std::uint64_t max_tensor =
+        std::min<std::uint64_t>(n_tensors + n_records, kInvalidTensor) - 1;
+
+    for (std::size_t i = 0; i < n_tensors; ++i) {
+        const std::string &row = tensor_rows[i];
+        auto cells = splitCsv(row);
         if (cells.size() != 4)
-            fatal("bad tensor row '{}'", line);
+            fatal("trace tensor row {} '{}': expected 4 cells, got {}", i,
+                  row, cells.size());
         TraceTensorInfo t;
-        t.id = static_cast<TensorId>(std::stoul(cells[0]));
-        t.name = cells[1];
-        t.bytes = std::stoull(cells[2]);
-        t.kind = kindFromName(cells[3]);
+        try {
+            t.id = static_cast<TensorId>(
+                parseCount(cells[0], "tensor id", 0, max_tensor));
+            t.name = cells[1];
+            t.bytes = parseCount(cells[2], "bytes");
+            t.kind = kindFromName(cells[3]);
+        } catch (const FatalError &e) {
+            throw FatalError(fmt("trace tensor row {} '{}': {}", i, row,
+                                 e.what()));
+        }
         trace.tensors.push_back(std::move(t));
     }
 
-    is >> word >> count;
-    if (word != "records")
-        fatal("trace missing record section");
-    std::getline(is, line);
-    for (std::size_t i = 0; i < count; ++i) {
+    for (std::size_t i = 0; i < n_records; ++i) {
         if (!std::getline(is, line))
             fatal("trace records truncated at row {}", i);
         auto cells = splitCsv(line);
         if (cells.size() != 5)
-            fatal("bad record row '{}'", line);
+            fatal("trace record row {} '{}': expected 5 cells, got {}", i,
+                  line, cells.size());
         AccessRecord r;
-        r.tensor = static_cast<TensorId>(std::stoul(cells[0]));
-        r.accessIndex = std::stoi(cells[1]);
-        r.time = std::stoull(cells[2]);
-        r.isOutput = cells[3] == "1";
-        long long op = std::stoll(cells[4]);
-        r.op = op < 0 ? kInvalidOp : static_cast<OpId>(op);
+        try {
+            r.tensor = static_cast<TensorId>(
+                parseCount(cells[0], "tensor id", 0, max_tensor));
+            r.accessIndex = static_cast<int>(
+                parseCount(cells[1], "access index", 0, kIntMax));
+            r.time = parseCount(cells[2], "time");
+            r.isOutput = parseCount(cells[3], "is_output", 0, 1) == 1;
+            r.op = cells[4] == "-1" ? kInvalidOp
+                                    : static_cast<OpId>(parseCount(
+                                          cells[4], "op", 0, n_records - 1));
+        } catch (const FatalError &e) {
+            throw FatalError(fmt("trace record row {} '{}': {}", i, line,
+                                 e.what()));
+        }
         trace.records.push_back(r);
     }
     return trace;

@@ -53,8 +53,12 @@ TensorTrace captureTrace(const AccessTracker &tracker, const Graph &graph);
 void writeTrace(std::ostream &os, const TensorTrace &trace);
 
 /**
- * Parse a trace written by writeTrace().
- * @throws FatalError on malformed input (bad header, wrong arity, ...).
+ * Parse a trace written by writeTrace(). Every numeric cell is a whole
+ * number (op -1 means none); a tensor id stays below tensor rows + record
+ * rows and an op id below record rows, so no id asks reconstructGraph for
+ * more than the file's own size.
+ * @throws FatalError on malformed input (bad header, a truncated section,
+ *         a bad cell or id, naming its row).
  */
 TensorTrace readTrace(std::istream &is);
 

@@ -91,35 +91,6 @@ Session::fork(std::unique_ptr<MemoryPolicy> policy) const
     return s;
 }
 
-SimState
-Session::snapshot() const
-{
-    return SimState(std::make_unique<Session>(fork()));
-}
-
-SimState::SimState(std::unique_ptr<Session> frozen)
-    : frozen_(std::move(frozen))
-{
-}
-
-Session
-SimState::fork() const
-{
-    return frozen_->fork();
-}
-
-Session
-SimState::fork(std::unique_ptr<MemoryPolicy> policy) const
-{
-    return frozen_->fork(std::move(policy));
-}
-
-const Graph &
-SimState::graph() const
-{
-    return frozen_->graph();
-}
-
 SpeculateResult
 Session::speculate(const std::vector<PolicyFactoryFn> &variants,
                    int iterations, unsigned jobs) const

@@ -14,10 +14,10 @@
  * re-measured — and the fork continues bit-identically to the original:
  * running k iterations, forking, and running n-k more on the fork yields
  * exactly the stats/digests/traces of a straight n-iteration run.
- * `snapshot()` freezes the state behind the thread-safe SimState facade so
- * parallel searches can fork many what-if runs from one prefix, and
- * `speculate()` races K policy variants from the current state and picks
- * the winner deterministically.
+ * `fork()` is const and only reads, so parallel searches fork many
+ * what-if runs from one shared prefix at once, and `speculate()` races K
+ * policy variants from the current state and picks the winner
+ * deterministically.
  */
 
 #ifndef CAPU_EXEC_SESSION_HH
@@ -61,45 +61,6 @@ struct SessionResult
     Tick steadyIterationTicks(int skip = 2) const;
 
     const IterationStats &last() const;
-};
-
-class Session;
-
-/**
- * An immutable frozen copy of a mid-run session (capufork). Construction
- * deep-copies the session once; `fork()` then materializes any number of
- * independent runnable copies from it. fork() is const and performs pure
- * reads, so many worker threads may fork from one shared SimState
- * concurrently — the parallel-search idiom:
- *
- *   SimState snap = session.snapshot();     // one measured prefix
- *   // on the pool: Session s = snap.fork(); s.run(k); ...
- */
-class SimState
-{
-  public:
-    SimState(SimState &&) = default;
-    SimState &operator=(SimState &&) = default;
-
-    /** Materialize a runnable deep copy (policy cloned with its state). */
-    Session fork() const;
-
-    /**
-     * Materialize a copy that continues under a *different* policy: the
-     * replacement starts fresh (attached, un-measured) on the snapshot's
-     * machine state, and steady-state replay re-observes from scratch
-     * since the old policy's templates do not describe the new policy's
-     * decisions.
-     */
-    Session fork(std::unique_ptr<MemoryPolicy> policy) const;
-
-    const Graph &graph() const;
-
-  private:
-    friend class Session;
-    explicit SimState(std::unique_ptr<Session> frozen);
-
-    std::unique_ptr<Session> frozen_;
 };
 
 using PolicyFactoryFn = std::function<std::unique_ptr<MemoryPolicy>()>;
@@ -151,11 +112,13 @@ class Session
      */
     Session fork() const;
 
-    /** Fork, but continue under `policy` instead (see SimState::fork). */
+    /**
+     * Fork, but continue under `policy` instead: the replacement starts
+     * fresh (attached, un-measured) on this session's machine state, and
+     * steady-state replay re-observes from scratch since the old policy's
+     * templates do not describe the new policy's decisions.
+     */
     Session fork(std::unique_ptr<MemoryPolicy> policy) const;
-
-    /** Freeze a deep copy behind the shareable SimState facade. */
-    SimState snapshot() const;
 
     /**
      * What-if search (capufork): fork this session once per variant, run

@@ -112,9 +112,6 @@ class PlanService
     std::uint64_t cacheBytes() const { return cache_.bytes(); }
     std::size_t templateSessions() const { return cache_.templateSessions(); }
 
-    /** Requests currently being answered (admission gauge). */
-    int inflight() const { return inflight_; }
-
     /**
      * Publish cache occupancy / hit-rate gauges into the registry now
      * (counters are maintained incrementally; gauges snapshot on demand
@@ -154,6 +151,7 @@ class PlanService
     std::unordered_map<ServeKey, std::shared_ptr<Measurement>, ServeKeyHash>
         measuring_;
     std::condition_variable measured_; ///< a measurement finished
+    /** Requests being answered; read only by the inflight gauge. */
     std::atomic<int> inflight_{0};
 };
 

@@ -91,6 +91,19 @@ capturedResNetTrace(std::int64_t batch)
     return captureTrace(capu->tracker(), s.graph());
 }
 
+/** readTrace's FatalError message for `text`, or "" when it parses. */
+std::string
+traceError(const std::string &text)
+{
+    std::stringstream ss(text);
+    try {
+        readTrace(ss);
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    return "";
+}
+
 } // namespace
 
 TEST(TraceIo, RoundTripPreservesEverything)
@@ -142,6 +155,53 @@ TEST(TraceIo, RejectsTruncatedTable)
 {
     std::stringstream ss("# capuchin-trace v1\ntensors 5\n1,a,10,feature\n");
     EXPECT_THROW(readTrace(ss), FatalError);
+}
+
+TEST(TraceIo, RejectsNonNumericCell)
+{
+    const std::string head = "# capuchin-trace v1\ntensors 1\n";
+    EXPECT_NE(traceError(head + "abc,t,10,feature\nrecords 0\n")
+                  .find("tensor row 0 'abc,t,10,feature'"),
+              std::string::npos);
+    EXPECT_NE(traceError(head + "0,t,-10,feature\nrecords 0\n")
+                  .find("tensor row 0"),
+              std::string::npos);
+    // Every record cell, including an is_output other than 0 or 1 and an
+    // op below -1.
+    for (const char *row : {"x,1,10,1,-1", "0,-1,10,1,-1", "0,1,1e3,1,-1",
+                            "0,1,10,2,-1", "0,1,10,yes,-1", "0,1,10,1,-2",
+                            "0,1,10,1,"}) {
+        SCOPED_TRACE(row);
+        std::string text =
+            head + "0,t,10,feature\nrecords 1\n" + row + "\n";
+        EXPECT_NE(traceError(text).find(std::string("record row 0 '") + row),
+                  std::string::npos);
+    }
+    EXPECT_EQ(traceError(head + "0,t,10,feature\nrecords 1\n0,1,10,1,-1\n"),
+              "");
+}
+
+TEST(TraceIo, RejectsHostileId)
+{
+    // One tensor row and two record rows justify tensor ids below 3 and op
+    // ids below 2; anything larger would size reconstructGraph's tables.
+    const std::string head = "# capuchin-trace v1\ntensors 1\n";
+    auto trace = [&](const std::string &tensor, const std::string &record) {
+        return head + tensor + "\nrecords 2\n0,1,10,1,0\n" + record + "\n";
+    };
+    EXPECT_EQ(traceError(trace("2,t,10,feature", "2,2,20,0,1")), "");
+    EXPECT_NE(traceError(trace("4000000000,t,10,feature", "0,2,20,0,1"))
+                  .find("tensor row 0 '4000000000,t,10,feature'"),
+              std::string::npos);
+    EXPECT_NE(traceError(trace("3,t,10,feature", "0,2,20,0,1"))
+                  .find("tensor row 0"),
+              std::string::npos);
+    EXPECT_NE(traceError(trace("0,t,10,feature", "3,2,20,0,1"))
+                  .find("record row 1 '3,2,20,0,1'"),
+              std::string::npos);
+    EXPECT_NE(traceError(trace("0,t,10,feature", "0,2,20,0,2"))
+                  .find("record row 1 '0,2,20,0,2'"),
+              std::string::npos);
 }
 
 TEST(TraceIo, MissingFileIsFatal)

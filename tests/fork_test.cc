@@ -4,7 +4,7 @@
  * bit-identically to the original — iteration stats, metrics, weight
  * fingerprints, capuscope traces), run() splitting, shared-graph /
  * no-re-measure structural guarantees, concurrent forking from one
- * SimState, speculate() determinism across thread counts, parallel
+ * const Session, speculate() determinism across thread counts, parallel
  * findMaxBatch equality with the serial search, serial findMaxBatch
  * equality with plain bisection, and value-semantics regression tests
  * for BfcAllocator copies.
@@ -331,21 +331,8 @@ TEST(ForkStructure, SharedGraphNoRemeasure)
     EXPECT_NE(forkPolicy, basePolicy);
 }
 
-TEST(ForkStructure, SnapshotSharesGraphToo)
-{
-    Session base(buildModel(ModelKind::Vgg16, 230), forkConfig(),
-                 makeCapuchinPolicy());
-    ASSERT_FALSE(base.run(3).oom);
-    SimState snap = base.snapshot();
-    EXPECT_EQ(&snap.graph(), &base.graph());
-    Session f1 = snap.fork();
-    Session f2 = snap.fork();
-    EXPECT_EQ(&f1.graph(), &base.graph());
-    EXPECT_EQ(&f2.graph(), &base.graph());
-}
-
 /** Forking under a replacement policy: the new policy starts fresh on the
- *  snapshot's machine state and the run completes. */
+ *  base session's machine state and the run completes. */
 TEST(ForkStructure, PolicySwapFork)
 {
     Session base(buildModel(ModelKind::Vgg16, 230), forkConfig(),
@@ -362,14 +349,15 @@ TEST(ForkStructure, PolicySwapFork)
     EXPECT_FALSE(ro.oom) << ro.oomMessage;
 }
 
-// --- concurrent forking from one SimState ------------------------------
+// --- concurrent forking from one const Session --------------------------
 
 TEST(ForkConcurrency, SnapshotConcurrentForks)
 {
     Session base(buildModel(ModelKind::Vgg16, 230), forkConfig(),
                  makeCapuchinPolicy());
     ASSERT_FALSE(base.run(3).oom);
-    SimState snap = base.snapshot();
+    // fork() is const and only reads: many threads may fork one prefix.
+    const Session &snap = base;
 
     // Reference: one serial fork continuation.
     Session ref = snap.fork();

@@ -32,7 +32,6 @@
 #include "policy/checkpointing_policy.hh"
 #include "policy/vdnn_policy.hh"
 #include "serve/plan_cache.hh"
-#include "serve/request_queue.hh"
 #include "serve/service.hh"
 
 using namespace capu;
@@ -311,6 +310,28 @@ TEST(PlanIo, RejectsCorruptedPayload)
     EXPECT_TRUE(out.items.empty());
 }
 
+TEST(PlanIo, RejectsHostileItemCount)
+{
+    // The header's 64-bit item count sizes nothing: a count the payload
+    // cannot back ends in Truncated, not in a huge allocation.
+    std::ostringstream os;
+    serializePlan(os, Plan{}, 7);
+    const std::string bytes = os.str();
+    for (int shift : {60, 30}) {
+        SCOPED_TRACE(shift);
+        std::string hostile = bytes;
+        // n_items follows the 28-byte header (magic, version, fingerprint,
+        // digest), little-endian.
+        const std::uint64_t n_items = std::uint64_t{1} << shift;
+        for (int b = 0; b < 8; ++b)
+            hostile[28 + b] = static_cast<char>(n_items >> (8 * b));
+        std::istringstream is(hostile);
+        Plan out;
+        EXPECT_EQ(loadPlan(is, out, 7), PlanLoadStatus::Truncated);
+        EXPECT_TRUE(out.items.empty());
+    }
+}
+
 // ---- seeded sessions (reload -> run vs straight-line run) ---------------
 
 TEST(SeededSession, RunsLoadedPlanWithoutMutatingIt)
@@ -523,15 +544,21 @@ TEST(PlanServiceTest, EvictionDropsTemplateSession)
     PlanRequest b = a;
     b.batch = 200;
 
-    ASSERT_TRUE(service.handle(a).ok);
+    PlanResponse first = service.handle(a);
+    ASSERT_TRUE(first.ok) << first.error;
     EXPECT_EQ(service.templateSessions(), 1u);
     ASSERT_TRUE(service.handle(b).ok);
     EXPECT_EQ(service.cacheEntries(), 1u);
     EXPECT_EQ(service.templateSessions(), 1u); // a's template dropped
 
     PlanResponse again = service.handle(a); // re-measures: a was evicted
-    ASSERT_TRUE(again.ok);
+    ASSERT_TRUE(again.ok) << again.error;
     EXPECT_FALSE(again.hit);
+    EXPECT_FALSE(again.fromDisk);
+    // Churn determinism: the re-measured plan is the first one, bit for bit.
+    EXPECT_EQ(again.digest, first.digest);
+    EXPECT_EQ(service.cacheStats().evictions, 2u);
+    EXPECT_EQ(service.templateSessions(), 1u);
 }
 
 TEST(PlanServiceTest, DiskWarmStartAcrossServices)
@@ -644,45 +671,6 @@ TEST(PlanServiceTest, UnknownModelIsAnErrorResponse)
     PlanResponse resp = service.handle(req);
     EXPECT_FALSE(resp.ok);
     EXPECT_FALSE(resp.error.empty());
-}
-
-// ---- RequestQueue --------------------------------------------------------
-
-TEST(RequestQueueTest, DrainPreservesOrderAndCountsAdmission)
-{
-    PlanService service(serviceConfig(), nullptr);
-    RequestQueueConfig qcfg;
-    qcfg.gpus = 2;
-    RequestQueue queue(service, qcfg);
-
-    PlanRequest a;
-    a.model = "resnet50";
-    a.batch = 192;
-    a.warmIterations = 0;
-    PlanRequest b;
-    b.model = "vgg16";
-    b.batch = 96;
-    b.warmIterations = 0;
-    queue.enqueue(a);
-    queue.enqueue(b);
-    queue.enqueue(a); // repeat of request 0
-
-    std::vector<PlanResponse> resps = queue.drain();
-    ASSERT_EQ(resps.size(), 3u);
-    EXPECT_EQ(queue.pending(), 0u);
-    EXPECT_EQ(queue.stats().enqueued, 3u);
-    EXPECT_EQ(queue.stats().drained, 3u);
-    EXPECT_GE(queue.stats().peakAdmitted, 1u);
-    EXPECT_LE(queue.stats().peakAdmitted, 2u);
-    for (const PlanResponse &r : resps)
-        EXPECT_TRUE(r.ok) << r.error;
-    // Responses 0 and 2 answer the same key: identical plans.
-    EXPECT_EQ(resps[0].digest, resps[2].digest);
-    EXPECT_NE(resps[0].digest, resps[1].digest);
-    // The repeat either found a's plan cached or waited for its
-    // measurement: a hit either way.
-    EXPECT_EQ(service.cacheStats().misses, 2u);
-    EXPECT_EQ(service.cacheStats().hits, 1u);
 }
 
 } // namespace

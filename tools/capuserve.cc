@@ -2,8 +2,9 @@
  * @file
  * capuserve — multi-tenant planning service driver.
  *
- * Feeds a request stream (scripted file or generated zoo mix) through the
- * PlanService + RequestQueue and reports cache behaviour and latency:
+ * Answers a request stream (scripted file or generated zoo mix) with one
+ * PlanService, fanned over a pool of --gpus workers, and reports cache
+ * behaviour and latency:
  *
  *   capuserve --mix 40 --gpus 4                 # generated zoo mix
  *   capuserve --stream requests.txt --plan-dir plans/
@@ -14,6 +15,7 @@
  * Any other non-blank line is a usage error naming <file>:<line>.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <fstream>
@@ -26,11 +28,11 @@
 
 #include "obs/chrome_trace.hh"
 #include "obs/metrics.hh"
-#include "serve/request_queue.hh"
 #include "serve/service.hh"
 #include "support/logging.hh"
 #include "support/percentile.hh"
 #include "support/rng.hh"
+#include "support/thread_pool.hh"
 #include "support/units.hh"
 
 using namespace capu;
@@ -72,8 +74,8 @@ usage()
         "                       no --stream is given)\n"
         "  --seed <n>           seed for --mix (default 0)\n"
         "  --device <name>      p100 (default) | v100\n"
-        "  --gpus <n>           admission tokens: planning sessions in\n"
-        "                       flight at once (default 4)\n"
+        "  --gpus <n>           planning sessions in flight at once, at\n"
+        "                       most one per hardware thread (default 4)\n"
         "  --cache-entries <n>  plan cache entry capacity (default 64)\n"
         "  --cache-bytes <n>    plan cache byte capacity, e.g. 64M or\n"
         "                       1.5G (default 64 MiB)\n"
@@ -262,14 +264,16 @@ main(int argc, char **argv)
         obs::MetricsRegistry metrics;
         metrics.setEnabled(true);
         PlanService service(cfg, &metrics);
-        RequestQueueConfig qcfg;
-        qcfg.gpus = opt.gpus;
-        RequestQueue queue(service, qcfg);
-        for (const auto &r : reqs)
-            queue.enqueue(r); // keep reqs intact for the digest check below
+        // One worker per GPU bounds the sessions in flight; responses land
+        // in stream order whatever order the workers finish in.
+        ThreadPool pool(std::min(static_cast<unsigned>(opt.gpus),
+                                 ThreadPool::defaultThreads()));
+        std::vector<PlanResponse> resps(reqs.size());
 
         auto t0 = std::chrono::steady_clock::now();
-        std::vector<PlanResponse> resps = queue.drain();
+        pool.forEachIndex(reqs.size(), [&](std::size_t i) {
+            resps[i] = service.handle(reqs[i]);
+        });
         auto t1 = std::chrono::steady_clock::now();
         double wall_s =
             std::chrono::duration<double>(t1 - t0).count();
@@ -342,8 +346,6 @@ main(int argc, char **argv)
                   << percentile(warm_ms, 0.50) << " ms p99 "
                   << percentile(warm_ms, 0.99) << " ms (n="
                   << warm_ms.size() << ")\n";
-        std::cout << "admission: peak " << queue.stats().peakAdmitted
-                  << " of " << opt.gpus << " gpus\n";
 
         if (!opt.metricsFile.empty() &&
             obs::writeMetricsFile(opt.metricsFile, metrics))
