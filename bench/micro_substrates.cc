@@ -55,16 +55,19 @@ BM_BfcAllocFreeCycle(benchmark::State &state)
 BENCHMARK(BM_BfcAllocFreeCycle);
 
 /**
- * The churn DESIGN.md §10 measured its rejected BFC free-list rewrites
- * on: a 16 GiB arena holding up to 2048 live chunks, so every free-list
- * insert and erase works on long sets. One alloc or free per iteration
- * over a fixed xorshift sequence: a free at a random slot one step in 8
- * (always above 2048 live), else a 4 KiB–4 MiB request, with a failed
- * request freeing the newest chunk. The 64–320 MiB branch tests the same
- * low bits as the free draw, so it fires only while nothing is live.
+ * The churn DESIGN.md §10 measures BFC free-index changes on: a 16 GiB
+ * arena holding up to 2048 live chunks, so every free-index insert and
+ * erase works on a full index. One alloc or free per iteration over a
+ * fixed xorshift sequence: a free at a random slot one step in 8 (always
+ * above 2048 live), else a 4 KiB–4 MiB request, with a failed request
+ * freeing the newest chunk. A 64–320 MiB request replaces one in 16; when
+ * `fresh_large` is off it tests the same low bits as the free draw, so it
+ * fires only while nothing is live, and when on (Bfc.SlabMatchesReference's
+ * BenchLarge mix) it draws fresh bits, so top-placed requests arrive
+ * while ~2k chunks are live.
  */
 static void
-BM_BfcChurn(benchmark::State &state)
+bfcChurn(benchmark::State &state, bool fresh_large)
 {
     BfcAllocator alloc(16_GiB);
     std::vector<MemHandle> live;
@@ -85,8 +88,9 @@ BM_BfcChurn(benchmark::State &state)
             live.pop_back();
             continue;
         }
-        std::uint64_t bytes = (r & 15) == 0 ? 64_MiB + rnd() % 256_MiB
-                                            : 4_KiB + rnd() % 4_MiB;
+        bool big = fresh_large ? (rnd() & 15) == 0 : (r & 15) == 0;
+        std::uint64_t bytes = big ? 64_MiB + rnd() % 256_MiB
+                                  : 4_KiB + rnd() % 4_MiB;
         if (auto h = alloc.allocate(bytes)) {
             live.push_back(*h);
         } else if (!live.empty()) {
@@ -97,7 +101,20 @@ BM_BfcChurn(benchmark::State &state)
     alloc.checkInvariants();
     state.SetItemsProcessed(state.iterations());
 }
+
+static void
+BM_BfcChurn(benchmark::State &state)
+{
+    bfcChurn(state, false);
+}
 BENCHMARK(BM_BfcChurn);
+
+static void
+BM_BfcChurnLarge(benchmark::State &state)
+{
+    bfcChurn(state, true);
+}
+BENCHMARK(BM_BfcChurnLarge);
 
 static void
 BM_AccessTrackerRecord(benchmark::State &state)

@@ -1,13 +1,30 @@
 #include "memory/bfc_allocator.hh"
 
 #include <algorithm>
-#include <iterator>
 #include <utility>
 
 #include "support/logging.hh"
 
 namespace capu
 {
+
+namespace
+{
+
+/**
+ * Size bin of `size` (>= 1): four bins per power of two, splitting the
+ * octave [2^e, 2^(e+1)) at 2^e times 5/4, 3/2 and 7/4, so bins grow
+ * monotonically with size and 256 of them cover every 64-bit size.
+ */
+unsigned
+sizeBin(std::uint64_t size)
+{
+    unsigned e = 63 - static_cast<unsigned>(__builtin_clzll(size));
+    unsigned quarter = e >= 2 ? (size >> (e - 2)) & 3 : (size << (2 - e)) & 3;
+    return 4 * e + quarter;
+}
+
+} // namespace
 
 BfcAllocator::BfcAllocator(std::uint64_t capacity, BfcOptions options)
     : capacity_(capacity / kAlignment * kAlignment), options_(options)
@@ -18,8 +35,7 @@ BfcAllocator::BfcAllocator(std::uint64_t capacity, BfcOptions options)
                           kNoSlot});
     indexResize(16);
     indexInsert(0, kHead);
-    freeBySize_.emplace(capacity_, 0);
-    freeByOffset_.emplace(0, capacity_);
+    freeInsert(capacity_, 0);
 }
 
 std::uint64_t
@@ -58,56 +74,66 @@ BfcAllocator::allocate(std::uint64_t bytes, Placement placement)
     bool large = options_.segregateLarge &&
                  placement == Placement::Auto && need >= kLargeThreshold;
 
-    // The chosen free chunk's entries in both free indexes.
-    auto by_size = freeBySize_.end();
-    auto by_offset = freeByOffset_.end();
+    // The chosen free chunk's bin and position there; kBins if none fits.
+    unsigned bin = kBins;
+    std::size_t pos = 0;
+    unsigned need_bin = sizeBin(need);
     if (large) {
-        // Highest-addressed fitting chunk: reverse walk of the offset
-        // index stops at the first chunk big enough — same chunk the old
-        // full scan of freeBySize_ selected, found in O(1) when the arena
-        // top is free (the common case under segregated placement).
-        for (auto it = freeByOffset_.rbegin(); it != freeByOffset_.rend();
-             ++it) {
-            if (it->second >= need) {
-                by_offset = std::prev(it.base());
-                by_size = freeBySize_.find({it->second, it->first});
-                break;
+        // Highest-addressed fitting chunk. The fitting keys are the tail
+        // of the request's bin from lower_bound and every key above it;
+        // under segregated placement few large chunks are free, so the
+        // scan is short.
+        std::uint64_t top = 0;
+        for (unsigned b = nonEmptyFrom(need_bin); b < kBins;
+             b = nonEmptyFrom(b + 1)) {
+            const std::vector<FreeKey> &keys = bins_[b];
+            auto it = keys.begin();
+            if (b == need_bin)
+                it = std::lower_bound(it, keys.end(), FreeKey{need, 0});
+            for (; it != keys.end(); ++it) {
+                if (bin == kBins || it->second > top) {
+                    top = it->second;
+                    bin = b;
+                    pos = static_cast<std::size_t>(it - keys.begin());
+                }
             }
         }
     } else {
-        by_size = freeBySize_.lower_bound({need, 0});
-        if (by_size != freeBySize_.end())
-            by_offset = freeByOffset_.find(by_size->second);
+        // Smallest (size, offset) key with size >= need.
+        const std::vector<FreeKey> &keys = bins_[need_bin];
+        auto it = std::lower_bound(keys.begin(), keys.end(), FreeKey{need, 0});
+        if (it != keys.end()) {
+            bin = need_bin;
+            pos = static_cast<std::size_t>(it - keys.begin());
+        } else {
+            bin = nonEmptyFrom(need_bin + 1);
+        }
     }
-    if (by_size == freeBySize_.end()) {
+    if (bin == kBins) {
         ++stats_.failedAllocs;
         return std::nullopt;
     }
 
-    auto [size, offset] = *by_size;
+    auto [size, offset] = bins_[bin][pos];
+    freeEraseAt(bin, pos);
     std::uint32_t slot = slotOf(offset, "allocate");
     // Split if the remainder is big enough to be useful on its own
     // (TF splits when the leftover exceeds the min allocation size).
     bool split = size - need >= kAlignment;
     MemHandle result = offset;
-    freeBySize_.erase(by_size);
     if (large && split) {
         // Carve from the top: the chunk stays free as the low remainder.
         std::uint64_t rest = size - need;
-        freeBySize_.emplace(rest, offset);
-        by_offset->second = rest;
+        freeInsert(rest, offset);
         slab_[slot].size = rest;
         result = offset + rest;
         linkAfter(slot, result, need, false);
     } else {
-        auto after = freeByOffset_.erase(by_offset);
         slab_[slot].free = false;
         if (split) {
             slab_[slot].size = need;
             linkAfter(slot, offset + need, size - need, true);
-            freeBySize_.emplace(size - need, offset + need);
-            // The remainder takes the offset-index position just vacated.
-            freeByOffset_.emplace_hint(after, offset + need, size - need);
+            freeInsert(size - need, offset + need);
         }
     }
     if (split)
@@ -136,14 +162,10 @@ BfcAllocator::deallocate(MemHandle handle)
     chunk.free = true;
     chunk.pendingFree = false;
 
-    // Where the chunk's offset-index entry goes if it stays free on its
-    // own: the position of a next neighbour it absorbs.
-    auto hint = freeByOffset_.end();
     // Coalesce with next neighbour.
     if (chunk.next != kNoSlot && slab_[chunk.next].free) {
         const Chunk &next = slab_[chunk.next];
-        freeBySize_.erase({next.size, next.offset});
-        hint = freeByOffset_.erase(freeByOffset_.find(next.offset));
+        freeErase(next.size, next.offset);
         chunk.size += next.size;
         unlink(chunk.next);
         ++stats_.mergeCount;
@@ -151,24 +173,20 @@ BfcAllocator::deallocate(MemHandle handle)
     // Coalesce with previous neighbour.
     if (chunk.prev != kNoSlot && slab_[chunk.prev].free) {
         Chunk &prev = slab_[chunk.prev];
-        freeBySize_.erase({prev.size, prev.offset});
+        freeErase(prev.size, prev.offset);
         prev.size += chunk.size;
-        freeBySize_.emplace(prev.size, prev.offset);
-        freeByOffset_.find(prev.offset)->second = prev.size;
+        freeInsert(prev.size, prev.offset);
         unlink(slot);
         ++stats_.mergeCount;
         return;
     }
-    freeBySize_.emplace(chunk.size, chunk.offset);
-    freeByOffset_.emplace_hint(hint, chunk.offset, chunk.size);
+    freeInsert(chunk.size, chunk.offset);
 }
 
 bool
 BfcAllocator::canAllocate(std::uint64_t bytes) const
 {
-    std::uint64_t need = roundUp(bytes);
-    auto it = freeBySize_.lower_bound({need, 0});
-    return it != freeBySize_.end();
+    return roundUp(bytes) <= largestFree();
 }
 
 std::uint64_t
@@ -209,9 +227,8 @@ BfcAllocator::isFreePending(MemHandle handle) const
 void
 BfcAllocator::refreshDerivedStats() const
 {
-    stats_.largestFreeChunk =
-        freeBySize_.empty() ? 0 : freeBySize_.rbegin()->first;
-    stats_.freeChunkCount = freeBySize_.size();
+    stats_.largestFreeChunk = largestFree();
+    stats_.freeChunkCount = freeCount_;
 }
 
 const BfcStats &
@@ -235,6 +252,62 @@ void
 BfcAllocator::resetPeak()
 {
     stats_.peakBytesInUse = stats_.bytesInUse;
+}
+
+void
+BfcAllocator::freeInsert(std::uint64_t size, std::uint64_t offset)
+{
+    unsigned bin = sizeBin(size);
+    std::vector<FreeKey> &keys = bins_[bin];
+    FreeKey key{size, offset};
+    keys.insert(std::lower_bound(keys.begin(), keys.end(), key), key);
+    binMask_[bin / 64] |= std::uint64_t(1) << (bin % 64);
+    ++freeCount_;
+}
+
+void
+BfcAllocator::freeErase(std::uint64_t size, std::uint64_t offset)
+{
+    unsigned bin = sizeBin(size);
+    const std::vector<FreeKey> &keys = bins_[bin];
+    FreeKey key{size, offset};
+    auto it = std::lower_bound(keys.begin(), keys.end(), key);
+    freeEraseAt(bin, static_cast<std::size_t>(it - keys.begin()));
+}
+
+void
+BfcAllocator::freeEraseAt(unsigned bin, std::size_t pos)
+{
+    std::vector<FreeKey> &keys = bins_[bin];
+    keys.erase(keys.begin() + static_cast<std::ptrdiff_t>(pos));
+    if (keys.empty())
+        binMask_[bin / 64] &= ~(std::uint64_t(1) << (bin % 64));
+    --freeCount_;
+}
+
+unsigned
+BfcAllocator::nonEmptyFrom(unsigned bin) const
+{
+    for (unsigned w = bin / 64; w < binMask_.size(); ++w) {
+        std::uint64_t bits = binMask_[w];
+        if (w == bin / 64)
+            bits &= ~std::uint64_t(0) << (bin % 64);
+        if (bits)
+            return 64 * w + static_cast<unsigned>(__builtin_ctzll(bits));
+    }
+    return kBins;
+}
+
+std::uint64_t
+BfcAllocator::largestFree() const
+{
+    for (std::size_t w = binMask_.size(); w-- > 0;) {
+        if (std::uint64_t bits = binMask_[w]) {
+            std::size_t top = 64 * w + 63 - __builtin_clzll(bits);
+            return bins_[top].back().first;
+        }
+    }
+    return 0;
 }
 
 std::uint32_t
@@ -369,11 +442,10 @@ BfcAllocator::checkInvariants() const
             ++free_count;
             if (c.owner != kNoOwner || c.pendingFree)
                 panic("free chunk at {} carries a tag", off);
-            if (!freeBySize_.count({c.size, c.offset}))
-                panic("free chunk missing from size index at {}", off);
-            auto fo = freeByOffset_.find(c.offset);
-            if (fo == freeByOffset_.end() || fo->second != c.size)
-                panic("free chunk missing from offset index at {}", off);
+            const std::vector<FreeKey> &keys = bins_[sizeBin(c.size)];
+            if (!std::binary_search(keys.begin(), keys.end(),
+                                    FreeKey{c.size, c.offset}))
+                panic("free chunk missing from its size bin at {}", off);
         } else {
             in_use += c.size;
         }
@@ -393,12 +465,26 @@ BfcAllocator::checkInvariants() const
     if (in_use != stats_.bytesInUse)
         panic("bytesInUse accounting drift: {} vs {}", in_use,
               stats_.bytesInUse);
-    if (free_count != freeBySize_.size())
-        panic("free index size drift: {} vs {}", free_count,
-              freeBySize_.size());
-    if (free_count != freeByOffset_.size())
-        panic("free offset-index size drift: {} vs {}", free_count,
-              freeByOffset_.size());
+    std::size_t binned = 0;
+    for (unsigned b = 0; b < kBins; ++b) {
+        const std::vector<FreeKey> &keys = bins_[b];
+        binned += keys.size();
+        bool marked = (binMask_[b / 64] >> (b % 64)) & 1;
+        if (marked == keys.empty())
+            panic("bin mask says bin {} is {} but it holds {} chunks", b,
+                  marked ? "non-empty" : "empty", keys.size());
+        for (std::size_t i = 0; i < keys.size(); ++i) {
+            if (sizeBin(keys[i].first) != b)
+                panic("size bin {} holds a {}-byte chunk at {}", b,
+                      keys[i].first, keys[i].second);
+            if (i > 0 && !(keys[i - 1] < keys[i]))
+                panic("size bin {} out of (size, offset) order at {}", b,
+                      keys[i].second);
+        }
+    }
+    if (binned != free_count || freeCount_ != free_count)
+        panic("size bins hold {} chunks (count {}) for {} free chunks",
+              binned, freeCount_, free_count);
 }
 
 } // namespace capu

@@ -13,19 +13,20 @@
  * touched. The arena is sized by the device's memCapacity.
  *
  * Chunks live in a slab, linked in address order and found by offset
- * through an open-addressing index. Each allocated chunk carries two tags
- * for passive mode's victim search, which reads them in one address-
- * ordered walk: its owner and whether a deferred free is posted for it.
+ * through an open-addressing index; free chunks also sit in size bins.
+ * Each allocated chunk carries two tags for passive mode's victim search,
+ * which reads them in one address-ordered walk: its owner and whether a
+ * deferred free is posted for it.
  */
 
 #ifndef CAPU_MEMORY_BFC_ALLOCATOR_HH
 #define CAPU_MEMORY_BFC_ALLOCATOR_HH
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <optional>
-#include <set>
+#include <utility>
 #include <vector>
 
 #include "support/units.hh"
@@ -133,7 +134,7 @@ class BfcAllocator
 
     /**
      * Self-check: chunks tile the arena, the address links, the offset
-     * index and the free indexes agree, and only allocated chunks carry
+     * index and the size bins agree, and only allocated chunks carry
      * tags. Panics if not.
      */
     void checkInvariants() const;
@@ -236,15 +237,21 @@ class BfcAllocator
     std::vector<IndexEntry> index_;
     unsigned indexShift_ = 0; ///< 64 - log2(index_.size())
 
-    // Free chunks ordered by (size, offset) -> best fit is lower_bound.
-    std::set<std::pair<std::uint64_t, std::uint64_t>> freeBySize_;
-    // Free chunks keyed by offset -> size. The large-placement path wants
-    // the *highest-addressed* fitting chunk; walking this map backwards
-    // finds it at the first fit instead of scanning every free chunk of
-    // sufficient size. Under segregated placement the top of the arena is
-    // exactly where the big free chunks live, so the reverse walk almost
-    // always stops after one or two probes.
-    std::map<std::uint64_t, std::uint64_t> freeByOffset_;
+    // The free index: (size, offset) keys of the free chunks in 256 size
+    // bins, by the size's power of two and then the quarter of that octave
+    // it falls in (sizeBin() in the .cc), so every key of a bin is smaller
+    // than every key of a higher bin. Each bin is a flat vector sorted by
+    // key; erasing keeps its capacity, so once the bins have grown no
+    // operation allocates. Best fit is lower_bound in the request's bin,
+    // else the front of the next non-empty bin; the large path takes the
+    // highest offset among the fitting keys, which all sit in the
+    // request's bin or above.
+    using FreeKey = std::pair<std::uint64_t, std::uint64_t>;
+    static constexpr unsigned kBins = 256;
+    std::array<std::vector<FreeKey>, kBins> bins_;
+    // Bit b is set iff bins_[b] is non-empty.
+    std::array<std::uint64_t, kBins / 64> binMask_{};
+    std::size_t freeCount_ = 0; ///< keys over all bins
 
     std::uint64_t capacity_;
     BfcOptions options_;
@@ -252,6 +259,15 @@ class BfcAllocator
 
     std::uint64_t roundUp(std::uint64_t bytes) const;
     void refreshDerivedStats() const;
+
+    void freeInsert(std::uint64_t size, std::uint64_t offset);
+    void freeErase(std::uint64_t size, std::uint64_t offset);
+    /** Erase the key at `pos` of `bin`. */
+    void freeEraseAt(unsigned bin, std::size_t pos);
+    /** Lowest non-empty bin at or above `bin`, or kBins. */
+    unsigned nonEmptyFrom(unsigned bin) const;
+    /** Size of the largest free chunk, 0 when none is free. */
+    std::uint64_t largestFree() const;
 
     std::size_t chunkCount() const { return slab_.size() - spare_.size(); }
     /** New chunk linked right after `slot`; returns its slot. */

@@ -5,7 +5,9 @@
  * panic(): an internal invariant broke — a simulator bug. Throws
  * PanicError (rather than abort()) so tests can assert on invariants.
  * fatal(): the user asked for something impossible (bad config, model that
- * cannot fit under any policy). Throws FatalError.
+ * cannot fit under any policy). Throws FatalError without printing: whoever
+ * catches it reports it once, with whatever context it adds (a tool names
+ * itself, the trace reader the row).
  * warn()/inform(): advisory messages on stderr, never stop execution.
  */
 
@@ -56,9 +58,7 @@ template <typename... Args>
 [[noreturn]] void
 fatal(std::string_view spec, const Args &...args)
 {
-    auto msg = fmt(spec, args...);
-    detail::emit("fatal", msg);
-    throw FatalError(msg);
+    throw FatalError(fmt(spec, args...));
 }
 
 template <typename... Args>

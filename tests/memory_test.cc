@@ -467,6 +467,11 @@ enum class ChurnMix
     /// BM_BfcChurn with its 64-320 MiB branch drawn from fresh bits, so
     /// large requests also arrive while chunks are live.
     BenchLarge,
+    /// Requests on every size-bin edge up to the arena size, 2^k times 1,
+    /// 5/4, 3/2 and 7/4, and 256 B either side of each, with the
+    /// Property mix's alloc/free split, so chunks sit on both sides of
+    /// each edge and >=64 MiB requests scan bins while chunks are live.
+    BinEdges,
 };
 
 /**
@@ -496,6 +501,7 @@ expectSlabMatchesReference(std::uint64_t capacity, BfcOptions options,
     };
     Rng rng(seed);
     std::uint32_t next_owner = 0;
+    const std::uint64_t top_k = 63 - __builtin_clzll(capacity);
 
     auto release = [&](std::size_t i) {
         MemHandle h = live[i];
@@ -530,6 +536,16 @@ expectSlabMatchesReference(std::uint64_t capacity, BfcOptions options,
                                           ? rng.uniformInt(1, 8_MiB)
                                           : rng.uniformInt(1, 64_KiB);
                 request(bytes, place);
+            } else {
+                release(rng.uniformInt(0, live.size() - 1));
+            }
+        } else if (mix == ChurnMix::BinEdges) {
+            if (live.empty() || rng.chance(0.55)) {
+                std::uint64_t k = rng.uniformInt(8, top_k);
+                std::uint64_t edge = (4 + rng.uniformInt(0, 3)) << (k - 2);
+                std::uint64_t bytes = edge - 256 + 256 * rng.uniformInt(0, 2);
+                if (!request(bytes, place) && !live.empty())
+                    release(live.size() - 1);
             } else {
                 release(rng.uniformInt(0, live.size() - 1));
             }
@@ -578,7 +594,7 @@ expectSlabMatchesReference(std::uint64_t capacity, BfcOptions options,
 /**
  * The slab allocator makes the map-based reference's every decision: the
  * same handle or failure, the same stats and the same arena layout after
- * each operation, for both request mixes the allocator is exercised with,
+ * each operation, for every request mix of ChurnMix,
  * each anti-fragmentation option on and off, both placements, and arenas
  * from 1 MiB to 16 GiB.
  */
@@ -586,7 +602,7 @@ TEST(Bfc, SlabMatchesReference)
 {
     const std::uint64_t arenas[] = {1_MiB, 64_MiB, 1_GiB, 16_GiB};
     const ChurnMix mixes[] = {ChurnMix::Property, ChurnMix::Bench,
-                              ChurnMix::BenchLarge};
+                              ChurnMix::BenchLarge, ChurnMix::BinEdges};
     std::uint64_t seed = 1;
     for (std::uint64_t capacity : arenas) {
         for (ChurnMix mix : mixes) {
