@@ -108,7 +108,8 @@ wallMs()
 /**
  * Worker count for bench sweeps: the CAPU_BENCH_THREADS environment
  * variable overrides the hardware default (set it to 1 to force a
- * serial sweep, e.g. when bisecting a single cell).
+ * serial sweep, e.g. when bisecting a single cell); the pool caps it at
+ * the hardware thread count.
  */
 inline unsigned
 benchThreads()

@@ -6,55 +6,14 @@
  * Paper findings: at each model's TF-ori maximum batch the overhead is
  * <1% (average 0.36%); at a smaller batch at most 1.6% (average 0.9%).
  * In eager mode: 1.5% (ResNet-50) and 2.5% (DenseNet).
- *
- * Also measures our own observability overhead (capuscope): the same
- * workload at --obs-level off/metrics/full, host wall-clock compared.
- * Machine-readable results land in BENCH_overhead.json.
  */
 
-#include <chrono>
-#include <fstream>
 #include <iostream>
 
 #include "bench/common.hh"
-#include "obs/obs.hh"
 
 using namespace capu;
 using namespace capu::bench;
-
-namespace
-{
-
-struct ObsRun
-{
-    obs::ObsLevel level;
-    double wallMs = 0;
-    Tick simTicks = 0;
-    std::uint64_t events = 0;
-};
-
-/** Run ResNet-50 under Capuchin at one obs level, wall-clock timed. */
-ObsRun
-timedRun(obs::ObsLevel level, std::int64_t batch, int iterations)
-{
-    ExecConfig cfg;
-    cfg.obsLevel = level;
-    Session s(buildModel(ModelKind::ResNet50, batch), cfg,
-              makePolicy(System::Capuchin));
-    auto t0 = std::chrono::steady_clock::now();
-    auto r = s.run(iterations);
-    auto t1 = std::chrono::steady_clock::now();
-    ObsRun run;
-    run.level = level;
-    run.wallMs = std::chrono::duration<double, std::milli>(t1 - t0).count();
-    if (!r.oom)
-        for (const auto &it : r.iterations)
-            run.simTicks += it.duration();
-    run.events = s.executor().obs().tracer.recorded();
-    return run;
-}
-
-} // namespace
 
 int
 main()
@@ -64,16 +23,6 @@ main()
 
     Table t({"model", "batch", "TF-ori img/s", "Capuchin img/s",
              "overhead", "paper"});
-
-    struct TrackerRow
-    {
-        std::string model;
-        std::int64_t batch;
-        double tf;
-        double capu;
-        double overhead;
-    };
-    std::vector<TrackerRow> tracker_rows;
 
     double sum = 0;
     int n = 0;
@@ -85,7 +34,6 @@ main()
         double overhead = tf > 0 ? 1.0 - capu / tf : 0.0;
         sum += overhead;
         ++n;
-        tracker_rows.push_back({modelName(kind), batch, tf, capu, overhead});
         t.addRow({modelName(kind), cellInt(batch), cellDouble(tf, 1),
                   cellDouble(capu, 1), cellPercent(overhead, 2), "< 1%"});
     }
@@ -114,72 +62,5 @@ main()
                  "paper's small overhead comes from host-side "
                  "lock/bookkeeping our timing model folds into kernel "
                  "launch cost.\n";
-
-    // Observability (capuscope) overhead: the same ResNet-50 workload at
-    // every obs level. Host wall-clock is what tracing costs us; the
-    // simulated time must not move at all (observer effect = 0).
-    std::cout << "\nObservability overhead (ResNet-50, Capuchin policy):\n";
-    const std::int64_t obs_batch =
-        maxBatch(ModelKind::ResNet50, System::TfOri) * 4 / 5;
-    const int obs_iters = 6;
-    std::vector<ObsRun> obs_runs;
-    for (auto level : {obs::ObsLevel::Off, obs::ObsLevel::Metrics,
-                       obs::ObsLevel::Full})
-        obs_runs.push_back(timedRun(level, obs_batch, obs_iters));
-
-    Table ot({"obs level", "wall ms", "overhead", "events", "sim time"});
-    for (const auto &run : obs_runs) {
-        double over = obs_runs[0].wallMs > 0
-                          ? run.wallMs / obs_runs[0].wallMs - 1.0
-                          : 0.0;
-        ot.addRow({obs::obsLevelName(run.level), cellDouble(run.wallMs, 2),
-                   cellPercent(over, 2),
-                   cellInt(static_cast<std::int64_t>(run.events)),
-                   formatTicks(run.simTicks)});
-    }
-    ot.print(std::cout);
-    bool observer_effect = false;
-    for (const auto &run : obs_runs)
-        if (run.simTicks != obs_runs[0].simTicks)
-            observer_effect = true;
-    std::cout << (observer_effect
-                      ? "OBSERVER EFFECT: simulated time moved!\n"
-                      : "observer effect: none (simulated time identical "
-                        "at every obs level)\n");
-
-    // Machine-readable dump for CI trend tracking.
-    std::ofstream js("BENCH_overhead.json");
-    if (js) {
-        js << "{\n  \"bench\": \"tab_overhead_tracking\",\n"
-           << "  \"tracker\": {\n    \"average_overhead\": " << (sum / n)
-           << ",\n    \"models\": [\n";
-        for (std::size_t i = 0; i < tracker_rows.size(); ++i) {
-            const auto &row = tracker_rows[i];
-            js << "      {\"model\": \"" << row.model
-               << "\", \"batch\": " << row.batch
-               << ", \"tf_img_s\": " << row.tf
-               << ", \"capuchin_img_s\": " << row.capu
-               << ", \"overhead\": " << row.overhead << "}"
-               << (i + 1 < tracker_rows.size() ? "," : "") << "\n";
-        }
-        js << "    ]\n  },\n  \"observability\": {\n"
-           << "    \"model\": \"resnet50\", \"batch\": " << obs_batch
-           << ", \"iterations\": " << obs_iters << ",\n    \"levels\": [\n";
-        for (std::size_t i = 0; i < obs_runs.size(); ++i) {
-            const auto &run = obs_runs[i];
-            double over = obs_runs[0].wallMs > 0
-                              ? run.wallMs / obs_runs[0].wallMs - 1.0
-                              : 0.0;
-            js << "      {\"level\": \"" << obs::obsLevelName(run.level)
-               << "\", \"wall_ms\": " << run.wallMs
-               << ", \"overhead\": " << over
-               << ", \"events\": " << run.events
-               << ", \"sim_ns\": " << run.simTicks << "}"
-               << (i + 1 < obs_runs.size() ? "," : "") << "\n";
-        }
-        js << "    ],\n    \"observer_effect\": "
-           << (observer_effect ? "true" : "false") << "\n  }\n}\n";
-        std::cout << "\nwrote BENCH_overhead.json\n";
-    }
-    return observer_effect ? 1 : 0;
+    return 0;
 }

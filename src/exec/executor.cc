@@ -19,6 +19,12 @@ namespace
  */
 constexpr double kEagerActivationSlack = 1.5;
 
+/** Host-side dispatch cost per op in eager mode (Python interpreter). */
+constexpr Tick kEagerHostOverhead = ticksFromUs(30);
+
+/** Pinned host staging capacity (the testbed had 256 GB). */
+constexpr std::uint64_t kHostPoolBytes = 256ull << 30;
+
 // Chunk owner tags are TensorIds; an untagged chunk reads as no tensor.
 static_assert(BfcAllocator::kNoOwner == kInvalidTensor);
 
@@ -29,7 +35,7 @@ Executor::Executor(const Graph &graph, ExecConfig config,
     : graph_(graph), config_(std::move(config)), policy_(policy),
       cost_(config_.device), faults_(config_.faults, config_.seed),
       mem_(config_.device.memCapacity,
-           faults_.clampHostBytes(config_.hostPoolBytes), config_.allocator),
+           faults_.clampHostBytes(kHostPoolBytes), config_.allocator),
       compute_("compute"),
       pcie_(config_.device.pcieBandwidth, config_.device.pcieLatency)
 {
@@ -801,10 +807,10 @@ Executor::runOp(OpId id)
 
     Tick t = std::max(compute_.busyUntil(), computeBarrier_);
     if (config_.eagerMode) {
-        hostClock_ = std::max(hostClock_, t > config_.eagerHostOverhead
-                                              ? t - config_.eagerHostOverhead
+        hostClock_ = std::max(hostClock_, t > kEagerHostOverhead
+                                              ? t - kEagerHostOverhead
                                               : 0);
-        hostClock_ += config_.eagerHostOverhead;
+        hostClock_ += kEagerHostOverhead;
         t = std::max(t, hostClock_);
     }
     clock_ = std::max(clock_, t);

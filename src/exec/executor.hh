@@ -151,9 +151,6 @@ struct ExecConfig
     /** Imperative (eager) execution: sequential host, no graph opts. */
     bool eagerMode = false;
 
-    /** Host-side dispatch cost per op in eager mode (Python interpreter). */
-    Tick eagerHostOverhead = ticksFromUs(30);
-
     /** Keep recompute intermediates that are themselves targets (§5.3). */
     bool collectiveRecompute = true;
 
@@ -162,9 +159,6 @@ struct ExecConfig
 
     /** Event ring capacity when tracing (oldest events drop on wrap). */
     std::size_t obsRingCapacity = obs::Tracer::kDefaultCapacity;
-
-    /** Pinned host staging capacity (the testbed had 256 GB). */
-    std::uint64_t hostPoolBytes = 256ull << 30;
 
     /** GPU allocator anti-fragmentation features (ablation bench). */
     BfcOptions allocator;

@@ -124,8 +124,8 @@ class Session
      * What-if search (capufork): fork this session once per variant, run
      * each fork `iterations` further iterations, and rank them by steady
      * iteration time (OOM ranks last; ties break toward the lower index).
-     * With jobs > 1 the variants run concurrently on a work-stealing pool;
-     * the winner is decided only after every variant finishes, from
+     * With jobs > 1 the variants run concurrently on a ThreadPool; the
+     * winner is decided only after every variant finishes, from
      * simulated ticks, so the outcome is identical at any thread count.
      * The session itself is not advanced.
      */

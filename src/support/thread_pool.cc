@@ -1,5 +1,6 @@
 #include "support/thread_pool.hh"
 
+#include <algorithm>
 #include <exception>
 
 namespace capu
@@ -8,28 +9,32 @@ namespace capu
 unsigned
 ThreadPool::defaultThreads()
 {
-    unsigned hw = std::thread::hardware_concurrency();
-    return hw == 0 ? 1 : hw;
+    return std::max(1u, std::thread::hardware_concurrency());
 }
 
 ThreadPool::ThreadPool(unsigned threads)
 {
-    unsigned n = threads == 0 ? defaultThreads() : threads;
-    queues_.reserve(n);
-    for (unsigned i = 0; i < n; ++i)
-        queues_.push_back(std::make_unique<Worker>());
-    workers_.reserve(n);
-    for (unsigned i = 0; i < n; ++i)
-        workers_.emplace_back([this, i] { workerLoop(i); });
+    unsigned n = threads == 0 ? defaultThreads()
+                              : std::min(threads, defaultThreads());
+    try {
+        for (unsigned i = 0; i < n; ++i)
+            workers_.emplace_back([this] { workerLoop(); });
+    } catch (...) {
+        stopAndJoin(); // an unjoined std::thread would end the program
+        throw;
+    }
 }
 
-ThreadPool::~ThreadPool()
+ThreadPool::~ThreadPool() { stopAndJoin(); }
+
+void
+ThreadPool::stopAndJoin()
 {
     {
-        std::lock_guard<std::mutex> lk(sleepMutex_);
+        std::lock_guard<std::mutex> lk(mutex_);
         stopping_ = true;
     }
-    sleepCv_.notify_all();
+    ready_.notify_all();
     for (auto &w : workers_)
         w.join();
 }
@@ -37,64 +42,27 @@ ThreadPool::~ThreadPool()
 void
 ThreadPool::enqueue(std::function<void()> fn)
 {
-    std::size_t target;
     {
-        std::lock_guard<std::mutex> lk(sleepMutex_);
-        target = nextQueue_++ % queues_.size();
-        ++pending_;
+        std::lock_guard<std::mutex> lk(mutex_);
+        queue_.push_back(std::move(fn));
     }
-    {
-        std::lock_guard<std::mutex> lk(queues_[target]->mutex);
-        queues_[target]->queue.push_back(std::move(fn));
-    }
-    sleepCv_.notify_one();
-}
-
-bool
-ThreadPool::tryPop(unsigned self, std::function<void()> &out)
-{
-    auto take = [&](Worker &w, bool lifo) {
-        std::lock_guard<std::mutex> lk(w.mutex);
-        if (w.queue.empty())
-            return false;
-        if (lifo) {
-            out = std::move(w.queue.back());
-            w.queue.pop_back();
-        } else {
-            out = std::move(w.queue.front());
-            w.queue.pop_front();
-        }
-        return true;
-    };
-    // Own queue first, newest task (LIFO: still-warm working set); then
-    // steal the oldest task from another worker (FIFO: the task its owner
-    // would reach last).
-    bool got = take(*queues_[self], true);
-    for (std::size_t i = 1; !got && i < queues_.size(); ++i)
-        got = take(*queues_[(self + i) % queues_.size()], false);
-    if (got) {
-        std::lock_guard<std::mutex> lk(sleepMutex_);
-        --pending_;
-    }
-    return got;
+    ready_.notify_one();
 }
 
 void
-ThreadPool::workerLoop(unsigned self)
+ThreadPool::workerLoop()
 {
     for (;;) {
         std::function<void()> task;
-        if (tryPop(self, task)) {
-            task();
-            continue;
+        {
+            std::unique_lock<std::mutex> lk(mutex_);
+            ready_.wait(lk, [this] { return stopping_ || !queue_.empty(); });
+            if (queue_.empty())
+                return; // stopping, and every queued task has run
+            task = std::move(queue_.front());
+            queue_.pop_front();
         }
-        std::unique_lock<std::mutex> lk(sleepMutex_);
-        if (pending_ > 0)
-            continue; // lost a pop race; the task may still be unclaimed
-        if (stopping_)
-            return;
-        sleepCv_.wait(lk,
-                      [this] { return stopping_ || pending_ > 0; });
+        task();
     }
 }
 

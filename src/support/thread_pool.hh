@@ -1,13 +1,13 @@
 /**
  * @file
- * Small work-stealing thread pool for embarrassingly parallel sweeps.
+ * Small FIFO thread pool for embarrassingly parallel sweeps.
  *
  * The simulator itself stays single-threaded and deterministic; the pool
  * exists so the bench harnesses can run *independent* (model, policy,
- * batch) configurations of the zoo concurrently. Each worker owns a deque:
- * it pops its own work LIFO (cache-warm) and steals FIFO from the other
- * workers when dry. Tasks are plain callables; submit() returns a future,
- * so exceptions thrown inside a task propagate to whoever joins it.
+ * batch) configurations of the zoo concurrently. Workers share one FIFO
+ * queue, so tasks start in submission order. Tasks are plain callables;
+ * submit() returns a future, so exceptions thrown inside a task propagate
+ * to whoever joins it.
  *
  * Determinism argument: a task never shares mutable state with another
  * task (each runs a private Session over a private Graph), so execution
@@ -36,12 +36,12 @@ class ThreadPool
 {
   public:
     /**
-     * @param threads Worker count; 0 means one per hardware thread
-     *        (minimum 1).
+     * @param threads Worker count, capped at defaultThreads(); 0 means
+     *        defaultThreads().
      */
     explicit ThreadPool(unsigned threads = 0);
 
-    /** Joins all workers; pending tasks are completed first. */
+    /** Joins all workers; queued tasks are completed first. */
     ~ThreadPool();
 
     ThreadPool(const ThreadPool &) = delete;
@@ -73,27 +73,19 @@ class ThreadPool
     void forEachIndex(std::size_t n,
                       const std::function<void(std::size_t)> &fn);
 
-    /** Number of worker threads a default-constructed pool would use. */
+    /** Hardware thread count (minimum 1): the pool's worker bound. */
     static unsigned defaultThreads();
 
   private:
-    struct Worker
-    {
-        std::deque<std::function<void()>> queue;
-        std::mutex mutex;
-    };
-
     void enqueue(std::function<void()> fn);
-    void workerLoop(unsigned self);
-    bool tryPop(unsigned self, std::function<void()> &out);
+    void workerLoop();
+    void stopAndJoin();
 
-    std::vector<std::unique_ptr<Worker>> queues_;
+    std::mutex mutex_;
+    std::condition_variable ready_; ///< a task was queued, or stopping_
+    std::deque<std::function<void()>> queue_; ///< guarded by mutex_
+    bool stopping_ = false;                   ///< guarded by mutex_
     std::vector<std::thread> workers_;
-    std::mutex sleepMutex_;
-    std::condition_variable sleepCv_;
-    std::size_t nextQueue_ = 0; ///< round-robin submission cursor
-    std::size_t pending_ = 0;   ///< queued-but-unpopped tasks (sleepMutex_)
-    bool stopping_ = false;
 };
 
 } // namespace capu

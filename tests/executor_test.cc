@@ -249,7 +249,6 @@ TEST(Executor, EagerModeIsSlower)
     ExecConfig graph_cfg = testConfig(256_MiB);
     ExecConfig eager_cfg = testConfig(256_MiB);
     eager_cfg.eagerMode = true;
-    eager_cfg.eagerHostOverhead = ticksFromUs(50);
 
     Executor g(cg1.graph, graph_cfg, nullptr);
     g.setup();

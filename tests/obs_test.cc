@@ -50,6 +50,29 @@ tracedVgg16()
     return *session;
 }
 
+/** `iterations` iterations of `g` under `policy` at obs level `level`. */
+SessionResult
+runAtLevel(obs::ObsLevel level, Graph g, std::unique_ptr<MemoryPolicy> policy,
+           int iterations)
+{
+    ExecConfig cfg;
+    cfg.obsLevel = level;
+    Session s(std::move(g), cfg, std::move(policy));
+    SessionResult r = s.run(iterations);
+    EXPECT_FALSE(r.oom) << r.oomMessage;
+    return r;
+}
+
+/** Every iteration's (begin, end). */
+std::vector<std::pair<Tick, Tick>>
+stamps(const SessionResult &r)
+{
+    std::vector<std::pair<Tick, Tick>> out;
+    for (const auto &it : r.iterations)
+        out.emplace_back(it.begin, it.end);
+    return out;
+}
+
 } // namespace
 
 // --- Tracer ring semantics ---
@@ -566,45 +589,45 @@ TEST(ObsInvariants, KernelEventsMatchKernelBusy)
 
 TEST(ObserverEffect, ObsLevelChangesNoTimestamps)
 {
-    // --obs-level=full must not move a single simulated timestamp relative
-    // to --obs-level=off, for every graph-mode model in the zoo.
+    // --obs-level=metrics and =full must not move a single simulated
+    // timestamp relative to --obs-level=off, for every graph-mode model in
+    // the zoo.
     for (ModelKind kind : graphModeModels()) {
-        std::vector<std::pair<Tick, Tick>> base;
-        for (auto level : {obs::ObsLevel::Off, obs::ObsLevel::Full}) {
-            ExecConfig cfg;
-            cfg.obsLevel = level;
-            Session s(buildModel(kind, 32), cfg, makeCapuchinPolicy());
-            auto r = s.run(2);
-            ASSERT_FALSE(r.oom) << modelName(kind);
-            std::vector<std::pair<Tick, Tick>> stamps;
-            for (const auto &it : r.iterations)
-                stamps.emplace_back(it.begin, it.end);
-            if (level == obs::ObsLevel::Off)
-                base = stamps;
-            else
-                EXPECT_EQ(stamps, base)
-                    << modelName(kind) << ": tracing moved timestamps";
-        }
+        auto base = stamps(runAtLevel(obs::ObsLevel::Off,
+                                      buildModel(kind, 32),
+                                      makeCapuchinPolicy(), 2));
+        for (auto level : {obs::ObsLevel::Metrics, obs::ObsLevel::Full})
+            EXPECT_EQ(stamps(runAtLevel(level, buildModel(kind, 32),
+                                        makeCapuchinPolicy(), 2)),
+                      base)
+                << modelName(kind) << ": obs level "
+                << obs::obsLevelName(level) << " moved timestamps";
     }
 }
 
 TEST(ObserverEffect, SwappingWorkloadIdenticalUnderTracing)
 {
-    // Same check on a workload that actually swaps (vDNN on Vgg16@230
-    // exercises evict/prefetch/stall paths, not just kernels).
-    std::vector<std::pair<Tick, Tick>> base;
-    for (auto level : {obs::ObsLevel::Off, obs::ObsLevel::Full}) {
-        ExecConfig cfg;
-        cfg.obsLevel = level;
-        Session s(buildVgg16(230), cfg, makeVdnnPolicy());
-        auto r = s.run(2);
-        ASSERT_FALSE(r.oom);
-        std::vector<std::pair<Tick, Tick>> stamps;
-        for (const auto &it : r.iterations)
-            stamps.emplace_back(it.begin, it.end);
-        if (level == obs::ObsLevel::Off)
-            base = stamps;
-        else
-            EXPECT_EQ(stamps, base);
+    // Same check on workloads that actually swap: vDNN on Vgg16@230
+    // exercises evict/prefetch/stall paths, and Capuchin on ResNet-50@256
+    // (CI's traced cell) swaps in its measured iteration 0 and recomputes
+    // in its guided iteration 2.
+    auto vgg = stamps(runAtLevel(obs::ObsLevel::Off, buildVgg16(230),
+                                 makeVdnnPolicy(), 2));
+    SessionResult resnet =
+        runAtLevel(obs::ObsLevel::Off, buildModel(ModelKind::ResNet50, 256),
+                   makeCapuchinPolicy(), 3);
+    ASSERT_EQ(resnet.iterations.size(), 3u);
+    EXPECT_GT(resnet.iterations[0].swapOutBytes, 0u);
+    EXPECT_GT(resnet.iterations[2].recomputeOps, 0);
+    for (auto level : {obs::ObsLevel::Metrics, obs::ObsLevel::Full}) {
+        EXPECT_EQ(stamps(runAtLevel(level, buildVgg16(230),
+                                    makeVdnnPolicy(), 2)),
+                  vgg)
+            << "vgg16@230 vDNN at " << obs::obsLevelName(level);
+        EXPECT_EQ(stamps(runAtLevel(level,
+                                    buildModel(ModelKind::ResNet50, 256),
+                                    makeCapuchinPolicy(), 3)),
+                  stamps(resnet))
+            << "resnet50@256 Capuchin at " << obs::obsLevelName(level);
     }
 }

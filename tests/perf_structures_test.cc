@@ -1,16 +1,17 @@
 /**
  * @file
- * Tests for the capuspeed hot-path structures: the work-stealing
- * ThreadPool, CostModel answers independent of call history, the indexed
- * AccessTracker queries against brute-force scans, and the one-walk
- * victim search and chunk tags against the merge-join search they
- * replaced.
+ * Tests for the capuspeed hot-path structures: the FIFO ThreadPool and
+ * its worker bound, CostModel answers independent of call history, the
+ * indexed AccessTracker queries against brute-force scans, and the
+ * one-walk victim search and chunk tags against the merge-join search
+ * they replaced.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <future>
 #include <map>
 #include <stdexcept>
 #include <vector>
@@ -74,7 +75,37 @@ TEST(ThreadPool, ResultsIndependentOfThreadCount)
     };
     auto serial = run(1);
     EXPECT_EQ(serial, run(2));
-    EXPECT_EQ(serial, run(8));
+    EXPECT_EQ(serial, run(ThreadPool::defaultThreads() + 1));
+}
+
+TEST(ThreadPool, OneWorkerRunsInSubmissionOrder)
+{
+    // Hold the only worker on a first task while eight more queue up, so
+    // the order they run in is the pool's pick order alone.
+    ThreadPool pool(1);
+    std::promise<void> holding, release;
+    auto held = pool.submit([&holding, done = release.get_future()] {
+        holding.set_value();
+        done.wait();
+    });
+    holding.get_future().wait();
+    std::vector<int> order;
+    std::vector<std::future<void>> futs;
+    for (int i = 0; i < 8; ++i)
+        futs.push_back(pool.submit([&order, i] { order.push_back(i); }));
+    release.set_value();
+    held.get();
+    for (auto &f : futs)
+        f.get();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+}
+
+TEST(ThreadPool, WorkersCappedAtHardwareThreads)
+{
+    const unsigned hw = ThreadPool::defaultThreads();
+    EXPECT_EQ(ThreadPool(hw + 1).threadCount(), hw);
+    EXPECT_EQ(ThreadPool(0).threadCount(), hw);
+    EXPECT_EQ(ThreadPool(1).threadCount(), 1u);
 }
 
 TEST(ThreadPool, ForEachIndexCoversEveryIndexOnce)

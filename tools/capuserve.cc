@@ -15,7 +15,6 @@
  * Any other non-blank line is a usage error naming <file>:<line>.
  */
 
-#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <fstream>
@@ -264,10 +263,10 @@ main(int argc, char **argv)
         obs::MetricsRegistry metrics;
         metrics.setEnabled(true);
         PlanService service(cfg, &metrics);
-        // One worker per GPU bounds the sessions in flight; responses land
-        // in stream order whatever order the workers finish in.
-        ThreadPool pool(std::min(static_cast<unsigned>(opt.gpus),
-                                 ThreadPool::defaultThreads()));
+        // One worker per GPU bounds the sessions in flight; workers take
+        // requests in stream order, and responses land in stream order
+        // whatever order the workers finish in.
+        ThreadPool pool(static_cast<unsigned>(opt.gpus));
         std::vector<PlanResponse> resps(reqs.size());
 
         auto t0 = std::chrono::steady_clock::now();

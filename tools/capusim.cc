@@ -67,7 +67,6 @@ struct Options
     unsigned jobs = 1;
     bool csv = false;
     bool list = false;
-    bool obsSelfcheck = false;
     bool verify = false;
     bool profile = false;
     std::string dumpTrace;
@@ -185,9 +184,10 @@ usage()
         "                     probe count (and, with --jobs > 1, how many\n"
         "                     probes were speculated on the pool and how\n"
         "                     many of those the search consumed)\n"
-        "  --jobs <n>         worker threads for --max-batch (capufork\n"
-        "                     speculative probing; default 1). The answer\n"
-        "                     is bit-identical at any job count —\n"
+        "  --jobs <n>         speculation width for --max-batch (capufork\n"
+        "                     speculative probing; default 1), run on at\n"
+        "                     most one worker per hardware thread. The\n"
+        "                     answer is bit-identical at any job count —\n"
         "                     parallelism only changes where probe\n"
         "                     sessions run, never which results the\n"
         "                     search sees\n"
@@ -210,8 +210,6 @@ usage()
         "  --trace-cap <n>    event ring capacity when tracing; oldest\n"
         "                     events drop on wrap (default "
         "1048576)\n"
-        "  --obs-selfcheck    run the workload at every obs level and\n"
-        "                     report the observability overhead\n"
         "  --replay           steady-state iteration replay: once the\n"
         "                     policy stabilizes, synthesize iterations\n"
         "                     from the cached fixed point instead of\n"
@@ -242,8 +240,7 @@ usage()
         "  0  run completed (lint/verify/profile clean when requested)\n"
         "  1  usage error or fatal setup failure\n"
         "  2  the workload ran out of GPU memory\n"
-        "  3  simulator self-check failed (--lint audit abort, panic, or\n"
-        "     an observer effect under --obs-selfcheck)\n"
+        "  3  simulator self-check failed (--lint audit abort or panic)\n"
         "  4  --verify found races or ordering violations\n";
 }
 
@@ -304,8 +301,6 @@ parseArgs(int argc, char **argv, Options &opt)
             opt.profileJson = next();
         else if (a == "--trace-cap")
             opt.traceCap = static_cast<std::size_t>(count(1, kSizeMax));
-        else if (a == "--obs-selfcheck")
-            opt.obsSelfcheck = true;
         else if (a == "--verify")
             opt.verify = true;
         else if (a == "--replay")
@@ -423,71 +418,6 @@ main(int argc, char **argv)
             cfg.variantSchedule =
                 buildWorkload(wkind, opt.model, opt.batch, opt.workloadSeed)
                     .schedule;
-
-        if (opt.obsSelfcheck) {
-            // Self-measurement: run the same workload at every obs level,
-            // compare host wall-clock (the observability overhead) and
-            // verify the simulated result is bit-identical (observer
-            // effect must be zero).
-            struct LevelRun
-            {
-                obs::ObsLevel level;
-                double wallMs = 0;
-                Tick simTicks = 0;
-                std::uint64_t events = 0;
-            };
-            std::vector<LevelRun> runs;
-            {
-                // Untimed warm-up so the first timed run does not pay
-                // allocator/page-cache cold-start.
-                Session warm(buildG(opt.batch), cfg,
-                             policyByName(opt.policy, opt.lint, faults_on));
-                (void)warm.run(1);
-            }
-            for (auto level : {obs::ObsLevel::Off, obs::ObsLevel::Metrics,
-                               obs::ObsLevel::Full}) {
-                ExecConfig c = cfg;
-                c.obsLevel = level;
-                Session s(buildG(opt.batch), c,
-                          policyByName(opt.policy, opt.lint, faults_on));
-                auto t0 = std::chrono::steady_clock::now();
-                auto rr = s.run(opt.iterations);
-                auto t1 = std::chrono::steady_clock::now();
-                if (rr.oom)
-                    fatal("selfcheck run failed: {}", rr.oomMessage);
-                LevelRun lr;
-                lr.level = level;
-                lr.wallMs =
-                    std::chrono::duration<double, std::milli>(t1 - t0)
-                        .count();
-                for (const auto &it : rr.iterations)
-                    lr.simTicks += it.duration();
-                lr.events = s.executor().obs().tracer.recorded();
-                runs.push_back(lr);
-            }
-            Table t({"obs level", "wall ms", "overhead", "sim time",
-                     "events"});
-            for (const auto &lr : runs) {
-                double over = runs[0].wallMs > 0
-                                  ? lr.wallMs / runs[0].wallMs - 1.0
-                                  : 0.0;
-                t.addRow({obs::obsLevelName(lr.level),
-                          cellDouble(lr.wallMs, 2), cellPercent(over),
-                          formatTicks(lr.simTicks),
-                          cellInt(static_cast<std::int64_t>(lr.events))});
-            }
-            t.print(std::cout);
-            for (const auto &lr : runs) {
-                if (lr.simTicks != runs[0].simTicks) {
-                    std::cerr << "capusim: OBSERVER EFFECT: simulated time "
-                                 "differs between obs levels\n";
-                    return 3;
-                }
-            }
-            std::cout << "observer effect: none (simulated time identical "
-                         "at every obs level)\n";
-            return 0;
-        }
 
         if (opt.findMax) {
             MaxBatchStats mstats;
