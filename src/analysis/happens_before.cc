@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <compare>
-#include <map>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -52,181 +51,11 @@ diag(LintReport &report, LintSeverity sev, const char *rule, TensorId tensor,
 } // namespace
 
 // ---------------------------------------------------------------------------
-// Static mode: plan -> event graph
+// Capuscope timeline -> event graph
 // ---------------------------------------------------------------------------
 
 HbAnalysis
-buildPlanEventGraph(const Plan &plan, const AccessTracker &tracker,
-                    const PlanChecker::BytesFn &tensor_bytes,
-                    const PlanChecker::SwapTimeFn &swap_time,
-                    const hb::OrderingRules &rules)
-{
-    using hb::HbEvent;
-    using hb::HbOp;
-    using hb::HbStream;
-
-    HbAnalysis out;
-
-    // Per planned tensor: the item, its index, and the executor-mirrored
-    // runtime state the walk maintains.
-    struct TState
-    {
-        const PlannedEviction *item = nullptr;
-        int itemIdx = 0;
-        int gen = 0;        ///< device-buffer incarnation
-        bool evicted = false;
-        bool inFlight = false; ///< prefetch issued, not yet consumed
-        bool consumed = false; ///< the plan item already fired
-    };
-    std::unordered_map<TensorId, TState> planned;
-    // (trigger tensor, trigger access) -> victims whose prefetch it fires.
-    std::map<std::pair<TensorId, int>, std::vector<TensorId>> triggers;
-    std::unordered_set<TensorId> triggerTensors;
-    for (std::size_t i = 0; i < plan.items.size(); ++i) {
-        const PlannedEviction &item = plan.items[i];
-        if (item.tensor == kInvalidTensor)
-            continue;
-        TState ts;
-        ts.item = &item;
-        ts.itemIdx = static_cast<int>(i);
-        // Duplicate items for one tensor keep the first (duplicate-item is
-        // a PlanChecker rule); losers register no trigger either.
-        if (!planned.emplace(item.tensor, ts).second)
-            continue;
-        if (item.mode == RegenChoice::Swap &&
-            item.triggerTensor != kInvalidTensor) {
-            triggers[{item.triggerTensor, item.triggerAccess}].push_back(
-                item.tensor);
-            triggerTensors.insert(item.triggerTensor);
-        }
-    }
-    if (planned.empty())
-        return out;
-
-    Tick d2hBusy = 0;
-    Tick h2dBusy = 0;
-    auto emit = [&](HbStream stream, HbOp op, TensorId tensor, int access,
-                    int buffer, bool write, std::int32_t cause, Tick start,
-                    Tick end, OpId opId) -> std::uint32_t {
-        HbEvent ev;
-        ev.id = static_cast<std::uint32_t>(out.events.size());
-        ev.stream = stream;
-        ev.op = op;
-        ev.tensor = tensor;
-        ev.accessIndex = access;
-        ev.buffer = buffer;
-        ev.write = write;
-        ev.cause = cause;
-        ev.start = start;
-        ev.end = end;
-        ev.opId = opId;
-        out.events.push_back(ev);
-        return ev.id;
-    };
-    // Issue a swap-in (prefetch or on-demand) for `t`, caused by `cause`
-    // (-1 for on-demand fetches at the faulting access).
-    auto issueSwapIn = [&](TState &ts, TensorId t, std::int32_t cause,
-                           Tick ready) {
-        ++ts.gen;
-        Tick st = swap_time(tensor_bytes(t));
-        Tick start = std::max(ready, h2dBusy);
-        Tick end = start + st;
-        h2dBusy = end;
-        int tag = ts.itemIdx + 1;
-        emit(HbStream::Deferred, HbOp::BufferAlloc, t, tag, ts.gen, false,
-             cause, ready, ready, kInvalidOp);
-        emit(HbStream::H2D, HbOp::SwapInStart, t, tag, ts.gen, true, cause,
-             start, start, kInvalidOp);
-        emit(HbStream::H2D, HbOp::SwapInEnd, t, tag, ts.gen, true, -1, end,
-             end, kInvalidOp);
-    };
-
-    for (const AccessRecord &r : tracker.sequence()) {
-        auto it = planned.find(r.tensor);
-        TState *ts = it == planned.end() ? nullptr : &it->second;
-        if (!ts && triggerTensors.count(r.tensor) == 0)
-            continue; // compute-chain contraction: FIFO order is preserved
-
-        // ensureResident: regenerate an evicted tensor before its access.
-        // A hole access (plan bug) and a missing/dead trigger both degrade
-        // to on-demand regeneration, exactly like the executor.
-        if (ts && ts->evicted) {
-            if (ts->inFlight) {
-                // Prefetch arrives; complete-before-use links its SwapInEnd
-                // to this access.
-                ts->evicted = false;
-                ts->inFlight = false;
-            } else if (ts->item->mode == RegenChoice::Swap) {
-                issueSwapIn(*ts, r.tensor, -1, r.time);
-                ts->evicted = false;
-            } else {
-                ++ts->gen;
-                emit(HbStream::Compute, HbOp::RecomputeKernel, r.tensor, 0,
-                     ts->gen, true, -1, r.time, r.time, r.op);
-                ts->evicted = false;
-            }
-        }
-
-        std::uint32_t accEv =
-            emit(HbStream::Compute, HbOp::KernelAccess, r.tensor,
-                 r.accessIndex, ts ? ts->gen : 0, r.isOutput, -1, r.time,
-                 r.time, r.op);
-
-        // Trigger role: fire prefetches this access is the in-trigger for.
-        auto trig = triggers.find({r.tensor, r.accessIndex});
-        if (trig != triggers.end()) {
-            for (TensorId victim : trig->second) {
-                TState &vs = planned.at(victim);
-                // prefetchAsync is a no-op unless the tensor is out; a dead
-                // (pre-eviction) or late (post-back) trigger does nothing.
-                if (!vs.evicted || vs.inFlight)
-                    continue;
-                issueSwapIn(vs, victim, static_cast<std::int32_t>(accEv),
-                            r.time);
-                vs.inFlight = true;
-            }
-        }
-
-        // Eviction role: the plan item fires after its evict access.
-        if (ts && !ts->consumed &&
-            r.accessIndex == ts->item->evictAfterAccess) {
-            ts->consumed = true;
-            ts->evicted = true;
-            int tag = ts->itemIdx + 1;
-            if (ts->item->mode == RegenChoice::Swap) {
-                Tick st = swap_time(tensor_bytes(r.tensor));
-                Tick start = std::max(r.time, d2hBusy);
-                Tick end = start + st;
-                d2hBusy = end;
-                // retire-before-copy supplies the access -> copy edge; the
-                // free is ordered only by complete-before-free so knocking
-                // that rule out exposes the race.
-                emit(HbStream::D2H, HbOp::SwapOutStart, r.tensor, tag,
-                     ts->gen, false, -1, start, start, kInvalidOp);
-                emit(HbStream::D2H, HbOp::SwapOutEnd, r.tensor, tag, ts->gen,
-                     false, -1, end, end, kInvalidOp);
-                emit(HbStream::Deferred, HbOp::BufferFree, r.tensor, tag,
-                     ts->gen, false, -1, end, end, kInvalidOp);
-            } else {
-                // Drop-free at the evicting kernel.
-                emit(HbStream::Deferred, HbOp::BufferFree, r.tensor, tag,
-                     ts->gen, false, static_cast<std::int32_t>(accEv),
-                     r.time, r.time, kInvalidOp);
-            }
-        }
-    }
-
-    out.edges = enumerateOrderingEdges(out.events, rules);
-    return out;
-}
-
-// ---------------------------------------------------------------------------
-// Dynamic mode: capuscope timeline -> event graph
-// ---------------------------------------------------------------------------
-
-HbAnalysis
-buildTraceEventGraph(const std::vector<obs::TimelineRecord> &recs,
-                     const hb::OrderingRules &rules)
+buildTraceEventGraph(const std::vector<obs::TimelineRecord> &recs)
 {
     using hb::HbEvent;
     using hb::HbOp;
@@ -348,7 +177,7 @@ buildTraceEventGraph(const std::vector<obs::TimelineRecord> &recs,
         out.events.push_back(s.ev);
     }
 
-    out.edges = enumerateOrderingEdges(out.events, rules);
+    out.edges = enumerateOrderingEdges(out.events);
     return out;
 }
 

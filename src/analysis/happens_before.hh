@@ -1,18 +1,17 @@
 /**
  * @file
- * capuverify: happens-before race detection over plans and traces.
+ * capuverify: happens-before race detection over execution traces.
  *
- * A guided-execution plan implies a concurrent execution: kernels on the
- * FIFO compute stream, swap-outs and prefetches on the two PCIe lanes,
- * chunk frees deferred to transfer completion. The PlanChecker proves
- * per-tensor plan invariants; this engine proves the *cross-stream*
- * property: every pair of conflicting operations on a tensor's device
+ * Guided execution runs concurrently: kernels on the FIFO compute stream,
+ * swap-outs and prefetches on the two PCIe lanes, chunk frees deferred to
+ * transfer completion. The PlanChecker proves per-tensor plan invariants
+ * before a run; this engine proves the *cross-stream* property of the run
+ * itself: every pair of conflicting operations on a tensor's device
  * buffer (or its pinned host copy) is ordered by the runtime's guarantees.
  *
  * Pipeline:
- *   1. Build an event list — from a plan + measured trace without
- *      executing it (static mode, buildPlanEventGraph), or from a
- *      capuscope trace's real records (dynamic mode, buildTraceEventGraph).
+ *   1. Lift a capuscope trace's real records into an event list
+ *      (buildTraceEventGraph).
  *   2. Enumerate the ordering edges the Executor/Stream/PcieLink enforce
  *      (exec/ordering.hh — the single source of truth for the rules).
  *   3. Assign vector clocks: one clock component per totally-ordered
@@ -27,18 +26,17 @@
  *      copy (`hb-copy-before-retire`) — and cyclic event graphs
  *      (`hb-cycle`).
  *
- * Dynamic mode additionally cross-checks the simulator itself: every
+ * checkTimestamps additionally cross-checks the simulator itself: every
  * enumerated edge must be respected by the trace's real timestamps
  * (`hb-timestamp-violation`), so a sequencing bug in the executor shows up
  * as a contradiction between the rules it claims and the times it
- * produced. The timestamp check is dynamic-only: static mode derives
- * transfer times over the *measured* (no-eviction) timeline, where an
- * exposed swap legitimately completes after its back access's recorded
- * tick.
+ * produced.
  *
- * The OrderingRules knockouts exist for tools/capumutate.cc: disabling one
- * guarantee (or surgically reordering events) must flip a clean plan to a
- * detected one — the mutation corpus gates on that detection power.
+ * Plans are not checked here: the executor itself sequences each planned
+ * eviction (deferred frees, prefetch stalls, on-demand fallbacks), so what
+ * a plan can get wrong is for PlanChecker::check's plan rules to find.
+ * tools/capumutate grades this engine on event graphs it derives from a
+ * real plan and then corrupts.
  */
 
 #ifndef CAPU_ANALYSIS_HAPPENS_BEFORE_HH
@@ -48,8 +46,6 @@
 #include <vector>
 
 #include "analysis/plan_checker.hh"
-#include "core/access_tracker.hh"
-#include "core/policy_maker.hh"
 #include "exec/ordering.hh"
 #include "graph/graph.hh"
 #include "obs/event_adapter.hh"
@@ -65,29 +61,12 @@ struct HbAnalysis
 };
 
 /**
- * Static mode: derive the event graph a plan implies over the measured
- * access trace, mirroring the executor's degradations (a dead or late
- * in-trigger falls back to an on-demand fetch at the back access; an
- * access inside the eviction hole regenerates on demand) so that clean
- * plans are race-free by construction and corrupted ones are not.
- * Structurally invalid items (anchors missing from the trace) get no
- * special handling here: PlanChecker::check reports those, then runs this
- * scan as its last rule.
+ * Lift a capuscope timeline (obs::extractTimeline) into the event model.
+ * Only tensors that move (transfers or recompute replays) contribute
+ * events; buffer incarnations are tracked across iterations so repeated
+ * swap cycles do not alias.
  */
-HbAnalysis buildPlanEventGraph(const Plan &plan,
-                               const AccessTracker &tracker,
-                               const PlanChecker::BytesFn &tensor_bytes,
-                               const PlanChecker::SwapTimeFn &swap_time,
-                               const hb::OrderingRules &rules = {});
-
-/**
- * Dynamic mode: lift a capuscope timeline (obs::extractTimeline) into the
- * same event model. Only tensors that move (transfers or recompute
- * replays) contribute events; buffer incarnations are tracked across
- * iterations so repeated swap cycles do not alias.
- */
-HbAnalysis buildTraceEventGraph(const std::vector<obs::TimelineRecord> &recs,
-                                const hb::OrderingRules &rules = {});
+HbAnalysis buildTraceEventGraph(const std::vector<obs::TimelineRecord> &recs);
 
 /**
  * One direction of an analysis's edges in compressed sparse row form:
@@ -127,16 +106,15 @@ struct HbClocks
 HbClocks assignVectorClocks(const HbAnalysis &analysis);
 
 /**
- * Race scan + directional obligations over an event graph (static or
- * dynamic). `graph` is used for tensor names in messages; pass nullptr
- * when unavailable.
+ * Race scan + directional obligations over an event graph. `graph` is
+ * used for tensor names in messages; pass nullptr when unavailable.
  */
 LintReport checkHappensBefore(const HbAnalysis &analysis,
                               const Graph *graph = nullptr);
 
 /**
- * Dynamic-mode cross-check: every enumerated edge must be respected by
- * the events' observed timestamps (from.end <= to.start).
+ * Trace cross-check: every enumerated edge must be respected by the
+ * events' observed timestamps (from.end <= to.start).
  */
 LintReport checkTimestamps(const HbAnalysis &analysis,
                            const Graph *graph = nullptr);

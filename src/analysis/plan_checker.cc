@@ -6,7 +6,6 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "analysis/happens_before.hh"
 #include "stats/table.hh"
 #include "support/strfmt.hh"
 
@@ -502,14 +501,6 @@ PlanChecker::check(const Plan &plan, const BytesFn &tensor_bytes,
     checkPrefetch(placed, report);
     checkRecompute(placed, by_tensor, report);
     checkMemoryWindow(plan, by_tensor, tensor_bytes, report);
-
-    // Cross-stream ordering last: the per-tensor rules above cannot see
-    // a free racing a copy or a prefetch sequenced after its use.
-    LintReport races = checkHappensBefore(
-        buildPlanEventGraph(plan, tracker_, tensor_bytes, swap_time),
-        &graph_);
-    for (LintDiagnostic &d : races.diags)
-        report.diags.push_back(std::move(d));
     return report;
 }
 

@@ -36,8 +36,12 @@
  *                         (re-planning cannot fix that), else warning —
  *                         passive mode + refinement absorb the rest
  *  host-overcommit        host staging must fit the HostPool capacity
- *  hb-*                   the static happens-before scan over the event
- *                         graph the plan implies (analysis/happens_before)
+ *
+ * Cross-stream ordering is not a plan rule: the executor sequences every
+ * planned eviction (a chunk frees when its swap-out completes, a back
+ * access waits for its prefetch, a misplaced in-trigger falls back to an
+ * on-demand fetch), so it is checked on traced runs instead
+ * (analysis/happens_before, `capusim --verify`).
  *
  * The structural rules, the lineage walk and the memory sweep all read
  * one placement per item: its trace anchors plus the residency window
@@ -121,8 +125,7 @@ class PlanChecker
                 PlanCheckerOptions opts = {});
 
     /**
-     * Run every static rule over `plan`: the plan rules, then the static
-     * happens-before scan.
+     * Run every plan rule over `plan`.
      * @param tensor_bytes Allocation size per tensor (same fn the plan was
      *        built with).
      * @param swap_time PCIe transfer time for a byte count.

@@ -24,8 +24,7 @@
  *
  * The ordering constraints the executor honours between accesses,
  * transfers, frees and allocs are spelled out as explicit happens-before
- * edges in exec/ordering.hh; capuverify re-derives them from plans
- * (PlanChecker::check, so capulint and --lint) and from traced runs
+ * edges in exec/ordering.hh; capuverify re-derives them from traced runs
  * (capusim --verify) and checks the executor against them.
  */
 

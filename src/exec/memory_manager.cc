@@ -64,12 +64,6 @@ MemoryManager::canAllocate(Tick now, std::uint64_t bytes)
     return gpu_.canAllocate(bytes);
 }
 
-std::optional<Tick>
-MemoryManager::nextPendingFree() const
-{
-    return deferred_.nextMaturity();
-}
-
 void
 MemoryManager::drainAll()
 {

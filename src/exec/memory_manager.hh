@@ -65,8 +65,6 @@ class MemoryManager
     HostPinnedPool &host() { return host_; }
     const HostPinnedPool &host() const { return host_; }
 
-    std::optional<Tick> nextPendingFree() const;
-
     /** Whether the chunk at `handle` has an unmatured deferred free. */
     bool
     isFreePending(MemHandle handle) const

@@ -46,8 +46,7 @@ hbOpName(HbOp op)
 }
 
 std::vector<HbEdge>
-enumerateOrderingEdges(const std::vector<HbEvent> &events,
-                       const OrderingRules &rules)
+enumerateOrderingEdges(const std::vector<HbEvent> &events)
 {
     std::vector<HbEdge> edges;
     edges.reserve(events.size() * 2);
@@ -75,12 +74,12 @@ enumerateOrderingEdges(const std::vector<HbEvent> &events,
     for (std::size_t i = 0; i < events.size(); ++i) {
         const HbEvent &ev = events[i];
 
-        if (rules.streamFifo && ev.stream != HbStream::Deferred) {
+        if (ev.stream != HbStream::Deferred) {
             auto s = static_cast<std::size_t>(ev.stream);
             edge(last_on_stream[s], i, "stream-fifo");
             last_on_stream[s] = static_cast<std::int64_t>(i);
         }
-        if (rules.issueAfterCause && ev.cause >= 0)
+        if (ev.cause >= 0)
             edge(ev.cause, i, "issue-after-cause");
 
         if (ev.tensor == kInvalidTensor)
@@ -89,26 +88,25 @@ enumerateOrderingEdges(const std::vector<HbEvent> &events,
         switch (ev.op) {
           case HbOp::KernelAccess:
           case HbOp::RecomputeKernel:
-            if (rules.completeBeforeUse && m.pendingSwapInEnd >= 0) {
+            if (m.pendingSwapInEnd >= 0) {
                 edge(m.pendingSwapInEnd, i, "complete-before-use");
                 m.pendingSwapInEnd = -1;
             }
             m.lastComputeAccess = static_cast<std::int64_t>(i);
             break;
           case HbOp::SwapOutStart:
-            if (rules.retireBeforeCopy)
-                edge(m.lastComputeAccess, i, "retire-before-copy");
+            edge(m.lastComputeAccess, i, "retire-before-copy");
             break;
           case HbOp::SwapOutEnd:
             m.pendingSwapOutEnd = static_cast<std::int64_t>(i);
             m.freeSwapOutEnd = static_cast<std::int64_t>(i);
             break;
           case HbOp::SwapInStart:
-            if (rules.outBeforeIn && m.pendingSwapOutEnd >= 0) {
+            if (m.pendingSwapOutEnd >= 0) {
                 edge(m.pendingSwapOutEnd, i, "out-before-in");
                 m.pendingSwapOutEnd = -1;
             }
-            if (rules.allocBeforeCopyIn && m.pendingAlloc >= 0) {
+            if (m.pendingAlloc >= 0) {
                 edge(m.pendingAlloc, i, "alloc-before-copy-in");
                 m.pendingAlloc = -1;
             }
@@ -117,7 +115,7 @@ enumerateOrderingEdges(const std::vector<HbEvent> &events,
             m.pendingSwapInEnd = static_cast<std::int64_t>(i);
             break;
           case HbOp::BufferFree:
-            if (rules.completeBeforeFree && m.freeSwapOutEnd >= 0) {
+            if (m.freeSwapOutEnd >= 0) {
                 edge(m.freeSwapOutEnd, i, "complete-before-free");
                 m.freeSwapOutEnd = -1;
             }

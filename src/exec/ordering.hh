@@ -26,11 +26,12 @@
  *                        its in-trigger access, a drop-free at the
  *                        evicting kernel)
  *
- * capuverify (src/analysis/happens_before.*) replays these rules over
- * plan-derived or trace-derived event lists and checks that every pair of
- * conflicting operations on a tensor's device buffer is ordered. Each rule
- * can be knocked out individually (OrderingRules) so the mutation corpus
- * can prove the detector notices a missing guarantee.
+ * capuverify (src/analysis/happens_before.*) replays these rules over a
+ * traced run's event list and checks that every pair of conflicting
+ * operations on a tensor's device buffer is ordered. Each edge names the
+ * rule that implies it, so the mutation corpus (tools/capumutate.cc)
+ * knocks a rule out by dropping the edges with that name and proves the
+ * detector notices the missing guarantee.
  *
  * If executor.cc changes a sequencing decision, this enumeration must
  * change with it — the happens_before tests cross-check both against real
@@ -76,10 +77,10 @@ const char *hbStreamName(HbStream s);
 const char *hbOpName(HbOp op);
 
 /**
- * One event. Events are listed in issue order (static mode: the order the
- * host loop would issue them; dynamic mode: chronological trace order) —
- * the enumeration derives same-stream FIFO edges and cross-stream matches
- * from that order.
+ * One event. Events are listed in issue order (the order the host loop
+ * issues them; for a trace, chronological order) — the enumeration
+ * derives same-stream FIFO edges and cross-stream matches from that
+ * order.
  */
 struct HbEvent
 {
@@ -109,27 +110,11 @@ struct HbEdge
 };
 
 /**
- * Which runtime guarantees to encode. All on reproduces the executor;
- * capumutate knocks out individual rules to prove detection power.
- */
-struct OrderingRules
-{
-    bool streamFifo = true;
-    bool issueAfterCause = true;
-    bool retireBeforeCopy = true;
-    bool completeBeforeFree = true;
-    bool outBeforeIn = true;
-    bool completeBeforeUse = true;
-    bool allocBeforeCopyIn = true;
-};
-
-/**
  * Enumerate the ordering edges the runtime guarantees for `events`
- * (listed in issue order). Pure function of the list + rules: callers may
- * mutate the list (reorder, retag, drop) and re-enumerate.
+ * (listed in issue order). Pure function of the list: callers may mutate
+ * the list (reorder, retag, drop) and re-enumerate.
  */
-std::vector<HbEdge> enumerateOrderingEdges(const std::vector<HbEvent> &events,
-                                           const OrderingRules &rules = {});
+std::vector<HbEdge> enumerateOrderingEdges(const std::vector<HbEvent> &events);
 
 } // namespace capu::hb
 

@@ -325,6 +325,9 @@ findMaxBatch(const GraphBuilderFn &builder,
         return feasible(batch - step);
     };
     auto finish = [&](std::int64_t answer, int extra_probes) {
+        // The pool's destructor runs every queued probe: join it first, so
+        // `probes` counts the sessions the search actually ran.
+        pool.reset();
         if (stats) {
             stats->probes =
                 sessions_run.load(std::memory_order_relaxed) + extra_probes;

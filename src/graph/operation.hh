@@ -36,8 +36,6 @@ enum class OpCategory
     Update,      ///< SGD/Adam weight update
 };
 
-const char *opCategoryName(OpCategory cat);
-
 enum class Phase
 {
     Forward,

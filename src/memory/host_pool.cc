@@ -16,7 +16,6 @@ HostPinnedPool::allocate(std::uint64_t bytes)
 {
     if (inUse_ + bytes > capacity_) {
         ++failedAllocs_;
-        failedBytes_ += bytes;
         return 0;
     }
     inUse_ += bytes;

@@ -35,15 +35,12 @@ class HostPinnedPool
 
     /** Allocations rejected by exhaustion since construction. */
     std::uint64_t failedAllocs() const { return failedAllocs_; }
-    /** Bytes requested by rejected allocations. */
-    std::uint64_t failedBytes() const { return failedBytes_; }
 
   private:
     std::uint64_t capacity_;
     std::uint64_t inUse_ = 0;
     std::uint64_t peak_ = 0;
     std::uint64_t failedAllocs_ = 0;
-    std::uint64_t failedBytes_ = 0;
     std::uint64_t nextHandle_ = 1;
     std::map<std::uint64_t, std::uint64_t> sizes_;
 };

@@ -7,22 +7,6 @@
 namespace capu::obs
 {
 
-const char *
-timelineKindName(TimelineKind kind)
-{
-    switch (kind) {
-      case TimelineKind::Access:
-        return "access";
-      case TimelineKind::Recompute:
-        return "recompute";
-      case TimelineKind::SwapOut:
-        return "swap-out";
-      case TimelineKind::SwapIn:
-        return "swap-in";
-    }
-    return "?";
-}
-
 std::vector<LabelFacts>
 labelFacts(const NameTable &names)
 {

@@ -36,8 +36,6 @@ enum class TimelineKind : std::uint8_t
     SwapIn,    ///< H2D transfer of a tensor (interval)
 };
 
-const char *timelineKindName(TimelineKind kind);
-
 /** What a lifetime span's phase (the label after its last ':') says. */
 enum class SpanPhase : std::uint8_t
 {

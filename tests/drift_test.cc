@@ -344,10 +344,9 @@ TEST(DriftZoo, BaselinePoliciesRunDynamicGraphs)
 
 TEST(DriftLint, PlanLintCleanOnEveryClass)
 {
-    // enablePlanLint panics on error-level findings (PlanChecker::check:
-    // plan rules + static happens-before scan) every time a class's plan is
-    // built from its measured trace — a run to completion is a clean bill
-    // for every shape class.
+    // enablePlanLint panics on error-level findings (PlanChecker::check's
+    // plan rules) every time a class's plan is built from its measured
+    // trace — a run to completion is a clean bill for every shape class.
     DynamicWorkload dw = buildWorkload(WorkloadKind::Varlen, "bert", 48, 0);
     CapuchinOptions o;
     enablePlanLint(o);

@@ -444,6 +444,12 @@ TEST(ParallelMaxBatch, EqualsSerial)
     EXPECT_GT(parStats.servedFromWarm, 0);
     EXPECT_EQ(parStats.wasted,
               parStats.speculated - parStats.servedFromWarm);
+    // Every speculated probe has run by the time the search returns: the
+    // count is the serial one, minus the probes served warm, plus all
+    // the speculated ones.
+    EXPECT_EQ(parStats.probes, serialStats.probes -
+                                   parStats.servedFromWarm +
+                                   parStats.speculated);
 }
 
 TEST(ParallelMaxBatch, DynamicWorkloadEqualsSerial)

@@ -2,16 +2,16 @@
  * @file
  * Tests for capuverify: the happens-before engine (ordering-edge
  * enumeration, vector clocks, race scan, directional obligations) and
- * the zoo-wide guarantee that every clean plan the policies produce
- * verifies race-free — statically from the plan and dynamically from a
- * capuscope trace. The plan rules PlanChecker::check runs before its
- * static happens-before scan are tested in plan_checker_test.cc.
+ * the zoo-wide guarantee that every run of a clean plan the policies
+ * produce verifies race-free from its capuscope trace. The plan rules
+ * PlanChecker::check runs are tested in plan_checker_test.cc.
  */
 
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
@@ -72,8 +72,9 @@ hasRule(const LintReport &report, const std::string &rule)
 /**
  * The canonical swap round trip in issue order: evict access, D2H copy,
  * deferred free, the trigger access, then the prefetch triple and the
- * back access. This is exactly what buildPlanEventGraph emits for one
- * swap item — clean under the full rule set by construction.
+ * back access. This is exactly what capumutate's buildPlanEventGraph
+ * emits for one swap item — clean under the full rule set by
+ * construction.
  */
 std::vector<hb::HbEvent>
 roundTrip()
@@ -100,12 +101,16 @@ roundTrip()
     return evs;
 }
 
+/** Race scan over `events`' ordering edges minus those named `knockedOut`. */
 LintReport
-scan(std::vector<hb::HbEvent> events, const hb::OrderingRules &rules = {})
+scan(std::vector<hb::HbEvent> events, std::string_view knockedOut = {})
 {
     HbAnalysis a;
     a.events = std::move(events);
-    a.edges = hb::enumerateOrderingEdges(a.events, rules);
+    for (const hb::HbEdge &e : hb::enumerateOrderingEdges(a.events)) {
+        if (knockedOut != e.rule)
+            a.edges.push_back(e);
+    }
     return checkHappensBefore(a);
 }
 
@@ -140,15 +145,6 @@ TEST(OrderingEdges, SwapRoundTripEmitsEveryGuarantee)
     EXPECT_TRUE(hasEdge(edges, 5, 6, "alloc-before-copy-in"));
     EXPECT_TRUE(hasEdge(edges, 4, 6, "issue-after-cause"));
     EXPECT_TRUE(hasEdge(edges, 7, 8, "complete-before-use"));
-}
-
-TEST(OrderingEdges, KnockedOutRuleEmitsNoEdge)
-{
-    hb::OrderingRules rules;
-    rules.outBeforeIn = false;
-    auto edges = hb::enumerateOrderingEdges(roundTrip(), rules);
-    EXPECT_FALSE(hasEdge(edges, 2, 6, "out-before-in"));
-    EXPECT_TRUE(hasEdge(edges, 2, 3, "complete-before-free"));
 }
 
 // --- vector clocks ---
@@ -225,35 +221,27 @@ TEST(RaceScan, PrefetchSequencedAfterBackAccess)
 
 TEST(RaceScan, EarlyFreeRacesSwapOut)
 {
-    hb::OrderingRules rules;
-    rules.completeBeforeFree = false;
-    LintReport report = scan(roundTrip(), rules);
+    LintReport report = scan(roundTrip(), "complete-before-free");
     EXPECT_TRUE(hasRule(report, "hb-free-racing-swapout"))
         << report.summary();
 }
 
 TEST(Obligations, CopyBeforeRetire)
 {
-    hb::OrderingRules rules;
-    rules.retireBeforeCopy = false;
-    LintReport report = scan(roundTrip(), rules);
+    LintReport report = scan(roundTrip(), "retire-before-copy");
     EXPECT_TRUE(hasRule(report, "hb-copy-before-retire")) << report.summary();
 }
 
 TEST(Obligations, SwapInBeforeSwapOut)
 {
-    hb::OrderingRules rules;
-    rules.outBeforeIn = false;
-    LintReport report = scan(roundTrip(), rules);
+    LintReport report = scan(roundTrip(), "out-before-in");
     EXPECT_TRUE(hasRule(report, "hb-swapin-before-swapout"))
         << report.summary();
 }
 
 TEST(Obligations, DroppedSyncEdgeUnsequencesPrefetch)
 {
-    hb::OrderingRules rules;
-    rules.completeBeforeUse = false;
-    LintReport report = scan(roundTrip(), rules);
+    LintReport report = scan(roundTrip(), "complete-before-use");
     EXPECT_TRUE(hasRule(report, "hb-unsequenced-prefetch"))
         << report.summary();
 }
@@ -359,8 +347,8 @@ sweepBatch(ModelKind kind)
 std::unique_ptr<MemoryPolicy>
 makeLintedPolicy(Pol p)
 {
-    // panicOnError stays at its default (true): an error from any static
-    // rule, hb-* included, fails the sweep by throwing out of run().
+    // panicOnError stays at its default (true): an error from any plan
+    // rule fails the sweep by throwing out of run().
     switch (p) {
       case Pol::Capuchin: {
         CapuchinOptions o;
@@ -394,10 +382,19 @@ TEST_P(CapuverifyZooTest, CleanPlansVerifyRaceFree)
     auto [kind, pol] = GetParam();
     if (kind == ModelKind::BertBase && pol == Pol::Vdnn)
         GTEST_SKIP() << "vDNN is CNN-only";
-    Session s(buildModel(kind, sweepBatch(kind)), ExecConfig{},
-              makeLintedPolicy(pol));
-    auto r = s.run(2); // PlanChecker::check (plan rules + hb) runs inside
-    EXPECT_FALSE(r.oom) << r.oomMessage;
+    ExecConfig cfg;
+    cfg.obsLevel = obs::ObsLevel::Full;
+    Session s(buildModel(kind, sweepBatch(kind)), cfg, makeLintedPolicy(pol));
+    auto r = s.run(2); // PlanChecker::check runs inside
+    ASSERT_FALSE(r.oom) << r.oomMessage;
+
+    HbAnalysis a =
+        buildTraceEventGraph(obs::extractTimeline(s.executor().obs().tracer));
+    ASSERT_FALSE(a.events.empty()); // the cell swaps or recomputes
+    LintReport races = checkHappensBefore(a, &s.graph());
+    EXPECT_EQ(races.errorCount(), 0u) << races.summary();
+    LintReport stamps = checkTimestamps(a, &s.graph());
+    EXPECT_EQ(stamps.errorCount(), 0u) << stamps.summary();
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -5,9 +5,10 @@
  * Loads a trace written by `capusim --dump-trace`, rebuilds the skeletal
  * graph and tracker, runs the PolicyMaker exactly as guided execution
  * would, and lints the resulting plan with PlanChecker::check — every
- * static rule, ending with the happens-before scan
- * (src/analysis/plan_checker.hh). Lets planner changes be validated
- * against a corpus of saved traces without re-simulating training.
+ * plan rule (src/analysis/plan_checker.hh). Lets planner changes be
+ * validated against a corpus of saved traces without re-simulating
+ * training. Cross-stream ordering is checked on traced runs instead
+ * (capusim --verify).
  *
  *   capusim --model resnet50 --batch 400 --dump-trace r50.csv
  *   capulint --trace r50.csv

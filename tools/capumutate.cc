@@ -1,21 +1,24 @@
 /**
  * @file
- * capumutate — seeded mutation corpus for the static plan verifier.
+ * capumutate — seeded mutation corpus for the plan verifier and the
+ * happens-before engine.
  *
- * Builds a clean plan from a saved access trace (same flow as capulint),
- * verifies that PlanChecker::check reports zero errors on it and the
- * dynamic happens-before cross-check zero on a clean synthetic timeline
- * (the false-positive gate), then injects ~10 classes of plan/schedule
- * corruptions and checks each is caught with the expected rule (the
- * detection gate). Corruption classes:
+ * Builds a clean plan from a saved access trace (same flow as capulint)
+ * and the event graph that plan implies (buildPlanEventGraph: the
+ * schedule the executor runs it as). The false-positive gate requires
+ * zero errors from PlanChecker::check on the plan, from the race scan on
+ * that unmutated graph, and from the dynamic happens-before cross-check
+ * on a clean synthetic timeline. The detection gate then injects ~10
+ * classes of plan/schedule corruptions and checks each is caught with the
+ * expected rule. Corruption classes:
  *
  *   event surgery      trigger-after-back, swapin-during-swapout — reorder
  *                      prefetch triples in the event list, exactly the
  *                      schedules a buggy executor would produce
  *   rule knockouts     drop-sync-edge, early-free, copy-before-retire —
- *                      re-enumerate edges with one executor guarantee
- *                      disabled (OrderingRules), modelling a runtime that
- *                      forgot to enforce it
+ *                      drop every edge of one executor guarantee from the
+ *                      clean graph, modelling a runtime that forgot to
+ *                      enforce it
  *   plan mutations     use-after-evict-hole, empty-interval — corrupt
  *                      PlannedEviction intervals (graded on
  *                      PlanChecker::check)
@@ -36,9 +39,12 @@
 #include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <map>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "analysis/happens_before.hh"
@@ -173,6 +179,187 @@ loadManifest(const std::string &path)
 }
 
 // ---------------------------------------------------------------------------
+// Plan -> event graph
+// ---------------------------------------------------------------------------
+
+/**
+ * Derive the event graph a plan implies over the measured access trace,
+ * mirroring the executor's degradations (a dead or late in-trigger falls
+ * back to an on-demand fetch at the back access; an access inside the
+ * eviction hole regenerates on demand). Because it mirrors them, any plan
+ * yields a race-free graph: the event-surgery and knockout classes below
+ * corrupt the graph itself, and plan faults are PlanChecker::check's.
+ * Structurally invalid items (anchors missing from the trace) get no
+ * special handling here. Transfer times are derived over the measured
+ * (no-eviction) timeline, where an exposed swap legitimately completes
+ * after its back access's recorded tick, so the graph is race-scanned but
+ * never timestamp-checked.
+ */
+HbAnalysis
+buildPlanEventGraph(const Plan &plan, const AccessTracker &tracker,
+                    const PlanChecker::BytesFn &tensor_bytes,
+                    const PlanChecker::SwapTimeFn &swap_time)
+{
+    using hb::HbEvent;
+    using hb::HbOp;
+    using hb::HbStream;
+
+    HbAnalysis out;
+
+    // Per planned tensor: the item, its index, and the executor-mirrored
+    // runtime state the walk maintains.
+    struct TState
+    {
+        const PlannedEviction *item = nullptr;
+        int itemIdx = 0;
+        int gen = 0;        ///< device-buffer incarnation
+        bool evicted = false;
+        bool inFlight = false; ///< prefetch issued, not yet consumed
+        bool consumed = false; ///< the plan item already fired
+    };
+    std::unordered_map<TensorId, TState> planned;
+    // (trigger tensor, trigger access) -> victims whose prefetch it fires.
+    std::map<std::pair<TensorId, int>, std::vector<TensorId>> triggers;
+    std::unordered_set<TensorId> triggerTensors;
+    for (std::size_t i = 0; i < plan.items.size(); ++i) {
+        const PlannedEviction &item = plan.items[i];
+        if (item.tensor == kInvalidTensor)
+            continue;
+        TState ts;
+        ts.item = &item;
+        ts.itemIdx = static_cast<int>(i);
+        // Duplicate items for one tensor keep the first (duplicate-item is
+        // a PlanChecker rule); losers register no trigger either.
+        if (!planned.emplace(item.tensor, ts).second)
+            continue;
+        if (item.mode == RegenChoice::Swap &&
+            item.triggerTensor != kInvalidTensor) {
+            triggers[{item.triggerTensor, item.triggerAccess}].push_back(
+                item.tensor);
+            triggerTensors.insert(item.triggerTensor);
+        }
+    }
+    if (planned.empty())
+        return out;
+
+    Tick d2hBusy = 0;
+    Tick h2dBusy = 0;
+    auto emit = [&](HbStream stream, HbOp op, TensorId tensor, int access,
+                    int buffer, bool write, std::int32_t cause, Tick start,
+                    Tick end, OpId opId) -> std::uint32_t {
+        HbEvent ev;
+        ev.id = static_cast<std::uint32_t>(out.events.size());
+        ev.stream = stream;
+        ev.op = op;
+        ev.tensor = tensor;
+        ev.accessIndex = access;
+        ev.buffer = buffer;
+        ev.write = write;
+        ev.cause = cause;
+        ev.start = start;
+        ev.end = end;
+        ev.opId = opId;
+        out.events.push_back(ev);
+        return ev.id;
+    };
+    // Issue a swap-in (prefetch or on-demand) for `t`, caused by `cause`
+    // (-1 for on-demand fetches at the faulting access).
+    auto issueSwapIn = [&](TState &ts, TensorId t, std::int32_t cause,
+                           Tick ready) {
+        ++ts.gen;
+        Tick st = swap_time(tensor_bytes(t));
+        Tick start = std::max(ready, h2dBusy);
+        Tick end = start + st;
+        h2dBusy = end;
+        int tag = ts.itemIdx + 1;
+        emit(HbStream::Deferred, HbOp::BufferAlloc, t, tag, ts.gen, false,
+             cause, ready, ready, kInvalidOp);
+        emit(HbStream::H2D, HbOp::SwapInStart, t, tag, ts.gen, true, cause,
+             start, start, kInvalidOp);
+        emit(HbStream::H2D, HbOp::SwapInEnd, t, tag, ts.gen, true, -1, end,
+             end, kInvalidOp);
+    };
+
+    for (const AccessRecord &r : tracker.sequence()) {
+        auto it = planned.find(r.tensor);
+        TState *ts = it == planned.end() ? nullptr : &it->second;
+        if (!ts && triggerTensors.count(r.tensor) == 0)
+            continue; // compute-chain contraction: FIFO order is preserved
+
+        // ensureResident: regenerate an evicted tensor before its access.
+        // A hole access (plan bug) and a missing/dead trigger both degrade
+        // to on-demand regeneration, exactly like the executor.
+        if (ts && ts->evicted) {
+            if (ts->inFlight) {
+                // Prefetch arrives; complete-before-use links its SwapInEnd
+                // to this access.
+                ts->evicted = false;
+                ts->inFlight = false;
+            } else if (ts->item->mode == RegenChoice::Swap) {
+                issueSwapIn(*ts, r.tensor, -1, r.time);
+                ts->evicted = false;
+            } else {
+                ++ts->gen;
+                emit(HbStream::Compute, HbOp::RecomputeKernel, r.tensor, 0,
+                     ts->gen, true, -1, r.time, r.time, r.op);
+                ts->evicted = false;
+            }
+        }
+
+        std::uint32_t accEv =
+            emit(HbStream::Compute, HbOp::KernelAccess, r.tensor,
+                 r.accessIndex, ts ? ts->gen : 0, r.isOutput, -1, r.time,
+                 r.time, r.op);
+
+        // Trigger role: fire prefetches this access is the in-trigger for.
+        auto trig = triggers.find({r.tensor, r.accessIndex});
+        if (trig != triggers.end()) {
+            for (TensorId victim : trig->second) {
+                TState &vs = planned.at(victim);
+                // prefetchAsync is a no-op unless the tensor is out; a dead
+                // (pre-eviction) or late (post-back) trigger does nothing.
+                if (!vs.evicted || vs.inFlight)
+                    continue;
+                issueSwapIn(vs, victim, static_cast<std::int32_t>(accEv),
+                            r.time);
+                vs.inFlight = true;
+            }
+        }
+
+        // Eviction role: the plan item fires after its evict access.
+        if (ts && !ts->consumed &&
+            r.accessIndex == ts->item->evictAfterAccess) {
+            ts->consumed = true;
+            ts->evicted = true;
+            int tag = ts->itemIdx + 1;
+            if (ts->item->mode == RegenChoice::Swap) {
+                Tick st = swap_time(tensor_bytes(r.tensor));
+                Tick start = std::max(r.time, d2hBusy);
+                Tick end = start + st;
+                d2hBusy = end;
+                // retire-before-copy supplies the access -> copy edge; the
+                // free is ordered only by complete-before-free so knocking
+                // that rule out exposes the race.
+                emit(HbStream::D2H, HbOp::SwapOutStart, r.tensor, tag,
+                     ts->gen, false, -1, start, start, kInvalidOp);
+                emit(HbStream::D2H, HbOp::SwapOutEnd, r.tensor, tag, ts->gen,
+                     false, -1, end, end, kInvalidOp);
+                emit(HbStream::Deferred, HbOp::BufferFree, r.tensor, tag,
+                     ts->gen, false, -1, end, end, kInvalidOp);
+            } else {
+                // Drop-free at the evicting kernel.
+                emit(HbStream::Deferred, HbOp::BufferFree, r.tensor, tag,
+                     ts->gen, false, static_cast<std::int32_t>(accEv),
+                     r.time, r.time, kInvalidOp);
+            }
+        }
+    }
+
+    out.edges = enumerateOrderingEdges(out.events);
+    return out;
+}
+
+// ---------------------------------------------------------------------------
 // Mutation machinery
 // ---------------------------------------------------------------------------
 
@@ -258,10 +445,10 @@ struct Corpus
     PlanChecker::BytesFn bytesOf;
     PlanChecker::SwapTimeFn swapTime;
     PlanCheckerOptions checker;
-    HbAnalysis base; ///< clean static event graph, default rules
+    HbAnalysis base; ///< the event graph the clean plan implies
 };
 
-/** Every static rule over `plan`, with `graph` for the lineage walk. */
+/** The plan rules over `plan`, with `graph` for the lineage walk. */
 LintReport
 checkPlan(const Corpus &c, const Plan &plan, const Graph &graph)
 {
@@ -275,14 +462,6 @@ scanEvents(std::vector<hb::HbEvent> events, const Corpus &c)
     HbAnalysis m;
     m.events = std::move(events);
     m.edges = hb::enumerateOrderingEdges(m.events);
-    return checkHappensBefore(m, c.graph);
-}
-
-LintReport
-scanKnockout(const Corpus &c, const hb::OrderingRules &rules)
-{
-    HbAnalysis m = buildPlanEventGraph(*c.plan, *c.tracker, c.bytesOf,
-                                       c.swapTime, rules);
     return checkHappensBefore(m, c.graph);
 }
 
@@ -378,11 +557,12 @@ mutateSwapinDuringSwapout(const Corpus &c, Rng &rng, const std::string &rule)
 }
 
 // --- classes: rule knockouts ------------------------------------------------
-// Model an executor that forgot one sequencing guarantee. Detection is
-// deterministic per plan; seeds exist for manifest uniformity.
+// Model an executor that forgot one sequencing guarantee: the clean graph
+// minus every edge named `ordering`. Detection is deterministic per plan;
+// seeds exist for manifest uniformity.
 CaseResult
 mutateKnockout(const Corpus &c, const std::string &rule,
-               bool hb::OrderingRules::*knob, hb::HbOp siteOp)
+               std::string_view ordering, hb::HbOp siteOp)
 {
     CaseResult res;
     for (const hb::HbEvent &ev : c.base.events) {
@@ -393,9 +573,13 @@ mutateKnockout(const Corpus &c, const std::string &rule,
     }
     if (!res.injected)
         return res;
-    hb::OrderingRules rules;
-    rules.*knob = false;
-    LintReport report = scanKnockout(c, rules);
+    HbAnalysis m;
+    m.events = c.base.events;
+    for (const hb::HbEdge &e : c.base.edges) {
+        if (ordering != e.rule)
+            m.edges.push_back(e);
+    }
+    LintReport report = checkHappensBefore(m, c.graph);
     res.caught = hasRule(report, rule);
     res.note = firedRules(report);
     return res;
@@ -635,13 +819,13 @@ runCase(const std::string &cls, const Corpus &c, Rng &rng,
     if (cls == "trigger-after-back")
         return mutateTriggerAfterBack(c, rng, rule);
     if (cls == "drop-sync-edge")
-        return mutateKnockout(c, rule, &hb::OrderingRules::completeBeforeUse,
+        return mutateKnockout(c, rule, "complete-before-use",
                               hb::HbOp::SwapInEnd);
     if (cls == "early-free")
-        return mutateKnockout(c, rule, &hb::OrderingRules::completeBeforeFree,
+        return mutateKnockout(c, rule, "complete-before-free",
                               hb::HbOp::SwapOutStart);
     if (cls == "copy-before-retire")
-        return mutateKnockout(c, rule, &hb::OrderingRules::retireBeforeCopy,
+        return mutateKnockout(c, rule, "retire-before-copy",
                               hb::HbOp::SwapOutStart);
     if (cls == "swapin-during-swapout")
         return mutateSwapinDuringSwapout(c, rng, rule);
@@ -734,11 +918,15 @@ main(int argc, char **argv)
                   << " recompute), " << corpus.base.events.size()
                   << " events\n";
 
-        // --- False-positive gate: the clean plan and the clean synthetic
-        // timeline must produce zero error-level findings.
+        // --- False-positive gate: the clean plan, the event graph it
+        // implies and the clean synthetic timeline must produce zero
+        // error-level findings.
         std::size_t falsePositives = 0;
         {
             LintReport clean = checkPlan(corpus, plan, graph);
+            LintReport races = checkHappensBefore(corpus.base, &graph);
+            for (auto &d : races.diags)
+                clean.diags.push_back(std::move(d));
             Rng fixtureRng(hashCombine(opt.seed, hashString("clean")));
             LintReport synth =
                 scanTimeline(syntheticTimeline(fixtureRng, false), corpus);
