@@ -454,6 +454,102 @@ TEST(Executor, VictimsForContiguousMidIteration)
     EXPECT_TRUE(probed);
 }
 
+namespace
+{
+
+/**
+ * Swaps L1:out out after its forward read, prefetches it back when L8:out
+ * is written, and evicts it again through `sync ? evictSwapSync :
+ * evictSwapAsync` when L10:out is written. The host copy staged by the
+ * first swap-out is still current then, so the second eviction must skip
+ * the writeback: no D2H transfer, one elided writeback, and the chunk
+ * freed once the evicting kernel (async) or the host clock (sync) and the
+ * filling swap-in are both done.
+ */
+void
+expectCleanVictimEviction(bool sync)
+{
+    ChainGraph cg(12, 1_MiB, 5e7);
+    const TensorId victim = cg.features[0];
+    auto policy = std::make_unique<ScriptedPolicy>();
+    policy->actions.push_back(
+        {victim, 2, ScriptedPolicy::Action::SwapOut, kInvalidTensor});
+    policy->actions.push_back(
+        {cg.features[7], 1, ScriptedPolicy::Action::Prefetch, victim});
+    WriteProbe probe;
+    probe.trigger = cg.features[9];
+
+    // Chain the two policies: the script first, then the probe.
+    class Both : public MemoryPolicy
+    {
+      public:
+        MemoryPolicy *first;
+        MemoryPolicy *second;
+        std::string name() const override { return "both"; }
+        void
+        onAccess(ExecContext &ctx, const AccessEvent &ev) override
+        {
+            first->onAccess(ctx, ev);
+            second->onAccess(ctx, ev);
+        }
+    } both;
+    both.first = policy.get();
+    both.second = &probe;
+
+    Executor ex(cg.graph, testConfig(256_MiB), &both);
+    bool probed = false;
+    probe.probe = [&](ExecContext &ctx) {
+        probed = true;
+        const TensorState &st = ex.tensorState(victim);
+        ASSERT_EQ(ctx.status(victim), TensorStatus::In);
+        ASSERT_TRUE(st.hasHostCopy);
+        ASSERT_TRUE(st.gpuHandle.has_value());
+        const MemHandle chunk = *st.gpuHandle;
+        const Tick ready = sync ? ctx.now() : ex.computeStream().busyUntil();
+        const Tick expected_free = std::max(ready, st.swapInReady);
+        const Tick d2h_start = ex.pcie().lastStart(CopyDir::DeviceToHost);
+        const Tick d2h_busy = ex.pcie().laneBusyUntil(CopyDir::DeviceToHost);
+
+        if (sync)
+            EXPECT_TRUE(ctx.evictSwapSync(victim));
+        else
+            ctx.evictSwapAsync(victim);
+
+        EXPECT_FALSE(st.gpuHandle.has_value());
+        EXPECT_TRUE(st.hasHostCopy);
+        EXPECT_EQ(st.status, TensorStatus::Out);
+        EXPECT_EQ(ex.pcie().lastStart(CopyDir::DeviceToHost), d2h_start);
+        EXPECT_EQ(ex.pcie().laneBusyUntil(CopyDir::DeviceToHost), d2h_busy);
+        bool freed = false;
+        for (const auto &[when, handle] : ex.memory().pendingFrees()) {
+            if (handle == chunk) {
+                EXPECT_EQ(when, expected_free);
+                freed = true;
+            }
+        }
+        EXPECT_TRUE(freed) << "no deferred free posted for the chunk";
+    };
+    ex.setup();
+    IterationStats stats = ex.runIteration();
+    EXPECT_TRUE(probed);
+    EXPECT_EQ(stats.elidedWritebacks, 1);
+    EXPECT_EQ(stats.swapOutCount, 1); // the first, dirty eviction only
+    EXPECT_EQ(stats.swapInCount, 2);  // prefetch, then on demand
+    EXPECT_EQ(stats.oomEvictions, sync ? 1 : 0);
+}
+
+} // namespace
+
+TEST(Executor, CleanVictimElidesWritebackAsync)
+{
+    expectCleanVictimEviction(false);
+}
+
+TEST(Executor, CleanVictimElidesWritebackSync)
+{
+    expectCleanVictimEviction(true);
+}
+
 namespace capu
 {
 

@@ -19,16 +19,20 @@
  *  - DenseNet@200 under Capuchin: long recompute chains;
  *  - BERT@110 under Capuchin: busy PCIe swap lanes in the planner;
  *  - OpenAI-M on ResNet-50@240: a checkpointing baseline that replays
- *    lineage every iteration (its "plan" is the static drop set).
+ *    lineage every iteration (its "plan" is the static drop set);
+ *  - vDNN on VGG16@230: coupled swap-outs that fence the compute stream
+ *    (its "plan" is the static offload target list).
  *
- * A second table pins the exported bytes of three fully traced cells: the
+ * A second table pins the exported bytes of four fully traced cells: the
  * FNV-1a digest and length of the Chrome trace, the metrics CSV and the
  * profile JSON. A change to how events are recorded, named, sorted or
- * formatted must leave all three byte-identical. The cells are the CI
+ * formatted must leave all three byte-identical. Three cells are the CI
  * artifact runs: ResNet-50@256 under Capuchin, the chaos cell (PCIe storm
  * with failed swap attempts, so `!fail` and `recovery.*` labels reach the
  * exporter) and a 40-iteration VGG16@230 run whose replayed iterations
- * re-emit their `iter:N` / `iteration:N` markers.
+ * re-emit their `iter:N` / `iteration:N` markers. The fourth starves the
+ * host pool and fails swaps without retry, so swap-outs roll back their
+ * host staging and fall back to drops.
  */
 
 #include <gtest/gtest.h>
@@ -49,6 +53,7 @@
 #include "obs/chrome_trace.hh"
 #include "obs/event_adapter.hh"
 #include "policy/checkpointing_policy.hh"
+#include "policy/vdnn_policy.hh"
 #include "prof/report.hh"
 #include "support/rng.hh"
 
@@ -104,6 +109,16 @@ dropSetDigest(const CheckpointingPolicy &policy)
     return h;
 }
 
+/** Digest of vDNN's static offload targets, in forward order. */
+std::uint64_t
+targetDigest(const VdnnPolicy &policy)
+{
+    std::uint64_t h = 0;
+    for (TensorId id : policy.targets())
+        h = hashCombine(h, static_cast<std::uint64_t>(id));
+    return h;
+}
+
 Golden
 observe(ModelKind model, std::int64_t batch,
         std::unique_ptr<MemoryPolicy> policy)
@@ -122,6 +137,8 @@ observe(ModelKind model, std::int64_t batch,
     }
     if (auto *capu = dynamic_cast<CapuchinPolicy *>(raw))
         g.planDigest = planDigest(capu->plan());
+    else if (auto *vdnn = dynamic_cast<VdnnPolicy *>(raw))
+        g.planDigest = targetDigest(*vdnn);
     else
         g.planDigest =
             dropSetDigest(dynamic_cast<const CheckpointingPolicy &>(*raw));
@@ -188,6 +205,18 @@ TEST(Golden, ResNet50At240OpenAiM)
                       {1475177226ull, 0ull, 154, 0},
                   },
                   0x1d858fff15491b70ull});
+}
+
+TEST(Golden, Vgg16At230Vdnn)
+{
+    expectGolden(observe(ModelKind::Vgg16, 230, makeVdnnPolicy()),
+                 {{
+                      {3644028176ull, 14025216000ull, 0, 0},
+                      {3644028176ull, 14025216000ull, 0, 0},
+                      {3644028176ull, 14025216000ull, 0, 0},
+                      {3644028176ull, 14025216000ull, 0, 0},
+                  },
+                  0x30da31867a8f7c5eull});
 }
 
 // --- Exported bytes ---
@@ -363,4 +392,16 @@ TEST(GoldenExport, Vgg16At230ReplayedCapuchin)
     expectGoldenExport(g, {{0xb7a13622f971ef5bull, 4128176ull},
                            {0x6457d8c2859fb4f7ull, 8009ull},
                            {0xd391b55e17f727adull, 61439ull}});
+}
+
+TEST(GoldenExport, ResNet50At300HostStarved)
+{
+    ExportShape shape;
+    GoldenExport g =
+        exportRun(ModelKind::ResNet50, 300, 8,
+                  "hostcap:2GiB;swapfail:p=0.2,retries=0", 3, shape);
+    EXPECT_EQ(shape.failedSwaps, 58);
+    expectGoldenExport(g, {{0x73770f722d9c858bull, 5880566ull},
+                           {0xf693c344fd5ff09dull, 3433ull},
+                           {0x8633e54a71d57a98ull, 251853ull}});
 }
