@@ -353,8 +353,7 @@ CapuchinPolicy::passiveEvict(ExecContext &ctx, ClassState &cs,
         ctx.obs().metrics.add("recovery.drop_fallbacks");
         ctx.evictDrop(id);
         if (ctx.status(id) != TensorStatus::In) {
-            if (auto *fe = ctx.faults())
-                ++fe->stats().dropFallbacks;
+            ++ctx.faults().stats().dropFallbacks;
             return true;
         }
         return false;
@@ -471,8 +470,7 @@ CapuchinPolicy::onBackAccessStall(ExecContext &ctx, TensorId id, Tick stall)
         cs.triggersDirty = true;
         cs.feedbackShiftedThisIter = true;
     }
-    if (auto *fe = ctx.faults())
-        ++fe->stats().feedbackShifts;
+    ++ctx.faults().stats().feedbackShifts;
 }
 
 bool
@@ -521,8 +519,7 @@ CapuchinPolicy::endIteration(ExecContext &ctx, const IterationStats &stats)
                              ctx.now(), "drift.remeasure",
                              static_cast<std::int64_t>(currentClass_));
         }
-        if (auto *fe = ctx.faults())
-            ++fe->stats().remeasures;
+        ++ctx.faults().stats().remeasures;
         inform("capuchin: plan drift {}% exceeds threshold; re-entering "
                "measured execution", pct);
         return;

@@ -198,8 +198,8 @@ Executor::setup()
     }
     // Schedule position of each tensor's last consumer (-1 = never
     // consumed). Host copies die at refcount zero, i.e. right after this
-    // position; regenCheck() uses it to decide whether a host copy will
-    // still exist when a dropped descendant replays.
+    // position; canRegenerateStably() uses it to decide whether a host
+    // copy will still exist when a dropped descendant replays.
     lastUsePos_.assign(graph_.numTensors(), -1);
     for (std::size_t p = 0; p < schedule_.size(); ++p) {
         for (TensorId in : graph_.op(schedule_[p]).inputs)
@@ -307,15 +307,7 @@ Executor::abortIteration()
         }
         if (st.gpuHandle)
             mem_.freeNow(clock_, unbindGpu(id));
-        if (st.hasHostCopy) {
-            noteRetired(id);
-            mem_.host().deallocate(st.hostHandle);
-            st.hasHostCopy = false;
-            st.hostHandle = 0;
-        }
-        closePhase(id, clock_);
-        st.status = TensorStatus::Out;
-        st.produced = false;
+        retire(id, clock_);
         st.pinCount = 0;
         st.accessCount = 0;
     }
@@ -388,15 +380,7 @@ Executor::finishIterationState()
                  graph_.tensor(id).name);
             mem_.freeAt(std::max(clock_, st.swapOutDone), unbindGpu(id));
         }
-        if (st.hasHostCopy) {
-            noteRetired(id);
-            mem_.host().deallocate(st.hostHandle);
-            st.hasHostCopy = false;
-            st.hostHandle = 0;
-        }
-        closePhase(id, clock_);
-        st.status = TensorStatus::Out;
-        st.produced = false;
+        retire(id, clock_);
     }
     stats_.end = clock_;
     stats_.peakGpuBytes = mem_.gpu().stats().peakBytesInUse;
@@ -541,19 +525,9 @@ Executor::ensureResident(TensorId id, Tick at)
           obs_.tracer.instant(obs::kTrackRecovery, obs::EventKind::Recovery,
                               at, tensorLabel("recovery.ondemand-swapin:", id),
                               static_cast<std::int64_t>(id));
-          Tick done = pcie_.transfer(CopyDir::HostToDevice,
-                                     wireBytes(allocBytes(id)), at,
-                                     tensorLabel("swapin:", id),
-                                     static_cast<std::int64_t>(id));
-          bindGpu(id, h);
+          Tick done = swapIn(id, h, at, "swapin:");
           st.status = TensorStatus::In;
-          st.swapInReady = done;
-          ++stats_.swapInCount;
-          stats_.swapInBytes += allocBytes(id);
-          noteIn(id);
           obs_.metrics.add("swap.ondemand_count");
-          notePhase(id, ObsPhase::SwappingIn,
-                    pcie_.lastStart(CopyDir::HostToDevice));
           notePhase(id, ObsPhase::In, done);
           Tick stall = done - t0;
           stats_.inputStall += stall;
@@ -655,14 +629,8 @@ Executor::recomputeTensor(TensorId target, Tick at)
                 pool[kept_count++] = tid;
                 continue;
             }
-            TensorState &st = state(tid);
-            if (st.gpuHandle) {
-                mem_.freeAt(when, unbindGpu(tid));
-                st.status = st.hasHostCopy ? TensorStatus::Out
-                                           : TensorStatus::Recompute;
-                notePhase(tid,
-                          st.hasHostCopy ? ObsPhase::Out : ObsPhase::Dropped,
-                          when);
+            if (state(tid).gpuHandle) {
+                dropAt(tid, when);
                 any = true;
             }
         }
@@ -752,12 +720,7 @@ Executor::recomputeTensor(TensorId target, Tick at)
                     continue;
                 }
                 // Non-collective: release; it will be replayed again later.
-                mem_.freeAt(end, unbindGpu(out));
-                ost.status = ost.hasHostCopy ? TensorStatus::Out
-                                             : TensorStatus::Recompute;
-                notePhase(out,
-                          ost.hasHostCopy ? ObsPhase::Out : ObsPhase::Dropped,
-                          end);
+                dropAt(out, end);
             } else {
                 scratch.push_back(out);
             }
@@ -938,12 +901,12 @@ Executor::runOp(OpId id)
         if (graph_.tensor(in).kind == TensorKind::Weight)
             continue;
         if (--st.remainingUses <= 0)
-            releaseIfDead(in, end);
+            retire(in, end);
     }
     for (TensorId out : op.outputs) {
         if (usesPerIteration_[out] == 0 &&
             graph_.tensor(out).kind != TensorKind::Weight)
-            releaseIfDead(out, end);
+            retire(out, end);
     }
 
     if (policy_)
@@ -992,8 +955,88 @@ Executor::recordAccess(TensorId id, Tick when, bool is_output, OpId op)
     policy_->onAccess(*this, ev);
 }
 
+// --- residency transitions ---
+
+bool
+Executor::swapOut(TensorId id, Tick ready, std::string_view label)
+{
+    TensorState &st = state(id);
+    // Clean victim: a host copy staged earlier this iteration is still
+    // current (tensors are write-once between productions), so the device
+    // chunk is a replica and the writeback is elided — free it once `ready`
+    // passes and any in-flight fill completes. Copying clean data back out
+    // would also leave the D2H unordered against the swap-in that filled
+    // the buffer when no access consumed it.
+    if (st.hasHostCopy) {
+        dropAt(id, std::max(ready, st.swapInReady));
+        ++stats_.elidedWritebacks;
+        obs_.metrics.add("swap.writeback_elided");
+        noteOut(id);
+        return true;
+    }
+    // Stage the pinned host destination before touching PCIe: staging
+    // consumes no simulated time, and its failure must not abort the run.
+    std::uint64_t bytes = allocBytes(id);
+    st.hostHandle = hostStage(id, wireBytes(bytes));
+    if (st.hostHandle == 0)
+        return false;
+    st.hasHostCopy = true;
+    auto done = pcie_.tryTransfer(CopyDir::DeviceToHost, wireBytes(bytes),
+                                  ready, tensorLabel(label, id),
+                                  static_cast<std::int64_t>(id));
+    if (!done) {
+        // Retries exhausted: release the staging just reserved.
+        mem_.host().deallocate(st.hostHandle);
+        st.hostHandle = 0;
+        st.hasHostCopy = false;
+        return false;
+    }
+    mem_.freeAt(*done, unbindGpu(id));
+    st.status = TensorStatus::SwappingOut;
+    st.swapOutDone = *done;
+    ++stats_.swapOutCount;
+    stats_.swapOutBytes += bytes;
+    noteOut(id);
+    notePhase(id, ObsPhase::SwappingOut,
+              pcie_.lastStart(CopyDir::DeviceToHost));
+    notePhase(id, ObsPhase::Out, *done);
+    return true;
+}
+
+Tick
+Executor::swapIn(TensorId id, MemHandle chunk, Tick ready,
+                 std::string_view label)
+{
+    TensorState &st = state(id);
+    std::uint64_t bytes = allocBytes(id);
+    Tick done = pcie_.transfer(CopyDir::HostToDevice, wireBytes(bytes),
+                               ready, tensorLabel(label, id),
+                               static_cast<std::int64_t>(id));
+    bindGpu(id, chunk);
+    st.status = TensorStatus::SwappingIn;
+    st.swapInReady = done;
+    ++stats_.swapInCount;
+    stats_.swapInBytes += bytes;
+    if (std::exchange(st.outWithHost, false))
+        obs_.metrics.add("tensor.in_bytes", bytes);
+    notePhase(id, ObsPhase::SwappingIn,
+              pcie_.lastStart(CopyDir::HostToDevice));
+    return done;
+}
+
 void
-Executor::releaseIfDead(TensorId id, Tick at)
+Executor::dropAt(TensorId id, Tick when)
+{
+    TensorState &st = state(id);
+    mem_.freeAt(when, unbindGpu(id));
+    // A tensor with a surviving host copy regenerates by swap-in; only
+    // host-copy-less drops take the recomputation path.
+    st.status = st.hasHostCopy ? TensorStatus::Out : TensorStatus::Recompute;
+    notePhase(id, st.hasHostCopy ? ObsPhase::Out : ObsPhase::Dropped, when);
+}
+
+void
+Executor::retire(TensorId id, Tick at)
 {
     TensorState &st = state(id);
     if (st.gpuHandle) {
@@ -1003,11 +1046,11 @@ Executor::releaseIfDead(TensorId id, Tick at)
         Tick when = std::max(at, st.status == TensorStatus::SwappingOut
                                      ? st.swapOutDone
                                      : at);
-        when = std::max(when, st.swapInReady);
-        mem_.freeAt(when, unbindGpu(id));
+        mem_.freeAt(std::max(when, st.swapInReady), unbindGpu(id));
     }
     if (st.hasHostCopy) {
-        noteRetired(id);
+        if (std::exchange(st.outWithHost, false))
+            obs_.metrics.add("tensor.retired_host_bytes", allocBytes(id));
         mem_.host().deallocate(st.hostHandle);
         st.hasHostCopy = false;
         st.hostHandle = 0;
@@ -1130,26 +1173,6 @@ Executor::noteOut(TensorId id)
         return;
     st.outWithHost = true;
     obs_.metrics.add("tensor.out_bytes", allocBytes(id));
-}
-
-void
-Executor::noteIn(TensorId id)
-{
-    TensorState &st = state(id);
-    if (!st.outWithHost)
-        return;
-    st.outWithHost = false;
-    obs_.metrics.add("tensor.in_bytes", allocBytes(id));
-}
-
-void
-Executor::noteRetired(TensorId id)
-{
-    TensorState &st = state(id);
-    if (!st.outWithHost)
-        return;
-    st.outWithHost = false;
-    obs_.metrics.add("tensor.retired_host_bytes", allocBytes(id));
 }
 
 void
@@ -1282,14 +1305,6 @@ Executor::accessCount(TensorId id) const
 }
 
 bool
-Executor::isResident(TensorId id) const
-{
-    TensorStatus s = status(id);
-    return s == TensorStatus::In || s == TensorStatus::SwappingOut ||
-           s == TensorStatus::SwappingIn;
-}
-
-bool
 Executor::isPinned(TensorId id) const
 {
     return state(id).pinCount > 0;
@@ -1299,12 +1314,6 @@ std::uint64_t
 Executor::tensorBytes(TensorId id) const
 {
     return allocBytes(id);
-}
-
-std::uint64_t
-Executor::freeGpuBytes() const
-{
-    return mem_.gpu().bytesFree();
 }
 
 std::uint64_t
@@ -1326,14 +1335,13 @@ Executor::canAllocateNow(std::uint64_t bytes)
 }
 
 bool
-Executor::regenCheck(TensorId id, bool accept_transient)
+Executor::canRegenerateStably(TensorId id)
 {
     // Mirror of recomputeTensor()'s plan DFS, but total: false instead of
     // panic on a dead end. A tensor counts as regenerable if a replay can
-    // reach acceptable sources through recomputable ops, treating `id`
-    // itself as absent. With accept_transient, merely-resident feature
-    // maps count as sources (they may be freed later); without it only
-    // weights and host copies do.
+    // reach weights and durable host copies through recomputable ops,
+    // treating `id` itself as absent; merely-resident feature maps do not
+    // count, since they may be freed first.
     std::vector<TensorId> stack;
     stack.reserve(32);
     std::vector<bool> visited(graph_.numTensors(), false);
@@ -1342,23 +1350,16 @@ Executor::regenCheck(TensorId id, bool accept_transient)
     while (!stack.empty()) {
         TensorId tid = stack.back();
         stack.pop_back();
-        TensorState &st = state(tid);
-        TensorStatus s = effectiveStatus(st, clock_);
+        const TensorState &st = state(tid);
         if (tid != id) {
             if (graph_.tensor(tid).kind == TensorKind::Weight)
                 continue;
             // A host copy survives until its tensor's last scheduled use
             // (refcount death frees it). It is a durable replay source
             // only if that death comes no earlier than the last point at
-            // which `id` could replay — its own last use. With
-            // accept_transient any host copy counts.
-            if (st.hasHostCopy &&
-                (accept_transient || lastUsePos_[tid] >= lastUsePos_[id]))
+            // which `id` could replay — its own last use.
+            if (st.hasHostCopy && lastUsePos_[tid] >= lastUsePos_[id])
                 continue;
-            if (accept_transient &&
-                (s == TensorStatus::In || s == TensorStatus::SwappingOut ||
-                 s == TensorStatus::SwappingIn))
-                continue; // resident source (for now)
         } else if (st.hasHostCopy) {
             return true; // regenerates by swap-in regardless of lineage
         }
@@ -1373,18 +1374,6 @@ Executor::regenCheck(TensorId id, bool accept_transient)
         }
     }
     return true;
-}
-
-bool
-Executor::canRegenerate(TensorId id)
-{
-    return regenCheck(id, true);
-}
-
-bool
-Executor::canRegenerateStably(TensorId id)
-{
-    return regenCheck(id, false);
 }
 
 std::vector<TensorId>
@@ -1465,12 +1454,6 @@ Executor::memStallSoFar() const
     return stats_.inputStall + stats_.allocStall;
 }
 
-Tick
-Executor::nominalOpDuration(OpId id) const
-{
-    return cost_.opDuration(graph_.op(id), true);
-}
-
 // --- ExecContext actions ---
 
 std::uint64_t
@@ -1501,11 +1484,10 @@ Executor::hostStage(TensorId id, std::uint64_t wire_bytes)
     return h;
 }
 
-bool
+void
 Executor::swapToDropFallback(TensorId id)
 {
-    TensorState &st = state(id);
-    if (!st.hasHostCopy && !canRegenerateStably(id)) {
+    if (!state(id).hasHostCopy && !canRegenerateStably(id)) {
         // Nothing safe to do: the tensor stays resident; passive mode will
         // look for another victim.
         ++faults_.stats().swapSkips;
@@ -1513,7 +1495,7 @@ Executor::swapToDropFallback(TensorId id)
                             clock_, tensorLabel("recovery.swap-skipped:", id),
                             static_cast<std::int64_t>(id));
         obs_.metrics.add("recovery.swap_skipped");
-        return false;
+        return;
     }
     ++faults_.stats().dropFallbacks;
     obs_.tracer.instant(obs::kTrackRecovery, obs::EventKind::Recovery,
@@ -1521,7 +1503,6 @@ Executor::swapToDropFallback(TensorId id)
                         static_cast<std::int64_t>(id));
     obs_.metrics.add("recovery.drop_fallbacks");
     evictDrop(id);
-    return !st.gpuHandle;
 }
 
 void
@@ -1532,60 +1513,11 @@ Executor::evictSwapAsync(TensorId id)
         return;
     if (graph_.tensor(id).kind == TensorKind::Weight)
         panic("policy tried to evict weight {}", graph_.tensor(id).name);
-
-    std::uint64_t bytes = allocBytes(id);
-    // Clean victim: a host copy staged earlier this iteration is still
-    // current (tensors are write-once between productions), so the device
-    // chunk is a replica and the writeback is elided — free it once the
-    // evicting kernel retires and any in-flight fill completes. Copying
-    // clean data back out would also leave the D2H unordered against the
-    // swap-in that filled the buffer when no access consumed it.
-    if (st.hasHostCopy) {
-        Tick ready = std::max(clock_, currentOp_ != kInvalidOp
-                                          ? currentOpEnd_
-                                          : clock_);
-        Tick when = std::max(ready, st.swapInReady);
-        mem_.freeAt(when, unbindGpu(id));
-        st.status = TensorStatus::Out;
-        ++stats_.elidedWritebacks;
-        obs_.metrics.add("swap.writeback_elided");
-        noteOut(id);
-        notePhase(id, ObsPhase::Out, when);
-        return;
-    }
-    // Stage the pinned host destination before touching PCIe: staging
-    // consumes no simulated time, and a failure here must degrade to
-    // drop-for-recompute instead of aborting the run.
-    st.hostHandle = hostStage(id, wireBytes(bytes));
-    if (st.hostHandle == 0) {
-        swapToDropFallback(id);
-        return;
-    }
-    st.hasHostCopy = true;
     // The evicting access's kernel must retire before the copy may start.
     Tick ready = std::max(clock_, currentOp_ != kInvalidOp ? currentOpEnd_
                                                            : clock_);
-    auto done = pcie_.tryTransfer(CopyDir::DeviceToHost, wireBytes(bytes),
-                                  ready, tensorLabel("swapout:", id),
-                                  static_cast<std::int64_t>(id));
-    if (!done) {
-        // Retries exhausted: release the staging we just reserved and
-        // degrade.
-        mem_.host().deallocate(st.hostHandle);
-        st.hostHandle = 0;
-        st.hasHostCopy = false;
+    if (!swapOut(id, ready, "swapout:"))
         swapToDropFallback(id);
-        return;
-    }
-    mem_.freeAt(*done, unbindGpu(id));
-    st.status = TensorStatus::SwappingOut;
-    st.swapOutDone = *done;
-    ++stats_.swapOutCount;
-    stats_.swapOutBytes += bytes;
-    noteOut(id);
-    notePhase(id, ObsPhase::SwappingOut,
-              pcie_.lastStart(CopyDir::DeviceToHost));
-    notePhase(id, ObsPhase::Out, *done);
 }
 
 Tick
@@ -1606,51 +1538,15 @@ Executor::evictSwapBlocking(TensorId id)
 bool
 Executor::evictSwapSync(TensorId id)
 {
-    TensorState &st = state(id);
-    if (st.pinCount > 0)
+    const TensorState &st = state(id);
+    if (st.pinCount > 0 || graph_.tensor(id).kind == TensorKind::Weight ||
+        effectiveStatus(st, clock_) != TensorStatus::In || !st.gpuHandle)
         return false;
-    if (graph_.tensor(id).kind == TensorKind::Weight)
+    // The copy occupies the critical path from now; if it is declined,
+    // the caller (passive mode) picks another disposal.
+    if (!swapOut(id, clock_, "oom-swapout:"))
         return false;
-    if (effectiveStatus(st, clock_) != TensorStatus::In || !st.gpuHandle)
-        return false;
-
-    std::uint64_t bytes = allocBytes(id);
-    // Clean victim (see evictSwapAsync): the surviving host copy makes the
-    // writeback redundant; just free the device chunk.
-    if (st.hasHostCopy) {
-        Tick when = std::max(clock_, st.swapInReady);
-        mem_.freeAt(when, unbindGpu(id));
-        st.status = TensorStatus::Out;
-        ++stats_.elidedWritebacks;
-        ++stats_.oomEvictions;
-        obs_.metrics.add("swap.writeback_elided");
-        noteOut(id);
-        notePhase(id, ObsPhase::Out, when);
-        return true;
-    }
-    st.hostHandle = hostStage(id, wireBytes(bytes));
-    if (st.hostHandle == 0)
-        return false; // caller (passive mode) picks another disposal
-    st.hasHostCopy = true;
-    auto done = pcie_.tryTransfer(CopyDir::DeviceToHost, wireBytes(bytes),
-                                  clock_, tensorLabel("oom-swapout:", id),
-                                  static_cast<std::int64_t>(id));
-    if (!done) {
-        mem_.host().deallocate(st.hostHandle);
-        st.hostHandle = 0;
-        st.hasHostCopy = false;
-        return false;
-    }
-    mem_.freeAt(*done, unbindGpu(id));
-    st.status = TensorStatus::SwappingOut;
-    st.swapOutDone = *done;
-    ++stats_.swapOutCount;
     ++stats_.oomEvictions;
-    stats_.swapOutBytes += bytes;
-    noteOut(id);
-    notePhase(id, ObsPhase::SwappingOut,
-              pcie_.lastStart(CopyDir::DeviceToHost));
-    notePhase(id, ObsPhase::Out, *done);
     return true;
 }
 
@@ -1671,17 +1567,13 @@ Executor::evictDrop(TensorId id)
         (producer == kInvalidOp || !graph_.op(producer).recomputable)) {
         return;
     }
-    Tick when = std::max(clock_, currentOp_ != kInvalidOp ? currentOpEnd_
-                                                          : clock_);
-    mem_.freeAt(when, unbindGpu(id));
-    // A tensor with a surviving host copy regenerates by swap-in; only
-    // host-copy-less drops take the recomputation path.
-    st.status = st.hasHostCopy ? TensorStatus::Out : TensorStatus::Recompute;
+    // The chunk is free once the evicting access's kernel retires.
+    dropAt(id, std::max(clock_, currentOp_ != kInvalidOp ? currentOpEnd_
+                                                         : clock_));
     ++stats_.droppedTensors;
     stats_.droppedBytes += allocBytes(id);
     if (st.hasHostCopy)
         noteOut(id);
-    notePhase(id, st.hasHostCopy ? ObsPhase::Out : ObsPhase::Dropped, when);
 }
 
 void
@@ -1699,8 +1591,7 @@ Executor::prefetchAsync(TensorId id)
     }
     if (!st.hasHostCopy)
         return;
-    std::uint64_t bytes = allocBytes(id);
-    auto h = mem_.allocate(clock_, bytes);
+    auto h = mem_.allocate(clock_, allocBytes(id));
     if (!h) {
         // Peak-memory window: degrade to on-demand at the back access
         // (passive-mode safety net).
@@ -1711,19 +1602,9 @@ Executor::prefetchAsync(TensorId id)
                             static_cast<std::int64_t>(id));
         return;
     }
-    Tick done = pcie_.transfer(CopyDir::HostToDevice, wireBytes(bytes),
-                               ready, tensorLabel("prefetch:", id),
-                               static_cast<std::int64_t>(id));
-    bindGpu(id, *h);
-    st.status = TensorStatus::SwappingIn;
-    st.swapInReady = done;
-    ++stats_.swapInCount;
-    stats_.swapInBytes += bytes;
+    Tick done = swapIn(id, *h, ready, "prefetch:");
     stats_.prefetchBusy += done - pcie_.lastStart(CopyDir::HostToDevice);
-    noteIn(id);
     obs_.metrics.add("prefetch.count");
-    notePhase(id, ObsPhase::SwappingIn,
-              pcie_.lastStart(CopyDir::HostToDevice));
 }
 
 } // namespace capu

@@ -13,8 +13,14 @@
  * (2) allocates outputs + workspace under the OOM protocol (drain deferred
  * frees -> wait for earliest in-flight free -> ask the policy -> raise
  * OomError); (3) enqueues the kernel; (4) records tensor accesses and feeds
- * them to the policy; (5) releases refcount-dead tensors at kernel
+ * them to the policy; (5) retires refcount-dead tensors at kernel
  * retirement.
+ *
+ * A tensor changes residency through four private transitions, each
+ * written once and shared by every caller: swapOut (a policy's decoupled,
+ * coupled or passive eviction), swapIn (a prefetch or an on-demand fetch),
+ * dropAt (a policy's drop or a recompute replay's release) and retire
+ * (refcount death, iteration end or abort).
  *
  * Data integrity is checked with lineage fingerprints: every tensor carries
  * a 64-bit value deterministically derived from (producer op, inputs,
@@ -334,29 +340,27 @@ class Executor : public ExecContext
      */
     void abortIteration();
 
+    /** Op order of one iteration (graph topological order). */
+    const std::vector<OpId> &schedule() const { return schedule_; }
+
     // --- ExecContext queries ---
     const Graph &graph() const override { return graph_; }
-    const std::vector<OpId> &schedule() const override { return schedule_; }
     int iteration() const override { return iteration_; }
     TensorStatus status(TensorId id) const override;
     int accessCount(TensorId id) const override;
-    bool isResident(TensorId id) const override;
     bool isPinned(TensorId id) const override;
     std::uint64_t tensorBytes(TensorId id) const override;
-    std::uint64_t freeGpuBytes() const override;
     std::uint64_t gpuCapacity() const override;
     std::uint64_t hostCapacity() const override;
     bool canAllocateNow(std::uint64_t bytes) override;
     std::vector<TensorId> victimsForContiguous(std::uint64_t bytes) override;
-    bool canRegenerate(TensorId id) override;
     bool canRegenerateStably(TensorId id) override;
     Tick swapTime(std::uint64_t bytes) const override;
     Tick memStallSoFar() const override;
-    const CostModel &costModel() const override { return cost_; }
     Tick now() const override { return clock_; }
     std::uint64_t shapeClass() const override { return activeVariant_; }
     obs::Obs &obs() override { return obs_; }
-    faults::FaultEngine *faults() override { return &faults_; }
+    faults::FaultEngine &faults() override { return faults_; }
 
     // --- ExecContext actions ---
     void evictSwapAsync(TensorId id) override;
@@ -372,9 +376,6 @@ class Executor : public ExecContext
     faults::FaultEngine &faultEngine() { return faults_; }
     const TensorState &tensorState(TensorId id) const;
     const ExecConfig &config() const { return config_; }
-
-    /** Duration the cost model assigns to `op` with its preferred algo. */
-    Tick nominalOpDuration(OpId id) const;
 
     // --- capureplay hooks (exec/replay.hh drives these) ---
 
@@ -512,10 +513,42 @@ class Executor : public ExecContext
     /**
      * Degradation fallback when a swap-out cannot complete (host staging
      * failed or transfer retries exhausted): drop-for-recompute when that
-     * is stably safe, otherwise leave the tensor resident. Returns true
-     * if the tensor was disposed of (dropped).
+     * is stably safe, otherwise leave the tensor resident.
      */
-    bool swapToDropFallback(TensorId id);
+    void swapToDropFallback(TensorId id);
+
+    // --- residency transitions (each written once) ---
+
+    /**
+     * Move resident `id` to host memory with a D2H copy that starts no
+     * earlier than `ready`, traced as `<label><tensor>`; the chunk is freed
+     * when the copy completes. A clean victim (its host copy is still
+     * current) skips the copy and frees the chunk at max(ready, the
+     * filling swap-in's completion). Returns false, leaving `id` resident
+     * and without a host copy, when host staging or the transfer fails.
+     */
+    bool swapOut(TensorId id, Tick ready, std::string_view label);
+
+    /**
+     * Copy host-resident `id` into `chunk` with an H2D copy that starts no
+     * earlier than `ready`, traced as `<label><tensor>`. Leaves `id`
+     * SwappingIn and returns the copy's completion tick.
+     */
+    Tick swapIn(TensorId id, MemHandle chunk, Tick ready,
+                std::string_view label);
+
+    /**
+     * Free resident `id`'s chunk at `when`. It comes back by swap-in when
+     * a host copy survives, by recomputation otherwise.
+     */
+    void dropAt(TensorId id, Tick when);
+
+    /**
+     * `id` has no uses left: free its chunk once in-flight copies of it
+     * are done (callers with other timing free the chunk first), release
+     * its host copy, and close its residency phase at `at`.
+     */
+    void retire(TensorId id, Tick at);
 
     /** Make `id` resident at time `at`; returns the ready tick. */
     Tick ensureResident(TensorId id, Tick at);
@@ -523,10 +556,8 @@ class Executor : public ExecContext
     /** Replay lineage to regenerate `id`; returns completion tick. */
     Tick recomputeTensor(TensorId id, Tick at);
 
-    bool regenCheck(TensorId id, bool accept_transient);
     void runOp(OpId id);
     void recordAccess(TensorId id, Tick when, bool is_output, OpId op);
-    void releaseIfDead(TensorId id, Tick at);
 
     // --- observability (pure observers: never touch simulated time) ---
     // Label helpers return 0 unless tracing.
@@ -539,10 +570,11 @@ class Executor : public ExecContext
     /** Open residency phase `phase` for `id` at `at` (closes the prior). */
     void notePhase(TensorId id, ObsPhase phase, Tick at);
     void closePhase(TensorId id, Tick at);
-    /** Transition-level swap accounting (tensor.out/in/retired bytes). */
+    /**
+     * Count `id` in tensor.out_bytes until swapIn or retire counts it in
+     * tensor.in_bytes or tensor.retired_host_bytes.
+     */
     void noteOut(TensorId id);
-    void noteIn(TensorId id);
-    void noteRetired(TensorId id);
     void feedIterationMetrics();
     void produceFingerprint(TensorId id, const Operation &op);
     void verifyFingerprint(TensorId id, const Operation &op);

@@ -7,7 +7,8 @@
  * to hook events and issuing ExecContext actions. Capuchin and all three
  * baselines (TF-original, vDNN, OpenAI checkpointing) implement this
  * interface, so every comparison in the evaluation runs on identical
- * machinery.
+ * machinery. ExecContext holds only what policies call: the queries their
+ * decisions read and the five eviction/prefetch actions.
  *
  * Policies that work purely from observed tensor accesses (no computation
  * graph inspection) report graphAgnostic() == true and are the only ones
@@ -24,7 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "exec/cost_model.hh"
 #include "graph/graph.hh"
 #include "obs/obs.hh"
 #include "support/units.hh"
@@ -70,21 +70,17 @@ class ExecContext
 
     // --- queries ---
     virtual const Graph &graph() const = 0;
-    virtual const std::vector<OpId> &schedule() const = 0;
     virtual int iteration() const = 0;
     virtual TensorStatus status(TensorId id) const = 0;
     virtual int accessCount(TensorId id) const = 0;
-    /** Resident = usable on GPU right now (In / SwappingOut / SwappingIn). */
-    virtual bool isResident(TensorId id) const = 0;
     /** Pinned tensors feed the in-flight op; sync eviction must skip them. */
     virtual bool isPinned(TensorId id) const = 0;
     /** Allocation size on this executor (includes eager-mode slack). */
     virtual std::uint64_t tensorBytes(TensorId id) const = 0;
-    virtual std::uint64_t freeGpuBytes() const = 0;
     virtual std::uint64_t gpuCapacity() const = 0;
     /**
      * Whether a contiguous allocation of `bytes` would succeed right now
-     * (matured frees applied; fragmentation-aware, unlike freeGpuBytes).
+     * (matured frees applied; fragmentation-aware).
      */
     virtual bool canAllocateNow(std::uint64_t bytes) = 0;
 
@@ -98,21 +94,15 @@ class ExecContext
     victimsForContiguous(std::uint64_t bytes) = 0;
 
     /**
-     * Whether dropping `id` right now would leave it regenerable: a replay
-     * path exists from currently-resident / host-copied / weight tensors
-     * through recomputable ops. Dropping a tensor for which this is false
-     * violates the policy contract (the executor panics at the back
-     * access).
-     */
-    virtual bool canRegenerate(TensorId id) = 0;
-
-    /**
-     * Stricter: regenerable no matter what the executor frees later —
-     * every replay path terminates at weights or host copies, never at a
-     * merely-resident feature map whose refcount may hit zero first.
-     * Trace-driven planners can rely on future liveness instead (the
-     * paper's section 4.4 source analysis); policies without that
-     * foresight should gate drops on this.
+     * Whether dropping `id` right now leaves it regenerable no matter what
+     * the executor frees later: every replay path terminates at weights or
+     * host copies that outlive its last use, never at a merely-resident
+     * feature map whose refcount may hit zero first. Dropping a tensor
+     * that cannot be regenerated violates the policy contract (the
+     * executor panics at the back access). Trace-driven planners can rely
+     * on future liveness instead (the paper's section 4.4 source
+     * analysis); policies without that foresight should gate drops on
+     * this.
      */
     virtual bool canRegenerateStably(TensorId id) = 0;
     /** Host staging-pool capacity (swap-out destination budget). */
@@ -121,31 +111,28 @@ class ExecContext
     virtual Tick swapTime(std::uint64_t bytes) const = 0;
     /** Cumulative memory-management stall so far this iteration. */
     virtual Tick memStallSoFar() const = 0;
-    virtual const CostModel &costModel() const = 0;
 
     /** Current host-loop master clock (for timestamping trace events). */
-    virtual Tick now() const { return 0; }
+    virtual Tick now() const = 0;
 
     /**
      * The shape class (graph-variant index) of the iteration being
      * executed. Always 0 for static graphs, so policies without shape
      * awareness behave exactly as before.
      */
-    virtual std::uint64_t shapeClass() const { return 0; }
+    virtual std::uint64_t shapeClass() const = 0;
 
     /**
-     * Observability sink for policy decisions. Defaults to a shared inert
-     * instance, so policies instrument unconditionally and pay one branch
-     * when observability is off.
+     * Observability sink for policy decisions: policies instrument
+     * unconditionally and pay one branch when observability is off.
      */
-    virtual obs::Obs &obs() { return obs::Obs::disabled(); }
+    virtual obs::Obs &obs() = 0;
 
     /**
-     * Fault/perturbation engine (capuchaos) for recovery accounting.
-     * Null for contexts without one; the engine may be attached yet
-     * disabled — its FaultStats counters are valid either way.
+     * Fault/perturbation engine (capuchaos) for recovery accounting. It
+     * may be disabled; its FaultStats counters are valid either way.
      */
-    virtual faults::FaultEngine *faults() { return nullptr; }
+    virtual faults::FaultEngine &faults() = 0;
 
     // --- actions ---
 

@@ -36,11 +36,4 @@ Obs::configure(ObsLevel level, std::size_t ring_capacity)
     metrics.setEnabled(level != ObsLevel::Off);
 }
 
-Obs &
-Obs::disabled()
-{
-    static Obs inert;
-    return inert;
-}
-
 } // namespace capu::obs

@@ -12,8 +12,7 @@
  *
  * The executor owns an Obs configured from ExecConfig::obsLevel and exposes
  * it through ExecContext, so policies instrument their decisions without
- * new plumbing. Code paths that run without an executor use
- * Obs::disabled(), a shared inert instance.
+ * new plumbing.
  *
  * Invariant (tested): no instrumentation point may read or advance
  * simulated time — observability must never change a simulated timestamp.
@@ -56,9 +55,6 @@ class Obs
 
     Tracer tracer;
     MetricsRegistry metrics;
-
-    /** Shared inert instance for contexts with no observability attached. */
-    static Obs &disabled();
 
   private:
     ObsLevel level_ = ObsLevel::Off;

@@ -19,9 +19,9 @@
  *
  * Each tracer owns the NameTable its events' labels index. Hot emitters
  * intern a label once and pass the cached NameId; the string_view emitter
- * overloads intern per call. A disabled tracer never touches its table —
- * Obs::disabled() is one instance shared across threads — so intern()
- * returns 0 while disabled and callers cache ids only while tracing.
+ * overloads intern per call. A disabled tracer never touches its table, so
+ * intern() returns 0 while disabled and callers cache ids only while
+ * tracing.
  * clear() and setCapacity() drop events, never names.
  */
 

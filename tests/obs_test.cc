@@ -303,7 +303,6 @@ TEST(Tracer, DisabledTracerInternsNothing)
     Session s(buildVgg16(230), ExecConfig{}, makeCapuchinPolicy());
     ASSERT_FALSE(s.run(3).oom);
     EXPECT_EQ(s.executor().obs().tracer.names().size(), 1u);
-    EXPECT_EQ(obs::Obs::disabled().tracer.names().size(), 1u);
 }
 
 TEST(Tracer, CopyAndForkResolveIdsAlike)
