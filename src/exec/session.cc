@@ -4,7 +4,6 @@
 #include <atomic>
 #include <functional>
 #include <future>
-#include <limits>
 #include <map>
 #include <utility>
 
@@ -76,59 +75,6 @@ Session::fork() const
                   policy_->name());
     }
     return Session(*this, std::move(cloned));
-}
-
-Session
-Session::fork(std::unique_ptr<MemoryPolicy> policy) const
-{
-    Session s(*this, std::move(policy));
-    // The replacement never saw attach() (setup already ran on the
-    // original) and the copied replay templates describe the *old*
-    // policy's decisions: attach it now and re-observe from scratch.
-    if (s.policy_ && s.exec_->setupDone())
-        s.policy_->attach(*s.graph_, s.exec_->schedule(), s.config_);
-    s.replay_ = std::make_unique<ReplayEngine>(*s.exec_, s.policy_.get());
-    return s;
-}
-
-SpeculateResult
-Session::speculate(const std::vector<PolicyFactoryFn> &variants,
-                   int iterations, unsigned jobs) const
-{
-    SpeculateResult out;
-    out.candidates.resize(variants.size());
-    auto runOne = [&](std::size_t i) {
-        Session s = fork(variants[i] ? variants[i]() : nullptr);
-        SpeculateCandidate &c = out.candidates[i];
-        c.policyName = s.policy_ ? s.policy_->name() : "none";
-        c.result = s.run(iterations);
-        c.steadyTicks = c.result.steadyIterationTicks();
-    };
-    if (jobs > 1 && variants.size() > 1) {
-        // Each fork owns its whole machine; candidates share only the
-        // immutable graph and this (const) session, so thread timing can
-        // reorder wall-clock completion but never a simulated result.
-        ThreadPool pool(
-            std::min<unsigned>(jobs,
-                               static_cast<unsigned>(variants.size())));
-        pool.forEachIndex(variants.size(),
-                          [&](std::size_t i) { runOne(i); });
-    } else {
-        for (std::size_t i = 0; i < variants.size(); ++i)
-            runOne(i);
-    }
-    // Decide the winner only after the barrier, from simulated ticks:
-    // lowest steady iteration time wins, OOM ranks last, ties break
-    // toward the lower index — deterministic at any thread count.
-    auto rank = [](const SpeculateCandidate &c) {
-        return c.result.oom ? std::numeric_limits<Tick>::max()
-                            : c.steadyTicks;
-    };
-    for (std::size_t i = 1; i < out.candidates.size(); ++i) {
-        if (rank(out.candidates[i]) < rank(out.candidates[out.winner]))
-            out.winner = i;
-    }
-    return out;
 }
 
 SessionResult

@@ -14,10 +14,8 @@
  * re-measured — and the fork continues bit-identically to the original:
  * running k iterations, forking, and running n-k more on the fork yields
  * exactly the stats/digests/traces of a straight n-iteration run.
- * `fork()` is const and only reads, so parallel searches fork many
- * what-if runs from one shared prefix at once, and `speculate()` races K
- * policy variants from the current state and picks the winner
- * deterministically.
+ * `fork()` is const and only reads, so many threads may fork one shared
+ * prefix at once; capuserve answers warm requests with such forks.
  */
 
 #ifndef CAPU_EXEC_SESSION_HH
@@ -65,22 +63,6 @@ struct SessionResult
 
 using PolicyFactoryFn = std::function<std::unique_ptr<MemoryPolicy>()>;
 
-/** One what-if candidate of Session::speculate(). */
-struct SpeculateCandidate
-{
-    std::string policyName;
-    SessionResult result;
-    /** Mean post-warm-up iteration duration; the ranking key. */
-    Tick steadyTicks = 0;
-};
-
-/** Outcome of Session::speculate(): all candidates plus the winner. */
-struct SpeculateResult
-{
-    std::size_t winner = 0;
-    std::vector<SpeculateCandidate> candidates;
-};
-
 class Session
 {
   public:
@@ -111,26 +93,6 @@ class Session
      * not implement clone().
      */
     Session fork() const;
-
-    /**
-     * Fork, but continue under `policy` instead: the replacement starts
-     * fresh (attached, un-measured) on this session's machine state, and
-     * steady-state replay re-observes from scratch since the old policy's
-     * templates do not describe the new policy's decisions.
-     */
-    Session fork(std::unique_ptr<MemoryPolicy> policy) const;
-
-    /**
-     * What-if search (capufork): fork this session once per variant, run
-     * each fork `iterations` further iterations, and rank them by steady
-     * iteration time (OOM ranks last; ties break toward the lower index).
-     * With jobs > 1 the variants run concurrently on a ThreadPool; the
-     * winner is decided only after every variant finishes, from
-     * simulated ticks, so the outcome is identical at any thread count.
-     * The session itself is not advanced.
-     */
-    SpeculateResult speculate(const std::vector<PolicyFactoryFn> &variants,
-                              int iterations, unsigned jobs = 1) const;
 
     Executor &executor() { return *exec_; }
     MemoryPolicy *policy() { return policy_.get(); }

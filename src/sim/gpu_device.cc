@@ -1,5 +1,7 @@
 #include "sim/gpu_device.hh"
 
+#include "support/logging.hh"
+
 namespace capu
 {
 
@@ -43,6 +45,16 @@ GpuDeviceSpec::testDevice(std::uint64_t capacity_bytes)
     d.computeEfficiency = 1.0;
     d.memEfficiency = 1.0;
     return d;
+}
+
+GpuDeviceSpec
+GpuDeviceSpec::byName(const std::string &name)
+{
+    if (name == "p100")
+        return p100();
+    if (name == "v100")
+        return v100();
+    fatal("unknown device '{}' (p100 or v100)", name);
 }
 
 } // namespace capu

@@ -59,6 +59,9 @@ struct GpuDeviceSpec
 
     /** A deliberately tiny device for unit tests (fast OOM). */
     static GpuDeviceSpec testDevice(std::uint64_t capacity_bytes);
+
+    /** The CLI device names: "p100" or "v100"; fatal() on anything else. */
+    static GpuDeviceSpec byName(const std::string &name);
 };
 
 } // namespace capu

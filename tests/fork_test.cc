@@ -4,10 +4,9 @@
  * bit-identically to the original — iteration stats, metrics, weight
  * fingerprints, capuscope traces), run() splitting, shared-graph /
  * no-re-measure structural guarantees, concurrent forking from one
- * const Session, speculate() determinism across thread counts, parallel
- * findMaxBatch equality with the serial search, serial findMaxBatch
- * equality with plain bisection, and value-semantics regression tests
- * for BfcAllocator copies.
+ * const Session, parallel findMaxBatch equality with the serial search,
+ * serial findMaxBatch equality with plain bisection, and value-semantics
+ * regression tests for BfcAllocator copies.
  */
 
 #include <gtest/gtest.h>
@@ -331,24 +330,6 @@ TEST(ForkStructure, SharedGraphNoRemeasure)
     EXPECT_NE(forkPolicy, basePolicy);
 }
 
-/** Forking under a replacement policy: the new policy starts fresh on the
- *  base session's machine state and the run completes. */
-TEST(ForkStructure, PolicySwapFork)
-{
-    Session base(buildModel(ModelKind::Vgg16, 230), forkConfig(),
-                 makeCapuchinPolicy());
-    ASSERT_FALSE(base.run(4).oom);
-
-    Session swapped = base.fork(makeVdnnPolicy());
-    ASSERT_NE(swapped.policy(), nullptr);
-    EXPECT_NE(swapped.policy()->name(), base.policy()->name());
-    SessionResult r = swapped.run(6);
-    EXPECT_FALSE(r.oom) << r.oomMessage;
-    // The original is untouched by the swap.
-    SessionResult ro = base.run(6);
-    EXPECT_FALSE(ro.oom) << ro.oomMessage;
-}
-
 // --- concurrent forking from one const Session --------------------------
 
 TEST(ForkConcurrency, SnapshotConcurrentForks)
@@ -378,43 +359,6 @@ TEST(ForkConcurrency, SnapshotConcurrentForks)
         ASSERT_FALSE(got[i].oom);
         expectIterationsEqual(want, got[i]);
     }
-}
-
-// --- speculate(): what-if policy race ----------------------------------
-
-TEST(Speculate, DeterministicAcrossJobCounts)
-{
-    std::vector<PolicyFactoryFn> variants = {
-        [] { return makeCapuchinPolicy(); },
-        [] { return makeVdnnPolicy(); },
-        [] {
-            return makeCheckpointingPolicy(CheckpointingPolicy::Mode::Speed);
-        },
-    };
-
-    Session base(buildModel(ModelKind::Vgg16, 230), forkConfig(),
-                 makeCapuchinPolicy());
-    ASSERT_FALSE(base.run(3).oom);
-
-    SpeculateResult serial = base.speculate(variants, 5, /*jobs=*/1);
-    SpeculateResult parallel = base.speculate(variants, 5, /*jobs=*/4);
-
-    ASSERT_EQ(serial.candidates.size(), variants.size());
-    ASSERT_EQ(parallel.candidates.size(), variants.size());
-    EXPECT_EQ(serial.winner, parallel.winner);
-    for (std::size_t i = 0; i < variants.size(); ++i) {
-        SCOPED_TRACE("variant " + std::to_string(i));
-        EXPECT_EQ(serial.candidates[i].policyName,
-                  parallel.candidates[i].policyName);
-        EXPECT_EQ(serial.candidates[i].steadyTicks,
-                  parallel.candidates[i].steadyTicks);
-        expectIterationsEqual(serial.candidates[i].result,
-                              parallel.candidates[i].result);
-    }
-    // speculate() must not advance the session itself.
-    SessionResult after = base.run(2);
-    EXPECT_FALSE(after.oom);
-    EXPECT_EQ(after.iterations.front().iteration, 3);
 }
 
 // --- parallel findMaxBatch ≡ serial findMaxBatch -----------------------

@@ -125,11 +125,7 @@ main(int argc, char **argv)
         if (!parseArgs(argc, argv, opt))
             return 0;
 
-        GpuDeviceSpec device = GpuDeviceSpec::p100();
-        if (opt.device == "v100")
-            device = GpuDeviceSpec::v100();
-        else if (opt.device != "p100")
-            fatal("unknown device '{}' (p100 or v100)", opt.device);
+        GpuDeviceSpec device = GpuDeviceSpec::byName(opt.device);
         std::uint64_t capacity =
             opt.capacity ? opt.capacity : device.memCapacity;
 

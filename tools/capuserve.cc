@@ -240,12 +240,7 @@ main(int argc, char **argv)
             return 0;
 
         PlanServiceConfig cfg;
-        if (opt.device == "p100")
-            cfg.exec.device = GpuDeviceSpec::p100();
-        else if (opt.device == "v100")
-            cfg.exec.device = GpuDeviceSpec::v100();
-        else
-            fatal("unknown device '{}' (p100 or v100)", opt.device);
+        cfg.exec.device = GpuDeviceSpec::byName(opt.device);
         cfg.cacheEntries = opt.cacheEntries;
         cfg.cacheBytes = opt.cacheBytes;
         cfg.coldIterations = opt.coldIterations;

@@ -140,16 +140,6 @@ policyByName(const std::string &name, bool lint, bool faults_on = false)
     fatal("unknown policy '{}' (try --list)", name);
 }
 
-GpuDeviceSpec
-deviceByName(const std::string &name)
-{
-    if (name == "p100")
-        return GpuDeviceSpec::p100();
-    if (name == "v100")
-        return GpuDeviceSpec::v100();
-    fatal("unknown device '{}' (p100 or v100)", name);
-}
-
 void
 usage()
 {
@@ -210,12 +200,11 @@ usage()
         "  --trace-cap <n>    event ring capacity when tracing; oldest\n"
         "                     events drop on wrap (default "
         "1048576)\n"
-        "  --replay           steady-state iteration replay: once the\n"
-        "                     policy stabilizes, synthesize iterations\n"
-        "                     from the cached fixed point instead of\n"
-        "                     re-executing (default on; bit-identical,\n"
-        "                     audited periodically)\n"
-        "  --no-replay        execute every iteration for real\n"
+        "  --no-replay        execute every iteration for real. Steady-\n"
+        "                     state replay is default on: once the\n"
+        "                     policy stabilizes, iterations are\n"
+        "                     synthesized from the cached fixed point\n"
+        "                     (bit-identical, audited periodically)\n"
         "  --replay-audit <n> re-execute an audit iteration every n\n"
         "                     synthesized ones (0 = never audit)\n"
         "  --workload <kind>  iteration-shape dynamism (capudrift):\n"
@@ -303,8 +292,6 @@ parseArgs(int argc, char **argv, Options &opt)
             opt.traceCap = static_cast<std::size_t>(count(1, kSizeMax));
         else if (a == "--verify")
             opt.verify = true;
-        else if (a == "--replay")
-            opt.replay = true;
         else if (a == "--no-replay")
             opt.replay = false;
         else if (a == "--replay-audit")
@@ -376,7 +363,7 @@ main(int argc, char **argv)
         }
 
         ExecConfig cfg;
-        cfg.device = deviceByName(opt.device);
+        cfg.device = GpuDeviceSpec::byName(opt.device);
         cfg.eagerMode = opt.eager;
         cfg.obsLevel = opt.obsLevel;
         cfg.seed = opt.seed;
