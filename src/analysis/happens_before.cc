@@ -224,7 +224,17 @@ HbClocks::ordered(std::uint32_t a, std::uint32_t b) const
     if (a == b)
         return false;
     const auto &[chain, position] = pos[a];
-    return clock[b * chainCount + chain] >= position;
+    if (chain < hb::kHbChainStreams)
+        return clock[b * hb::kHbChainStreams + chain] >= position;
+    // A deferred event has no chain: it happens before b when one of its
+    // successors is b or happens before b. A cycle has no such order.
+    if (!acyclic)
+        return false;
+    for (std::uint32_t k = succ.first[a]; k < succ.first[a + 1]; ++k) {
+        if (succ.adj[k] == b || ordered(succ.adj[k], b))
+            return true;
+    }
+    return false;
 }
 
 HbClocks
@@ -236,29 +246,25 @@ assignVectorClocks(const HbAnalysis &analysis)
     HbClocks clocks;
     const std::size_t n = analysis.events.size();
 
-    // Chains: the three FIFO streams plus one singleton chain per deferred
-    // event (deferred host actions are ordered only by their causes;
-    // putting them on a shared chain would invent orderings).
-    std::size_t deferred = 0;
+    // Chains: the three FIFO streams. Deferred host actions are ordered
+    // only by their causes, so they join no chain (putting them on a shared
+    // chain would invent orderings); ordered() answers for them through
+    // their successors.
     clocks.pos.resize(n);
     std::array<std::uint32_t, kHbChainStreams> streamPos{};
     for (std::size_t i = 0; i < n; ++i) {
         const hb::HbEvent &ev = analysis.events[i];
-        if (ev.stream == HbStream::Deferred) {
-            clocks.pos[i] = {static_cast<std::uint32_t>(kHbChainStreams +
-                                                        deferred),
-                             1};
-            ++deferred;
-        } else {
-            auto s = static_cast<std::size_t>(ev.stream);
+        auto s = static_cast<std::size_t>(ev.stream);
+        if (ev.stream == HbStream::Deferred)
+            clocks.pos[i] = {static_cast<std::uint32_t>(kHbChainStreams), 0};
+        else
             clocks.pos[i] = {static_cast<std::uint32_t>(s), ++streamPos[s]};
-        }
     }
-    const std::size_t chains = kHbChainStreams + deferred;
-    clocks.chainCount = chains;
+    constexpr std::size_t chains = kHbChainStreams;
     clocks.clock.assign(n * chains, 0);
 
-    const HbCsr succ = hbSuccessors(analysis);
+    clocks.succ = hbSuccessors(analysis);
+    const HbCsr &succ = clocks.succ;
     std::vector<std::uint32_t> indeg(n, 0);
     for (std::uint32_t v : succ.adj)
         ++indeg[v];
@@ -274,7 +280,8 @@ assignVectorClocks(const HbAnalysis &analysis)
         std::uint32_t u = ready[head];
         std::uint32_t *cu = &clocks.clock[u * chains];
         const auto &[chain, position] = clocks.pos[u];
-        cu[chain] = std::max(cu[chain], position);
+        if (chain < chains)
+            cu[chain] = std::max(cu[chain], position);
         for (std::uint32_t k = succ.first[u]; k < succ.first[u + 1]; ++k) {
             std::uint32_t v = succ.adj[k];
             std::uint32_t *cv = &clocks.clock[v * chains];

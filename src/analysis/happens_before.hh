@@ -15,9 +15,10 @@
  *   2. Enumerate the ordering edges the Executor/Stream/PcieLink enforce
  *      (exec/ordering.hh — the single source of truth for the rules).
  *   3. Assign vector clocks: one clock component per totally-ordered
- *      timeline (compute, D2H, H2D) plus one per deferred host action
- *      (frees and allocs are ordered only by their causes, so each is its
- *      own timeline). Clocks propagate along edges in topological order.
+ *      timeline (compute, D2H, H2D). Clocks propagate along edges in
+ *      topological order. Deferred host actions (frees and allocs) are
+ *      ordered only by their causes, so they get no component; whether
+ *      one happens before an event is asked of its successors.
  *   4. Check: unordered conflicting pairs (`hb-race`), frees ordered
  *      before a use of the same buffer (`hb-use-after-free`), directional
  *      obligations — the copy that fills a buffer must be sequenced
@@ -35,8 +36,8 @@
  * Plans are not checked here: the executor itself sequences each planned
  * eviction (deferred frees, prefetch stalls, on-demand fallbacks), so what
  * a plan can get wrong is for PlanChecker::check's plan rules to find.
- * tools/capumutate grades this engine on event graphs it derives from a
- * real plan and then corrupts.
+ * The mutation corpus (tests/mutation_corpus_test.cc) grades this engine
+ * on event graphs it derives from a real plan and then corrupts.
  */
 
 #ifndef CAPU_ANALYSIS_HAPPENS_BEFORE_HH
@@ -84,22 +85,28 @@ HbCsr hbSuccessors(const HbAnalysis &analysis);
 /** Each event's predecessors (edge sources), in edge order. */
 HbCsr hbPredecessors(const HbAnalysis &analysis);
 
-/** Vector clocks for one analysis; chain = timeline index. */
+/**
+ * Vector clocks for one analysis: one component per FIFO stream (compute,
+ * D2H, H2D). A deferred event joins no chain; ordered() answers for it
+ * through its successors.
+ */
 struct HbClocks
 {
     bool acyclic = true;
     std::uint32_t cycleEvent = 0; ///< an event on the cycle (if !acyclic)
-    std::size_t chainCount = 0;
-    /** Per event: (chain, 1-based position on that chain). */
+    /** Per event: (stream chain, 1-based position on it); a deferred event
+     *  has chain kHbChainStreams and position 0. */
     std::vector<std::pair<std::uint32_t, std::uint32_t>> pos;
     /**
-     * Row-major events x chainCount: event i's clock, joined over its
+     * Row-major events x kHbChainStreams: event i's clock, joined over its
      * predecessors with its own position included, is the row starting at
-     * clock[i * chainCount].
+     * clock[i * kHbChainStreams].
      */
     std::vector<std::uint32_t> clock;
+    HbCsr succ; ///< each event's successors
 
-    /** Strict happens-before: a's position is visible in b's clock. */
+    /** Strict happens-before: a's position is visible in b's clock, or
+     *  (for a deferred a) a successor of a is b or happens before it. */
     bool ordered(std::uint32_t a, std::uint32_t b) const;
 };
 

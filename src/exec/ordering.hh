@@ -29,9 +29,9 @@
  * capuverify (src/analysis/happens_before.*) replays these rules over a
  * traced run's event list and checks that every pair of conflicting
  * operations on a tensor's device buffer is ordered. Each edge names the
- * rule that implies it, so the mutation corpus (tools/capumutate.cc)
- * knocks a rule out by dropping the edges with that name and proves the
- * detector notices the missing guarantee.
+ * rule that implies it, so the mutation corpus
+ * (tests/mutation_corpus_test.cc) knocks a rule out by dropping the edges
+ * with that name and proves the detector notices the missing guarantee.
  *
  * If executor.cc changes a sequencing decision, this enumeration must
  * change with it — the happens_before tests cross-check both against real

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 
 #include "support/logging.hh"
 
@@ -36,24 +38,14 @@ split(std::string_view s, char sep)
     return out;
 }
 
+/** A finite real number: NaN, infinity and overflow are malformed. */
 double
 parseDouble(std::string_view s, const char *what)
 {
     std::string buf(s);
     char *end = nullptr;
     double v = std::strtod(buf.c_str(), &end);
-    if (end != buf.c_str() + buf.size() || buf.empty())
-        fatal("faults: malformed {} '{}'", what, buf);
-    return v;
-}
-
-std::uint64_t
-parseUint(std::string_view s, const char *what)
-{
-    std::string buf(s);
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(buf.c_str(), &end, 10);
-    if (end != buf.c_str() + buf.size() || buf.empty())
+    if (end != buf.c_str() + buf.size() || buf.empty() || !std::isfinite(v))
         fatal("faults: malformed {} '{}'", what, buf);
     return v;
 }
@@ -104,7 +96,9 @@ parseSwapFail(std::string_view body, FaultSpec &spec)
             spec.swapFailProb = parseProb(v, "swapfail probability");
             have_p = true;
         } else if (k == "retries") {
-            spec.swapRetries = static_cast<int>(parseUint(v, "retries"));
+            spec.swapRetries = static_cast<int>(
+                parseCount(std::string(v), "faults: swapfail retries", 0,
+                           std::numeric_limits<int>::max()));
         } else if (k == "backoff") {
             spec.swapBackoffBase = parseTickSpan(v);
         } else {
@@ -116,31 +110,6 @@ parseSwapFail(std::string_view body, FaultSpec &spec)
 }
 
 } // namespace
-
-std::uint64_t
-parseByteSize(std::string_view text)
-{
-    std::string_view s = trim(text);
-    std::uint64_t mult = 1;
-    auto strip = [&](std::string_view suffix, std::uint64_t m) {
-        if (s.size() > suffix.size() &&
-            s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0) {
-            mult = m;
-            s.remove_suffix(suffix.size());
-            return true;
-        }
-        return false;
-    };
-    strip("KiB", 1ull << 10) || strip("MiB", 1ull << 20) ||
-        strip("GiB", 1ull << 30) || strip("TiB", 1ull << 40) ||
-        strip("K", 1ull << 10) || strip("M", 1ull << 20) ||
-        strip("G", 1ull << 30) || strip("T", 1ull << 40) ||
-        strip("B", 1);
-    double v = parseDouble(trim(s), "byte size");
-    if (v < 0)
-        fatal("faults: negative byte size '{}'", std::string(text));
-    return static_cast<std::uint64_t>(v * static_cast<double>(mult) + 0.5);
-}
 
 Tick
 parseTickSpan(std::string_view text, Tick bare_unit)
@@ -162,7 +131,13 @@ parseTickSpan(std::string_view text, Tick bare_unit)
     double v = parseDouble(trim(s), "duration");
     if (v < 0)
         fatal("faults: negative duration '{}'", std::string(text));
-    return static_cast<Tick>(v * static_cast<double>(unit) + 0.5);
+    // 2^64 ticks, exact as a double: the first count a Tick cannot hold.
+    constexpr double kTooLong = 18446744073709551616.0;
+    double ticks = v * static_cast<double>(unit) + 0.5;
+    if (ticks >= kTooLong)
+        fatal("faults: duration '{}' does not fit 64-bit ticks",
+              std::string(text));
+    return static_cast<Tick>(ticks);
 }
 
 FaultSpec
@@ -185,7 +160,11 @@ parseFaultSpec(std::string_view text)
                 fatal("faults: jitter must lie in [0, 1), got {}",
                       spec.kernelJitter);
         } else if (name == "hostcap") {
-            spec.hostCapBytes = parseByteSize(body);
+            try {
+                spec.hostCapBytes = parseBytes(std::string(body));
+            } catch (const FatalError &e) {
+                fatal("faults: hostcap: {}", e.what());
+            }
             if (spec.hostCapBytes == 0)
                 fatal("faults: hostcap must be nonzero");
         } else if (name == "hostfail") {
@@ -203,8 +182,6 @@ parseFaultSpec(std::string_view text)
             fatal("faults: unknown clause '{}'", std::string(name));
         }
     }
-    if (spec.swapRetries < 0)
-        fatal("faults: negative retry budget");
     return spec;
 }
 

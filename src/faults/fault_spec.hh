@@ -19,7 +19,8 @@
  *   jitter:<frac>                   kernel durations drawn uniformly from
  *                                   [1-frac, 1+frac] x nominal
  *   hostcap:<size>                  pinned host pool capped at <size>
- *                                   (suffixes KiB/MiB/GiB, also K/M/G)
+ *                                   (a parseBytes size: suffixes
+ *                                   KiB/MiB/GiB/TiB, also K/M/G/T)
  *   hostfail:p=<prob>               each host-pool allocation fails with
  *                                   probability <prob>
  *   swapfail:p=<prob>[,retries=<n>][,backoff=<ticks><ns|us|ms|s>]
@@ -89,12 +90,11 @@ struct FaultSpec
  */
 FaultSpec parseFaultSpec(std::string_view text);
 
-/** Parse "8GiB" / "512MiB" / "64K" / plain bytes; throws on garbage. */
-std::uint64_t parseByteSize(std::string_view text);
-
 /**
  * Parse a duration with optional ns/us/ms/s suffix into ticks;
  * bare numbers are interpreted in `bare_unit` ticks (default: ns).
+ * Throws FatalError unless the duration is finite, non-negative and fits
+ * a Tick.
  */
 Tick parseTickSpan(std::string_view text, Tick bare_unit = 1);
 

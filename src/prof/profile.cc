@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <bit>
+#include <charconv>
 #include <cstring>
+#include <limits>
 #include <string_view>
 
 #include "prof/trace_view.hh"
+#include "support/logging.hh"
 #include "support/rng.hh"
 
 namespace capu::prof
@@ -20,6 +23,25 @@ namespace
  * held longer than useful).
  */
 constexpr double kEarlyMarginFrac = 0.10;
+
+/**
+ * The whole number after `prefix` in a marker label ("iteration:3"). Any
+ * other suffix, or a number of `limit` or more, is an input error that
+ * names the label.
+ */
+int
+markerNumber(const std::string &label, std::string_view prefix,
+             std::size_t limit)
+{
+    const char *last = label.data() + label.size();
+    int value = -1;
+    auto [ptr, ec] = std::from_chars(label.data() + prefix.size(), last, value);
+    if (ec != std::errc() || ptr != last || value < 0 ||
+        static_cast<std::size_t>(value) >= limit)
+        fatal("trace marker '{}' needs a whole number below {} after '{}'",
+              label, limit, prefix);
+    return value;
+}
 
 /** "tensorname:PHASE" -> tensorname (before the last ':'). */
 std::string
@@ -168,7 +190,7 @@ Profile::conservationError() const
 }
 
 Profile
-buildProfile(const TraceView &view, const ProfileOptions &opts)
+buildProfile(const TraceView &view)
 {
     Profile out;
     out.meta = view.meta();
@@ -198,7 +220,8 @@ buildProfile(const TraceView &view, const ProfileOptions &opts)
         const std::string &label = names.name(ev->name);
         if (label.starts_with("iteration:")) {
             IterationProfile it;
-            it.iteration = std::atoi(label.c_str() + 10);
+            it.iteration = markerNumber(label, "iteration:",
+                                        std::numeric_limits<int>::max());
             it.begin = ev->ts;
             it.end = ev->ts + ev->dur;
             out.iterations.push_back(it);
@@ -322,8 +345,12 @@ buildProfile(const TraceView &view, const ProfileOptions &opts)
         if (ev.track == obs::kTrackDrift) {
             const std::string &label = names.name(ev.name);
             if (label.starts_with("drift.class:")) {
+                // A class id sizes the per-class tables below, so a trace
+                // cannot name more classes than it holds events.
+                int cls = markerNumber(label, "drift.class:",
+                                       view.events().size());
                 if (iter)
-                    iter->shapeClass = std::atoi(label.c_str() + 12);
+                    iter->shapeClass = cls;
             } else if (label.starts_with("drift.novel")) {
                 ++out.drift.novel;
             } else if (label.starts_with("drift.remeasure")) {
@@ -563,15 +590,14 @@ buildProfile(const TraceView &view, const ProfileOptions &opts)
     for (std::uint32_t s : opIds.byId())
         out.ops.push_back(std::move(ops[s]));
 
-    if (opts.withCriticalPath)
-        out.critical = computeCriticalPath(view.hb());
+    out.critical = computeCriticalPath(view.hb());
     return out;
 }
 
 Profile
-buildProfile(const obs::Tracer &tracer, const ProfileOptions &opts)
+buildProfile(const obs::Tracer &tracer)
 {
-    return buildProfile(TraceView(tracer), opts);
+    return buildProfile(TraceView(tracer));
 }
 
 std::vector<const TensorAccount *>

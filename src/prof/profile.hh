@@ -175,11 +175,6 @@ struct Profile
     Tick conservationError() const;
 };
 
-struct ProfileOptions
-{
-    bool withCriticalPath = true;
-};
-
 class TraceView;
 
 /**
@@ -188,11 +183,10 @@ class TraceView;
  * on view.hb(). Replay-track markers are excluded from digests and
  * buckets so replayed and executed runs profile identically.
  */
-Profile buildProfile(const TraceView &view, const ProfileOptions &opts = {});
+Profile buildProfile(const TraceView &view);
 
 /** Convenience: profile a live tracer's ring through a TraceView. */
-Profile buildProfile(const obs::Tracer &tracer,
-                     const ProfileOptions &opts = {});
+Profile buildProfile(const obs::Tracer &tracer);
 
 /**
  * Tensors ranked by overhead charged (stalls + recompute), heaviest

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cmath>
+#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -180,9 +181,13 @@ class Parser
             ++pos_;
         if (pos_ == start)
             return false;
+        // The whole token must be one number. An overflow reads as
+        // infinity and fails; an underflow reads as zero.
+        std::string token = s_.substr(start, pos_ - start);
+        char *end = nullptr;
         out.kind = Value::Num;
-        out.num = std::stod(s_.substr(start, pos_ - start));
-        return true;
+        out.num = std::strtod(token.c_str(), &end);
+        return end == token.c_str() + token.size() && std::isfinite(out.num);
     }
 
     const std::string &s_;

@@ -6,8 +6,10 @@
  * the artifacts the exporters write (metrics JSON, capuprof profiles)
  * without a third-party dependency. Scope is deliberately small: enough
  * for our own well-formed output — \u escapes are skipped rather than
- * decoded, and numbers parse via std::stod (integers stay exact up to
- * 2^53, which covers ticks and byte counts in practice).
+ * decoded, and numbers parse via std::strtod (integers stay exact up to
+ * 2^53, which covers ticks and byte counts in practice). A number token
+ * that overflows a double, or is not one number, is a parse error; an
+ * underflow reads as zero.
  *
  * Writing stays with the individual exporters (chrome_trace, capuprof's
  * report) — formatting is part of each artifact's schema.

@@ -43,14 +43,16 @@ parseBytes(const std::string &text)
     double scale = 0;
     if (suffix.empty() || suffix == "B")
         scale = 1;
-    else if (suffix == "K" || suffix == "KB")
+    else if (suffix == "K" || suffix == "KB" || suffix == "KiB")
         scale = 1_KiB;
-    else if (suffix == "M" || suffix == "MB")
+    else if (suffix == "M" || suffix == "MB" || suffix == "MiB")
         scale = 1_MiB;
-    else if (suffix == "G" || suffix == "GB")
+    else if (suffix == "G" || suffix == "GB" || suffix == "GiB")
         scale = 1_GiB;
+    else if (suffix == "T" || suffix == "TiB")
+        scale = 1024.0 * 1_GiB;
     else
-        fatal("bad byte suffix '{}' in '{}' (use K/M/G)", suffix, text);
+        fatal("bad byte suffix '{}' in '{}' (use K/M/G/T)", suffix, text);
     double bytes = value * scale;
     // uint64 max rounds up to 2^64 as a double: the first value that
     // does not fit.

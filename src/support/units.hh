@@ -44,8 +44,9 @@ constexpr std::uint64_t operator""_GiB(unsigned long long v) { return v << 30; }
 std::string formatBytes(std::uint64_t bytes);
 
 /**
- * Parse a byte count such as "4096", "512M" or "1.5G": a non-negative
- * number with an optional B, K/KB, M/MB or G/GB (binary) suffix.
+ * Parse a byte count such as "4096", "512M", "1.5G" or "8GiB": a
+ * non-negative number with an optional B, K/KB/KiB, M/MB/MiB, G/GB/GiB or
+ * T/TiB (binary) suffix.
  * Throws FatalError on anything else — NaN, infinity, a sign, trailing
  * junk, or a value that does not fit 64 bits once scaled.
  */

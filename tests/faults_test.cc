@@ -110,10 +110,10 @@ TEST(FaultSpec, SummaryRoundTrips)
 
 TEST(FaultSpec, ByteSizesAndDurations)
 {
-    EXPECT_EQ(faults::parseByteSize("8GiB"), 8ull << 30);
-    EXPECT_EQ(faults::parseByteSize("512MiB"), 512ull << 20);
-    EXPECT_EQ(faults::parseByteSize("64K"), 64ull << 10);
-    EXPECT_EQ(faults::parseByteSize("1024"), 1024u);
+    EXPECT_EQ(parseBytes("8GiB"), 8ull << 30);
+    EXPECT_EQ(parseBytes("512MiB"), 512ull << 20);
+    EXPECT_EQ(parseBytes("64K"), 64ull << 10);
+    EXPECT_EQ(parseBytes("1024"), 1024u);
     EXPECT_EQ(faults::parseTickSpan("100us"), ticksFromUs(100));
     EXPECT_EQ(faults::parseTickSpan("2ms"), ticksFromMs(2));
     EXPECT_EQ(faults::parseTickSpan("1s"), ticksFromSec(1));
@@ -128,6 +128,11 @@ TEST(FaultSpec, RejectsMalformedInput)
     EXPECT_THROW(faults::parseFaultSpec("swapfail:retries=3"), FatalError);
     EXPECT_THROW(faults::parseFaultSpec("hostcap:12XB"), FatalError);
     EXPECT_THROW(faults::parseFaultSpec("bogus:1"), FatalError);
+    // NaN in every real-valued field, a size or a duration past 64 bits.
+    for (const char *bad :
+         {"pcie:nan", "jitter:nan", "hostfail:p=nan", "swapfail:p=nan",
+          "hostcap:nan", "hostcap:1e30GiB", "swapfail:p=0.1,backoff=1e30s"})
+        EXPECT_THROW(faults::parseFaultSpec(bad), FatalError) << bad;
 }
 
 TEST(FaultSpec, OverlappingPcieWindowsTakeMinimum)

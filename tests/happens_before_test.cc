@@ -72,9 +72,9 @@ hasRule(const LintReport &report, const std::string &rule)
 /**
  * The canonical swap round trip in issue order: evict access, D2H copy,
  * deferred free, the trigger access, then the prefetch triple and the
- * back access. This is exactly what capumutate's buildPlanEventGraph
- * emits for one swap item — clean under the full rule set by
- * construction.
+ * back access. This is exactly what the mutation corpus's
+ * buildPlanEventGraph emits for one swap item — clean under the full rule
+ * set by construction.
  */
 std::vector<hb::HbEvent>
 roundTrip()

@@ -1,46 +1,35 @@
 /**
  * @file
- * capumutate — seeded mutation corpus for the plan verifier and the
- * happens-before engine.
+ * The mutation corpus: proof that the plan rules and the happens-before
+ * engine notice when a buffer's frees, copies and accesses lose their order.
  *
- * Builds a clean plan from a saved access trace (same flow as capulint)
- * and the event graph that plan implies (buildPlanEventGraph: the
- * schedule the executor runs it as). The false-positive gate requires
- * zero errors from PlanChecker::check on the plan, from the race scan on
- * that unmutated graph, and from the dynamic happens-before cross-check
- * on a clean synthetic timeline. The detection gate then injects ~10
- * classes of plan/schedule corruptions and checks each is caught with the
- * expected rule. Corruption classes:
+ * The fixture takes ResNet-50@256's measured access trace under Capuchin
+ * (captureTrace, reconstructGraph and toTracker, as `capusim --dump-trace`
+ * does but with no file in between), plans it at 14 GiB and derives the
+ * event graph the plan implies (buildPlanEventGraph). The clean plan, that
+ * graph and a clean synthetic timeline must verify without errors. Ten
+ * corruption classes then run five seeded cases each:
  *
- *   event surgery      trigger-after-back, swapin-during-swapout — reorder
- *                      prefetch triples in the event list, exactly the
- *                      schedules a buggy executor would produce
- *   rule knockouts     drop-sync-edge, early-free, copy-before-retire —
- *                      drop every edge of one executor guarantee from the
- *                      clean graph, modelling a runtime that forgot to
- *                      enforce it
- *   plan mutations     use-after-evict-hole, empty-interval — corrupt
- *                      PlannedEviction intervals (graded on
- *                      PlanChecker::check)
- *   graph surgery      cyclic-lineage, lost-source — corrupt the lineage
- *                      the recompute replay depends on (graded on
- *                      PlanChecker::check)
- *   timestamp skew     clock-skew — a synthetic capuscope timeline whose
- *                      measured times contradict an ordering edge
+ *   event surgery    trigger-after-back, swapin-during-swapout: prefetch
+ *                    triples reordered the way a buggy executor issues them
+ *   rule knockouts   drop-sync-edge, early-free, copy-before-retire: every
+ *                    edge of one executor guarantee dropped from the graph
+ *   plan mutations   use-after-evict-hole, empty-interval: corrupt eviction
+ *                    intervals, graded on PlanChecker::check
+ *   graph surgery    cyclic-lineage, lost-source: corrupt the lineage a
+ *                    recompute replays, graded on PlanChecker::check
+ *   timestamp skew   clock-skew: a synthetic capuscope timeline whose times
+ *                    contradict an ordering edge
  *
- * The corpus composition (class, case count, expected rule) is read from
- * the manifest given with --manifest (CI passes
- * tools/capumutate_manifest.txt). Exit 0 when the catch rate is >= 95%
- * with zero false positives and no class lacking an injection site; exit
- * 4 when the gate fails; exit 1 on usage/trace errors.
+ * Each case must fire the rules it fired when the corpus was recorded, and
+ * the gate needs 95% of the cases caught and a site in every class.
  */
 
+#include <gtest/gtest.h>
+
 #include <algorithm>
-#include <fstream>
-#include <iomanip>
-#include <iostream>
+#include <array>
 #include <map>
-#include <sstream>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -49,9 +38,12 @@
 
 #include "analysis/happens_before.hh"
 #include "analysis/plan_checker.hh"
+#include "core/capuchin_policy.hh"
 #include "core/policy_maker.hh"
 #include "core/trace_io.hh"
 #include "exec/ordering.hh"
+#include "exec/session.hh"
+#include "models/zoo.hh"
 #include "obs/event_adapter.hh"
 #include "sim/gpu_device.hh"
 #include "sim/pcie_link.hh"
@@ -63,124 +55,6 @@ using namespace capu;
 
 namespace
 {
-
-struct Options
-{
-    std::string trace;
-    std::string manifest;
-    std::string device = "p100";
-    std::uint64_t capacity = 0;
-    std::uint64_t savingBytes = 0;
-    std::uint64_t seed = 1;
-    bool noSwap = false;
-    bool noRecompute = false;
-    bool verbose = false;
-};
-
-void
-usage()
-{
-    std::cout <<
-        "capumutate — mutation corpus gate for the static plan verifier\n"
-        "\n"
-        "  --trace <file>       access trace from capusim --dump-trace\n"
-        "  --manifest <file>    corpus manifest, e.g.\n"
-        "                       tools/capumutate_manifest.txt\n"
-        "  --device <name>      p100 (default) | v100\n"
-        "  --capacity <bytes>   GPU pool capacity (K/M/G suffixes)\n"
-        "  --saving <bytes>     memory-saving target for the PolicyMaker\n"
-        "  --no-swap            recompute-only plan\n"
-        "  --no-recompute       swap-only plan\n"
-        "  --seed <n>           base corpus seed (default 1)\n"
-        "  --verbose            per-case detail\n"
-        "\n"
-        "exit status:\n"
-        "  0  catch rate >= 95%, zero false positives\n"
-        "  1  usage error or the trace failed to load/parse\n"
-        "  4  the detection or false-positive gate failed\n";
-}
-
-bool
-parseArgs(int argc, char **argv, Options &opt)
-{
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc)
-                fatal("missing value after {}", a);
-            return argv[++i];
-        };
-        if (a == "--trace")
-            opt.trace = next();
-        else if (a == "--manifest")
-            opt.manifest = next();
-        else if (a == "--device")
-            opt.device = next();
-        else if (a == "--capacity")
-            opt.capacity = parseBytes(next());
-        else if (a == "--saving")
-            opt.savingBytes = parseBytes(next());
-        else if (a == "--no-swap")
-            opt.noSwap = true;
-        else if (a == "--no-recompute")
-            opt.noRecompute = true;
-        else if (a == "--seed")
-            opt.seed = parseCount(next(), a);
-        else if (a == "--verbose")
-            opt.verbose = true;
-        else if (a == "--help" || a == "-h") {
-            usage();
-            return false;
-        } else {
-            fatal("unknown argument '{}' (see --help)", a);
-        }
-    }
-    if (opt.trace.empty())
-        fatal("--trace is required (see --help)");
-    if (opt.manifest.empty())
-        fatal("--manifest is required (see --help)");
-    return true;
-}
-
-// ---------------------------------------------------------------------------
-// Corpus manifest
-// ---------------------------------------------------------------------------
-
-struct CorpusClass
-{
-    std::string name;
-    int cases = 0;
-    std::string rule; ///< the diagnostic that counts as a catch
-};
-
-std::vector<CorpusClass>
-loadManifest(const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in)
-        fatal("cannot open manifest '{}'", path);
-    std::vector<CorpusClass> classes;
-    std::string line;
-    while (std::getline(in, line)) {
-        auto hash = line.find('#');
-        if (hash != std::string::npos)
-            line.erase(hash);
-        std::istringstream ls(line);
-        CorpusClass c;
-        if (!(ls >> c.name >> c.cases >> c.rule))
-            continue;
-        if (c.cases <= 0)
-            fatal("manifest class '{}' has no cases", c.name);
-        classes.push_back(std::move(c));
-    }
-    if (classes.empty())
-        fatal("manifest '{}' lists no corpus classes", path);
-    return classes;
-}
-
-// ---------------------------------------------------------------------------
-// Plan -> event graph
-// ---------------------------------------------------------------------------
 
 /**
  * Derive the event graph a plan implies over the measured access trace,
@@ -358,10 +232,6 @@ buildPlanEventGraph(const Plan &plan, const AccessTracker &tracker,
     out.edges = enumerateOrderingEdges(out.events);
     return out;
 }
-
-// ---------------------------------------------------------------------------
-// Mutation machinery
-// ---------------------------------------------------------------------------
 
 /** Outcome of one injected case. */
 struct CaseResult
@@ -559,7 +429,7 @@ mutateSwapinDuringSwapout(const Corpus &c, Rng &rng, const std::string &rule)
 // --- classes: rule knockouts ------------------------------------------------
 // Model an executor that forgot one sequencing guarantee: the clean graph
 // minus every edge named `ordering`. Detection is deterministic per plan;
-// seeds exist for manifest uniformity.
+// every case still gets its own seed, as every other class's does.
 CaseResult
 mutateKnockout(const Corpus &c, const std::string &rule,
                std::string_view ordering, hb::HbOp siteOp)
@@ -812,187 +682,167 @@ mutateClockSkew(const Corpus &c, Rng &rng, const std::string &rule)
     return res;
 }
 
-CaseResult
-runCase(const std::string &cls, const Corpus &c, Rng &rng,
-        const std::string &rule)
+constexpr std::uint64_t kSeed = 1;
+constexpr std::uint64_t kCapacity = 14_GiB;
+constexpr std::size_t kCases = 5;
+
+/** The rules each of a class's cases fired when the corpus was recorded. */
+using FiredRules = std::array<const char *, kCases>;
+
+constexpr FiredRules
+everyCase(const char *r) { return {r, r, r, r, r}; }
+
+/** One corruption class: the rule that counts as a catch, the mutator and
+ *  the rules each case fired when recorded. */
+struct CorpusClass
 {
-    if (cls == "trigger-after-back")
-        return mutateTriggerAfterBack(c, rng, rule);
-    if (cls == "drop-sync-edge")
-        return mutateKnockout(c, rule, "complete-before-use",
-                              hb::HbOp::SwapInEnd);
-    if (cls == "early-free")
-        return mutateKnockout(c, rule, "complete-before-free",
-                              hb::HbOp::SwapOutStart);
-    if (cls == "copy-before-retire")
-        return mutateKnockout(c, rule, "retire-before-copy",
-                              hb::HbOp::SwapOutStart);
-    if (cls == "swapin-during-swapout")
-        return mutateSwapinDuringSwapout(c, rng, rule);
-    if (cls == "use-after-evict-hole")
-        return mutateEvictHole(c, rng, rule);
-    if (cls == "empty-interval")
-        return mutateEmptyInterval(c, rng, rule);
-    if (cls == "cyclic-lineage")
-        return mutateCyclicLineage(c, rng, rule);
-    if (cls == "lost-source")
-        return mutateLostSource(c, rng, rule);
-    if (cls == "clock-skew")
-        return mutateClockSkew(c, rng, rule);
-    fatal("unknown corpus class '{}' in manifest", cls);
+    const char *name;
+    const char *rule;
+    CaseResult (*mutate)(const Corpus &, Rng &, const std::string &);
+    FiredRules fired;
+};
+
+const std::array<CorpusClass, 10> kClasses = {{
+    {"trigger-after-back", "hb-unsequenced-prefetch", mutateTriggerAfterBack,
+     everyCase("hb-race,hb-unsequenced-prefetch")},
+    {"drop-sync-edge", "hb-unsequenced-prefetch",
+     [](const Corpus &c, Rng &, const std::string &rule) {
+         return mutateKnockout(c, rule, "complete-before-use",
+                               hb::HbOp::SwapInEnd);
+     },
+     everyCase("hb-race,hb-unsequenced-prefetch")},
+    {"early-free", "hb-free-racing-swapout",
+     [](const Corpus &c, Rng &, const std::string &rule) {
+         return mutateKnockout(c, rule, "complete-before-free",
+                               hb::HbOp::SwapOutStart);
+     },
+     everyCase("hb-race,hb-free-racing-swapout")},
+    {"copy-before-retire", "hb-copy-before-retire",
+     [](const Corpus &c, Rng &, const std::string &rule) {
+         return mutateKnockout(c, rule, "retire-before-copy",
+                               hb::HbOp::SwapOutStart);
+     },
+     everyCase("hb-race,hb-copy-before-retire")},
+    {"swapin-during-swapout", "hb-swapin-before-swapout",
+     mutateSwapinDuringSwapout, everyCase("hb-swapin-before-swapout")},
+    {"use-after-evict-hole", "use-after-evict", mutateEvictHole,
+     everyCase("use-after-evict")},
+    {"empty-interval", "bad-interval", mutateEmptyInterval,
+     {"bad-interval", "bad-interval", "bad-interval,memory-overcommit",
+      "bad-interval,memory-overcommit", "bad-interval,memory-overcommit"}},
+    {"cyclic-lineage", "recompute-cycle", mutateCyclicLineage,
+     everyCase("recompute-cycle")},
+    {"lost-source", "recompute-source-lost", mutateLostSource,
+     everyCase("recompute-source-lost")},
+    {"clock-skew", "hb-timestamp-violation", mutateClockSkew,
+     everyCase("hb-timestamp-violation")},
+}};
+
+/** ResNet-50@256's measured iteration under Capuchin, as an access trace. */
+TensorTrace
+measuredTrace()
+{
+    auto policy = makeCapuchinPolicy();
+    const auto &capuchin = static_cast<const CapuchinPolicy &>(*policy);
+    Session session(buildResNet(256, 50), ExecConfig{}, std::move(policy));
+    auto r = session.run(1);
+    if (r.oom)
+        fatal("measured execution failed: {}", r.oomMessage);
+    return captureTrace(capuchin.tracker(), session.graph());
+}
+
+/** The trace, its plan at kCapacity and the plan's event graph. */
+struct CorpusFixture
+{
+    TensorTrace trace = measuredTrace();
+    Graph graph = reconstructGraph(trace);
+    AccessTracker tracker = trace.toTracker();
+    PcieLink pcie{GpuDeviceSpec::p100().pcieBandwidth,
+                  GpuDeviceSpec::p100().pcieLatency};
+    Plan plan;
+    Corpus corpus;
+
+    CorpusFixture()
+    {
+        corpus.plan = &plan;
+        corpus.graph = &graph;
+        corpus.tracker = &tracker;
+        corpus.bytesOf = [this](TensorId t) { return graph.tensor(t).bytes; };
+        corpus.swapTime = [this](std::uint64_t b) {
+            return pcie.transferTime(b);
+        };
+        corpus.checker.gpuCapacity = kCapacity;
+        // Target: what the activations need beyond the pool left after the
+        // weights, at the trace's hypothetical (no-eviction) peak.
+        std::uint64_t peak = tracker.hypotheticalPeak([this](TensorId id) {
+            const TensorDesc &t = graph.tensor(id);
+            return t.kind == TensorKind::Weight ? 0 : t.bytes;
+        });
+        std::uint64_t weights = graph.bytesOfKind(TensorKind::Weight);
+        std::uint64_t budget = kCapacity > weights ? kCapacity - weights : 0;
+        std::uint64_t target = peak > budget ? peak - budget : 0;
+        plan = PolicyMaker(graph, tracker, PolicyMakerOptions{})
+                   .build(target, corpus.bytesOf, corpus.swapTime, kCapacity);
+        corpus.base = buildPlanEventGraph(plan, tracker, corpus.bytesOf,
+                                          corpus.swapTime);
+    }
+};
+
+const Corpus &
+corpus()
+{
+    static const CorpusFixture f;
+    return f.corpus;
+}
+
+CaseResult
+runCase(const CorpusClass &cls, std::size_t s)
+{
+    Rng rng(hashCombine(hashCombine(kSeed, hashString(cls.name)),
+                        static_cast<std::uint64_t>(s)));
+    return cls.mutate(corpus(), rng, cls.rule);
 }
 
 } // namespace
 
-int
-main(int argc, char **argv)
+TEST(MutationCorpus, PlansTheRecordedCorpus)
 {
-    Options opt;
-    try {
-        if (!parseArgs(argc, argv, opt))
-            return 0;
-        setLogEnabled(opt.verbose);
+    const Corpus &c = corpus();
+    auto swaps = std::count_if(
+        c.plan->items.begin(), c.plan->items.end(),
+        [](const PlannedEviction &i) { return i.mode == RegenChoice::Swap; });
+    EXPECT_EQ(c.plan->items.size(), 60u);
+    EXPECT_EQ(swaps, 31);
+    EXPECT_EQ(c.base.events.size(), 592u);
+}
 
-        GpuDeviceSpec device = GpuDeviceSpec::byName(opt.device);
-        std::uint64_t capacity =
-            opt.capacity ? opt.capacity : device.memCapacity;
+TEST(MutationCorpus, CleanBaselineHasNoErrors)
+{
+    const Corpus &c = corpus();
+    LintReport plan = checkPlan(c, *c.plan, *c.graph);
+    EXPECT_EQ(plan.errorCount(), 0u) << plan.summary();
+    LintReport races = checkHappensBefore(c.base, c.graph);
+    EXPECT_EQ(races.errorCount(), 0u) << races.summary();
+    Rng rng(hashCombine(kSeed, hashString("clean")));
+    LintReport timeline = scanTimeline(syntheticTimeline(rng, false), c);
+    EXPECT_EQ(timeline.errorCount(), 0u) << timeline.summary();
+}
 
-        TensorTrace trace = loadTraceFile(opt.trace);
-        Graph graph = reconstructGraph(trace);
-        AccessTracker tracker = trace.toTracker();
-        if (tracker.empty())
-            fatal("trace '{}' has no access records", opt.trace);
-
-        auto bytes_of = [&graph](TensorId id) {
-            return graph.tensor(id).bytes;
-        };
-        PcieLink pcie(device.pcieBandwidth, device.pcieLatency);
-        auto swap_time = [&pcie](std::uint64_t b) {
-            return pcie.transferTime(b);
-        };
-
-        std::uint64_t weight_bytes = graph.bytesOfKind(TensorKind::Weight);
-        std::uint64_t target = opt.savingBytes;
-        if (target == 0) {
-            std::uint64_t peak = tracker.hypotheticalPeak([&](TensorId id) {
-                const TensorDesc &t = graph.tensor(id);
-                return t.kind == TensorKind::Weight ? 0 : t.bytes;
-            });
-            std::uint64_t budget =
-                capacity > weight_bytes ? capacity - weight_bytes : 0;
-            target = peak > budget ? peak - budget : 0;
-            if (target == 0)
-                fatal("trace fits {} without a plan; pass --saving or a "
-                      "tighter --capacity to force one",
-                      formatBytes(capacity));
+TEST(MutationCorpus, GateCatchesEveryClass)
+{
+    std::size_t injected = 0;
+    std::size_t caught = 0;
+    for (const CorpusClass &cls : kClasses) {
+        std::size_t clsInjected = 0;
+        for (std::size_t s = 0; s < kCases; ++s) {
+            CaseResult res = runCase(cls, s);
+            EXPECT_EQ(res.note, cls.fired[s]) << cls.name << " case " << s;
+            clsInjected += res.injected ? 1 : 0;
+            caught += res.caught ? 1 : 0;
         }
-
-        PolicyMakerOptions pm_opts;
-        pm_opts.enableSwap = !opt.noSwap;
-        pm_opts.enableRecompute = !opt.noRecompute;
-        PolicyMaker maker(graph, tracker, pm_opts);
-        Plan plan = maker.build(target, bytes_of, swap_time, capacity);
-        if (plan.items.empty())
-            fatal("PolicyMaker produced an empty plan; nothing to mutate");
-
-        Corpus corpus;
-        corpus.plan = &plan;
-        corpus.graph = &graph;
-        corpus.tracker = &tracker;
-        corpus.bytesOf = bytes_of;
-        corpus.swapTime = swap_time;
-        corpus.checker.gpuCapacity = capacity;
-        corpus.base =
-            buildPlanEventGraph(plan, tracker, bytes_of, swap_time);
-
-        std::size_t swapItems = 0;
-        for (const PlannedEviction &item : plan.items)
-            swapItems += item.mode == RegenChoice::Swap ? 1 : 0;
-        std::cout << "capumutate: trace " << opt.trace << ": plan "
-                  << plan.items.size() << " items (" << swapItems
-                  << " swap / " << plan.items.size() - swapItems
-                  << " recompute), " << corpus.base.events.size()
-                  << " events\n";
-
-        // --- False-positive gate: the clean plan, the event graph it
-        // implies and the clean synthetic timeline must produce zero
-        // error-level findings.
-        std::size_t falsePositives = 0;
-        {
-            LintReport clean = checkPlan(corpus, plan, graph);
-            LintReport races = checkHappensBefore(corpus.base, &graph);
-            for (auto &d : races.diags)
-                clean.diags.push_back(std::move(d));
-            Rng fixtureRng(hashCombine(opt.seed, hashString("clean")));
-            LintReport synth =
-                scanTimeline(syntheticTimeline(fixtureRng, false), corpus);
-            for (auto &d : synth.diags)
-                clean.diags.push_back(std::move(d));
-            falsePositives = clean.errorCount();
-            std::cout << "clean baseline: " << clean.errorCount()
-                      << " errors, " << clean.warningCount()
-                      << " warnings ("
-                      << (falsePositives == 0 ? "PASS" : "FAIL") << ")\n";
-            if (falsePositives != 0)
-                printLintReport(std::cout, clean, graph);
-        }
-
-        // --- Detection gate.
-        std::vector<CorpusClass> classes = loadManifest(opt.manifest);
-        std::size_t injected = 0;
-        std::size_t caught = 0;
-        std::size_t skippedClasses = 0;
-        std::cout << "\n"
-                  << std::left << std::setw(24) << "class" << std::right
-                  << std::setw(7) << "cases" << std::setw(8) << "caught"
-                  << std::setw(8) << "missed" << std::setw(9) << "skipped"
-                  << "  expected rule\n";
-        for (const CorpusClass &cls : classes) {
-            std::size_t clsInjected = 0;
-            std::size_t clsCaught = 0;
-            for (int s = 0; s < cls.cases; ++s) {
-                Rng rng(hashCombine(hashCombine(opt.seed,
-                                                hashString(cls.name.c_str())),
-                                    static_cast<std::uint64_t>(s)));
-                CaseResult res = runCase(cls.name, corpus, rng, cls.rule);
-                clsInjected += res.injected ? 1 : 0;
-                clsCaught += res.caught ? 1 : 0;
-                if (opt.verbose)
-                    std::cout << "  " << cls.name << " seed " << s << ": "
-                              << (res.injected
-                                      ? (res.caught ? "caught" : "MISSED")
-                                      : "skipped (no site)")
-                              << " [" << res.note << "]\n";
-            }
-            injected += clsInjected;
-            caught += clsCaught;
-            if (clsInjected == 0)
-                ++skippedClasses;
-            std::cout << std::left << std::setw(24) << cls.name << std::right
-                      << std::setw(7) << cls.cases << std::setw(8)
-                      << clsCaught << std::setw(8) << clsInjected - clsCaught
-                      << std::setw(9)
-                      << static_cast<std::size_t>(cls.cases) - clsInjected
-                      << "  " << cls.rule << "\n";
-        }
-
-        double rate = injected == 0
-                          ? 0.0
-                          : 100.0 * static_cast<double>(caught) /
-                                static_cast<double>(injected);
-        bool pass = falsePositives == 0 && skippedClasses == 0 &&
-                    injected > 0 && rate >= 95.0;
-        std::cout << "\ntotal: " << injected << " injected, " << caught
-                  << " caught (" << std::fixed << std::setprecision(1)
-                  << rate << "%), " << skippedClasses
-                  << " classes without a site, " << falsePositives
-                  << " false positives\n"
-                  << "gate: " << (pass ? "PASS" : "FAIL")
-                  << " (requires >= 95% catch, 0 false positives, every "
-                     "class injectable)\n";
-        return pass ? 0 : 4;
-    } catch (const FatalError &e) {
-        std::cerr << "capumutate: " << e.what() << "\n";
-        return 1;
+        EXPECT_GT(clsInjected, 0u) << cls.name << " has no injection site";
+        injected += clsInjected;
     }
+    EXPECT_GE(caught * 100, injected * 95)
+        << caught << " of " << injected << " cases caught";
 }

@@ -194,6 +194,11 @@ TEST(Units, ParseBytesAcceptsSuffixes)
     EXPECT_EQ(parseBytes("512M"), 512_MiB);
     EXPECT_EQ(parseBytes("14G"), 14_GiB);
     EXPECT_EQ(parseBytes("1.5GB"), 1_GiB + 512_MiB);
+    EXPECT_EQ(parseBytes("2KiB"), 2_KiB);
+    EXPECT_EQ(parseBytes("512MiB"), 512_MiB);
+    EXPECT_EQ(parseBytes("8GiB"), 8_GiB);
+    EXPECT_EQ(parseBytes("2T"), 2048_GiB);
+    EXPECT_EQ(parseBytes("2TiB"), 2048_GiB);
     EXPECT_EQ(parseBytes("0"), 0u);
     // The largest whole-GiB count that still fits 64 bits.
     EXPECT_EQ(parseBytes("17179869183G"), ~0ull - 1_GiB + 1);
@@ -211,7 +216,7 @@ TEST(Units, ParseBytesRejectsGarbage)
     for (const char *bad : {"17179869184G", "2e19", "1e30K"})
         EXPECT_THROW(parseBytes(bad), FatalError) << bad;
     // No number, an unknown suffix, or trailing junk.
-    for (const char *bad : {"", "G", "abc", "12T", "12Gx", "12 G", "14G "})
+    for (const char *bad : {"", "G", "abc", "12P", "12Gx", "12 G", "14G "})
         EXPECT_THROW(parseBytes(bad), FatalError) << bad;
 }
 
@@ -308,6 +313,15 @@ TEST(Json, IntegerAccessorsClampOutOfRangeNumbers)
               std::uint64_t{1} << 63);
     EXPECT_EQ(number("-1").asI64(), -1);
     EXPECT_EQ(number("-1").asU64(), 0u);
+}
+
+TEST(Json, NumbersThatOverflowAreParseErrors)
+{
+    json::Value v;
+    for (const char *bad : {"1e999", "-1e999", "-", "1e", "[1e999]"})
+        EXPECT_FALSE(json::parse(bad, v)) << bad;
+    // An underflow reads as zero.
+    EXPECT_EQ(number("1e-999").asDouble(), 0.0);
 }
 
 TEST(Json, IntegerAccessorsKeepInRangeNumbers)

@@ -57,7 +57,6 @@ usage()
         "  --format <f>         text (default) | md | json\n"
         "  --out <file>         write the report there instead of stdout\n"
         "  --topk <n>           costly-tensor table size (default 10)\n"
-        "  --no-critical-path   skip the happens-before critical path\n"
         "  --strict             exit 6 if bucket attribution does not sum\n"
         "                       to wall-clock within 1%\n"
         "  --expect-identical   (diff) exit 5 unless the runs are\n"
@@ -78,7 +77,6 @@ struct Options
     prof::ReportFormat format = prof::ReportFormat::Text;
     std::string out;
     std::size_t topK = 10;
-    bool withCriticalPath = true;
     bool strict = false;
     bool expectIdentical = false;
 };
@@ -110,8 +108,6 @@ parseArgs(int argc, char **argv, Options &opt)
             opt.out = next();
         else if (a == "--topk")
             opt.topK = static_cast<std::size_t>(parseCount(next(), a));
-        else if (a == "--no-critical-path")
-            opt.withCriticalPath = false;
         else if (a == "--strict")
             opt.strict = true;
         else if (a == "--expect-identical")
@@ -135,7 +131,7 @@ parseArgs(int argc, char **argv, Options &opt)
  * were computed when it was written).
  */
 prof::Profile
-loadInput(const std::string &path, const Options &opt)
+loadInput(const std::string &path)
 {
     json::Value root;
     std::string err;
@@ -152,9 +148,7 @@ loadInput(const std::string &path, const Options &opt)
         prof::TraceBundle bundle;
         if (!prof::importChromeTrace(path, bundle, &err))
             fatal("{}: {}", path, err);
-        prof::ProfileOptions popts;
-        popts.withCriticalPath = opt.withCriticalPath;
-        return prof::buildProfile(prof::TraceView(bundle), popts);
+        return prof::buildProfile(prof::TraceView(bundle));
     }
     fatal("{}: neither a Chrome trace (traceEvents) nor a capuprof "
           "profile (capuprof)", path);
@@ -172,7 +166,7 @@ runReport(const Options &opt)
 {
     if (opt.inputs.size() != 1)
         fatal("report takes exactly one input (see --help)");
-    prof::Profile p = loadInput(opt.inputs[0], opt);
+    prof::Profile p = loadInput(opt.inputs[0]);
 
     if (!opt.out.empty()) {
         if (opt.format == prof::ReportFormat::Json) {
@@ -204,8 +198,8 @@ runDiff(const Options &opt)
 {
     if (opt.inputs.size() != 2)
         fatal("diff takes exactly two inputs (see --help)");
-    prof::Profile a = loadInput(opt.inputs[0], opt);
-    prof::Profile b = loadInput(opt.inputs[1], opt);
+    prof::Profile a = loadInput(opt.inputs[0]);
+    prof::Profile b = loadInput(opt.inputs[1]);
     prof::ProfileDiff d = prof::diffProfiles(a, b);
 
     if (!opt.out.empty()) {
