@@ -223,3 +223,61 @@ TEST(Capuchin, TrackingOverheadIsNegligible)
                    static_cast<double>(rb.steadyIterationTicks(1));
     EXPECT_LT(ratio, 1.01);
 }
+
+TEST(Capuchin, SharedTriggerFiresPrefetchesInItemOrderThenEvict)
+{
+    // One access, three plan items: two swap items whose in-trigger is
+    // that access, and a third item that evicts at it. The policy must
+    // fire the prefetches in plan-item order, then the eviction. Item 0
+    // names the higher tensor id, so item order is not id order.
+    test::ChainGraph cg(4, 64_MiB);
+    const TensorId l1 = cg.features[0];
+    const TensorId l2 = cg.features[1];
+    const TensorId l3 = cg.features[2];
+    auto swap_item = [](TensorId tensor, int evict_after) {
+        PlannedEviction item;
+        item.tensor = tensor;
+        item.mode = RegenChoice::Swap;
+        item.bytes = 64_MiB;
+        item.evictAfterAccess = evict_after;
+        item.backAccess = evict_after + 1;
+        return item;
+    };
+    // L3:out's access 2 is L4's forward read.
+    Plan plan;
+    plan.items.push_back(swap_item(l2, 2));
+    plan.items.back().triggerTensor = l3;
+    plan.items.back().triggerAccess = 2;
+    plan.items.push_back(swap_item(l1, 2));
+    plan.items.back().triggerTensor = l3;
+    plan.items.back().triggerAccess = 2;
+    plan.items.push_back(swap_item(l3, 2));
+    plan.swapCount = plan.items.size();
+
+    CapuchinOptions opts;
+    opts.enableFeedback = false;
+    auto policy = std::make_unique<CapuchinPolicy>(opts);
+    policy->seedPlan(plan);
+    ExecConfig cfg;
+    cfg.obsLevel = obs::ObsLevel::Full;
+    Session session(std::move(cg.graph), cfg, std::move(policy));
+    auto r = session.run(1);
+    ASSERT_FALSE(r.oom) << r.oomMessage;
+
+    const obs::Tracer &tracer = session.executor().obs().tracer;
+    std::vector<std::pair<std::string, std::int64_t>> fired;
+    tracer.forEach([&](const obs::TraceEvent &ev) {
+        const std::string &name = tracer.name(ev.name);
+        if (ev.track == obs::kTrackPolicy &&
+            name.rfind("trigger.", 0) == 0)
+            fired.emplace_back(name, ev.tensor);
+    });
+    const std::vector<std::pair<std::string, std::int64_t>> want = {
+        {"trigger.evict.swap", l1},  // L2 reads L1:out (access 2)
+        {"trigger.evict.swap", l2},  // L3 reads L2:out (access 2)
+        {"trigger.prefetch", l2},    // L4 reads L3:out (access 2): item 0
+        {"trigger.prefetch", l1},    // item 1
+        {"trigger.evict.swap", l3},  // item 2
+    };
+    EXPECT_EQ(fired, want);
+}

@@ -165,6 +165,37 @@ TEST(AccessTracker, ResetClearsEverything)
     EXPECT_TRUE(f.tracker.accessesOf(f.t1).empty());
 }
 
+TEST(AccessTracker, UnseenIdsHaveNoAccessesOrDuration)
+{
+    // Ids below, between and beyond the recorded ones answer as never
+    // seen: no accesses, no duration.
+    AccessTracker tracker;
+    AccessRecord rec;
+    rec.tensor = 5;
+    rec.accessIndex = 1;
+    rec.time = 100;
+    rec.isOutput = true;
+    rec.op = 7;
+    tracker.record(rec);
+    rec.tensor = 9;
+    rec.accessIndex = 2;
+    rec.time = 50;
+    rec.isOutput = false;
+    rec.op = 11;
+    tracker.record(rec);
+    for (TensorId id : {TensorId{0}, TensorId{6}, TensorId{10},
+                        TensorId{1000}, kInvalidTensor})
+        EXPECT_TRUE(tracker.accessesOf(id).empty()) << id;
+    for (OpId op : {OpId{0}, OpId{8}, OpId{12}, OpId{1000}, kInvalidOp}) {
+        EXPECT_EQ(tracker.opDuration(op), 0u) << op;
+        EXPECT_FALSE(tracker.hasOpDuration(op)) << op;
+    }
+    // Op 11 saw only an input: a start without an end is no duration.
+    EXPECT_EQ(tracker.opDuration(11), 0u);
+    EXPECT_FALSE(tracker.hasOpDuration(11));
+    EXPECT_TRUE(tracker.hasOpDuration(7));
+}
+
 // --- PolicyMaker: swap path ---
 
 TEST(PolicyMaker, EmptyPlanWithZeroTarget)
