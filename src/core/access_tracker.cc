@@ -21,8 +21,12 @@ AccessTracker::record(const AccessRecord &rec)
 {
     seq_.push_back(rec);
     timeIndexDirty_ = true;
+    if (rec.tensor >= perTensor_.size())
+        perTensor_.resize(static_cast<std::size_t>(rec.tensor) + 1);
     perTensor_[rec.tensor].push_back(rec);
     if (rec.op != kInvalidOp) {
+        if (rec.op >= opTimes_.size())
+            opTimes_.resize(static_cast<std::size_t>(rec.op) + 1);
         OpTimes &ot = opTimes_[rec.op];
         if (rec.isOutput) {
             ot.lastOutput = std::max(ot.lastOutput, rec.time);
@@ -40,26 +44,23 @@ const std::vector<AccessRecord> &
 AccessTracker::accessesOf(TensorId id) const
 {
     static const std::vector<AccessRecord> empty;
-    auto it = perTensor_.find(id);
-    return it == perTensor_.end() ? empty : it->second;
+    return id < perTensor_.size() ? perTensor_[id] : empty;
 }
 
 Tick
 AccessTracker::opDuration(OpId op) const
 {
-    auto it = opTimes_.find(op);
-    if (it == opTimes_.end() || !it->second.haveOutput)
+    if (!hasOpDuration(op))
         return 0;
-    Tick start = it->second.haveInput ? it->second.firstInput
-                                      : it->second.lastOutput;
-    return it->second.lastOutput > start ? it->second.lastOutput - start : 0;
+    const OpTimes &ot = opTimes_[op];
+    Tick start = ot.haveInput ? ot.firstInput : ot.lastOutput;
+    return ot.lastOutput > start ? ot.lastOutput - start : 0;
 }
 
 bool
 AccessTracker::hasOpDuration(OpId op) const
 {
-    auto it = opTimes_.find(op);
-    return it != opTimes_.end() && it->second.haveOutput;
+    return op < opTimes_.size() && opTimes_[op].haveOutput;
 }
 
 PeakWindow
@@ -67,11 +68,15 @@ AccessTracker::peakWindow(
     const std::function<std::uint64_t(TensorId)> &bytes,
     std::uint64_t threshold) const
 {
-    // Sweep +size at first access, -size just after last access.
+    // Sweep +size at first access, -size just after last access. The
+    // sums per tick do not depend on the order tensors are visited in.
     std::map<Tick, std::int64_t> deltas;
-    for (const auto &[tid, recs] : perTensor_) {
-        std::uint64_t b = bytes(tid);
-        if (b == 0 || recs.empty())
+    for (std::size_t tid = 0; tid < perTensor_.size(); ++tid) {
+        const std::vector<AccessRecord> &recs = perTensor_[tid];
+        if (recs.empty())
+            continue;
+        std::uint64_t b = bytes(static_cast<TensorId>(tid));
+        if (b == 0)
             continue;
         deltas[recs.front().time] += static_cast<std::int64_t>(b);
         deltas[recs.back().time + 1] -= static_cast<std::int64_t>(b);

@@ -22,7 +22,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/tensor.hh"
@@ -112,7 +111,8 @@ class AccessTracker
     std::vector<AccessRecord> seq_;
     mutable std::vector<std::pair<Tick, std::uint32_t>> timeIndex_;
     mutable bool timeIndexDirty_ = true;
-    std::unordered_map<TensorId, std::vector<AccessRecord>> perTensor_;
+    /// By tensor id, grown on first record; unseen ids hold no records.
+    std::vector<std::vector<AccessRecord>> perTensor_;
     struct OpTimes
     {
         Tick firstInput = 0;
@@ -120,7 +120,8 @@ class AccessTracker
         bool haveInput = false;
         bool haveOutput = false;
     };
-    std::unordered_map<OpId, OpTimes> opTimes_;
+    /// By op id, grown on first record; unseen ids have neither time.
+    std::vector<OpTimes> opTimes_;
 };
 
 } // namespace capu

@@ -110,10 +110,7 @@ CapuchinPolicy::beginIteration(ExecContext &ctx)
         cs.planFromPartial = false;
         cs.plan = Plan{};
         cs.bestPlan = Plan{};
-        cs.evictTriggers.clear();
-        cs.prefetchTriggers.clear();
-        cs.itemOf.clear();
-        cs.measuredTime.clear();
+        cs.triggers = TriggerTable{};
         cs.targetBoost = 0;
         cs.guidedPassiveBytes = 0;
         cs.bestPassiveBytes = ~0ull;
@@ -148,19 +145,8 @@ CapuchinPolicy::buildPlan(ExecContext &ctx, ClassState &cs, bool audit)
         [&](std::uint64_t bytes) { return ctx.swapTime(bytes); },
         ctx.gpuCapacity());
 
-    rebuildTriggerMaps(cs);
+    rebuildTriggers(cs);
     cs.planBuilt = true;
-    if (opts_.driftThreshold > 0.0) {
-        // Baseline for the drift watchdog: the measured trace's
-        // iteration-relative access times the plan assumes.
-        cs.measuredTime.clear();
-        for (const auto &rec : cs.tracker.sequence()) {
-            Tick rel = rec.time > cs.measuredIterStart
-                           ? rec.time - cs.measuredIterStart
-                           : 0;
-            cs.measuredTime[key(rec.tensor, rec.accessIndex)] = rel;
-        }
-    }
     inform("capuchin {}", cs.plan.summary());
 
     auto &o = ctx.obs();
@@ -184,21 +170,88 @@ CapuchinPolicy::buildPlan(ExecContext &ctx, ClassState &cs, bool audit)
 }
 
 void
-CapuchinPolicy::rebuildTriggerMaps(ClassState &cs)
+CapuchinPolicy::TriggerTable::build(const Plan &plan)
 {
-    cs.evictTriggers.clear();
-    cs.prefetchTriggers.clear();
-    cs.itemOf.clear();
-    for (std::size_t i = 0; i < cs.plan.items.size(); ++i) {
-        const PlannedEviction &item = cs.plan.items[i];
-        cs.evictTriggers[key(item.tensor, item.evictAfterAccess)] = i;
-        cs.itemOf[item.tensor] = i;
+    // One entry per trigger: (tensor, access index, item, is prefetch).
+    // Sorting by (tensor, access index, item) groups each access's
+    // triggers and keeps plan order inside the group.
+    struct Entry
+    {
+        TensorId tensor;
+        int index;
+        std::uint32_t item;
+        bool prefetch;
+    };
+    std::vector<Entry> entries;
+    entries.reserve(2 * plan.items.size());
+    std::size_t n_tensors = 0;
+    for (std::size_t i = 0; i < plan.items.size(); ++i) {
+        const PlannedEviction &item = plan.items[i];
+        const auto idx = static_cast<std::uint32_t>(i);
+        entries.push_back({item.tensor, item.evictAfterAccess, idx, false});
+        n_tensors = std::max<std::size_t>(n_tensors, item.tensor + 1ull);
         if (item.mode == RegenChoice::Swap &&
             item.triggerTensor != kInvalidTensor) {
-            cs.prefetchTriggers[key(item.triggerTensor, item.triggerAccess)]
-                .push_back(i);
+            entries.push_back(
+                {item.triggerTensor, item.triggerAccess, idx, true});
+            n_tensors =
+                std::max<std::size_t>(n_tensors, item.triggerTensor + 1ull);
         }
     }
+    std::sort(entries.begin(), entries.end(),
+              [](const Entry &a, const Entry &b) {
+                  if (a.tensor != b.tensor)
+                      return a.tensor < b.tensor;
+                  if (a.index != b.index)
+                      return a.index < b.index;
+                  return a.item < b.item;
+              });
+
+    byTensor.assign(n_tensors, Tensor{});
+    accesses.clear();
+    prefetch.clear();
+    for (std::size_t i = 0; i < plan.items.size(); ++i)
+        byTensor[plan.items[i].tensor].item = static_cast<std::uint32_t>(i);
+    for (std::size_t k = 0; k < entries.size();) {
+        const TensorId tid = entries[k].tensor;
+        Tensor &t = byTensor[tid];
+        t.first = static_cast<std::uint32_t>(accesses.size());
+        while (k < entries.size() && entries[k].tensor == tid) {
+            Access a;
+            a.index = entries[k].index;
+            a.prefetchBegin = static_cast<std::uint32_t>(prefetch.size());
+            for (; k < entries.size() && entries[k].tensor == tid &&
+                   entries[k].index == a.index;
+                 ++k) {
+                if (entries[k].prefetch)
+                    prefetch.push_back(entries[k].item);
+                else
+                    a.evict = entries[k].item; // the last item wins
+            }
+            a.prefetchEnd = static_cast<std::uint32_t>(prefetch.size());
+            accesses.push_back(a);
+        }
+        t.last = static_cast<std::uint32_t>(accesses.size());
+    }
+}
+
+const CapuchinPolicy::TriggerTable::Access *
+CapuchinPolicy::TriggerTable::find(TensorId tensor, int index) const
+{
+    if (tensor >= byTensor.size())
+        return nullptr;
+    const Tensor &t = byTensor[tensor];
+    for (std::uint32_t i = t.first; i < t.last; ++i) {
+        if (accesses[i].index == index)
+            return &accesses[i];
+    }
+    return nullptr;
+}
+
+void
+CapuchinPolicy::rebuildTriggers(ClassState &cs)
+{
+    cs.triggers.build(cs.plan);
     cs.triggersDirty = false;
 }
 
@@ -223,40 +276,48 @@ CapuchinPolicy::onAccess(ExecContext &ctx, const AccessEvent &event)
         // while the trace is re-recorded (fall through to the triggers).
     }
 
-    // Guided execution: fire the plan's triggers for this exact access.
-    auto k = key(event.tensor, event.accessIndex);
-
     if (!cs.measured && opts_.driftThreshold > 0.0) {
         // Raw (stall-inclusive) timestamps: divergence caused by late
-        // prefetches and slowed transfers is exactly the signal.
-        auto mt = cs.measuredTime.find(k);
-        if (mt != cs.measuredTime.end()) {
+        // prefetches and slowed transfers is exactly the signal. The
+        // baseline is the measured trace's iteration-relative time of the
+        // same access (its last record, should the trace hold two).
+        const auto &recs = cs.tracker.accessesOf(event.tensor);
+        auto mt = std::find_if(recs.rbegin(), recs.rend(),
+                               [&](const AccessRecord &r) {
+                                   return r.accessIndex == event.accessIndex;
+                               });
+        if (mt != recs.rend()) {
             Tick rel = event.when > cs.iterStart ? event.when - cs.iterStart
                                                  : 0;
+            Tick measured = mt->time > cs.measuredIterStart
+                                ? mt->time - cs.measuredIterStart
+                                : 0;
             auto a = static_cast<double>(rel);
-            auto b = static_cast<double>(mt->second);
+            auto b = static_cast<double>(measured);
             cs.driftAbs += a > b ? a - b : b - a;
             cs.driftBase += b;
         }
     }
 
+    // Guided execution: fire the plan's triggers for this exact access.
+    const TriggerTable::Access *tr =
+        cs.triggers.find(event.tensor, event.accessIndex);
+    if (!tr)
+        return;
     auto &o = ctx.obs();
-    auto pf = opts_.enablePrefetch ? cs.prefetchTriggers.find(k)
-                                   : cs.prefetchTriggers.end();
-    if (pf != cs.prefetchTriggers.end()) {
-        for (std::size_t idx : pf->second) {
+    if (opts_.enablePrefetch) {
+        for (std::uint32_t p = tr->prefetchBegin; p < tr->prefetchEnd; ++p) {
+            TensorId id = cs.plan.items[cs.triggers.prefetch[p]].tensor;
             o.tracer.instant(obs::kTrackPolicy, obs::EventKind::Decision,
                              ctx.now(), "trigger.prefetch",
-                             static_cast<std::int64_t>(
-                                 cs.plan.items[idx].tensor));
+                             static_cast<std::int64_t>(id));
             o.metrics.add("trigger.prefetch");
-            ctx.prefetchAsync(cs.plan.items[idx].tensor);
+            ctx.prefetchAsync(id);
         }
     }
 
-    auto ev = cs.evictTriggers.find(k);
-    if (ev != cs.evictTriggers.end()) {
-        const PlannedEviction &item = cs.plan.items[ev->second];
+    if (tr->evict != TriggerTable::kNone) {
+        const PlannedEviction &item = cs.plan.items[tr->evict];
         bool swap = item.mode == RegenChoice::Swap;
         o.tracer.instant(obs::kTrackPolicy, obs::EventKind::Decision,
                          ctx.now(),
@@ -323,12 +384,11 @@ CapuchinPolicy::passiveEvict(ExecContext &ctx, ClassState &cs,
                                  obs::EventKind::Decision, ctx.now(),
                                  "passive.evict",
                                  static_cast<std::int64_t>(id));
-        if (cs.planBuilt) {
-            auto it = cs.itemOf.find(id);
-            if (it != cs.itemOf.end() &&
-                cs.plan.items[it->second].mode == RegenChoice::Recompute &&
-                ctx.accessCount(id) >=
-                    cs.plan.items[it->second].evictAfterAccess &&
+        std::uint32_t i = cs.triggers.itemOf(id);
+        if (cs.planBuilt && i != TriggerTable::kNone) {
+            const PlannedEviction &item = cs.plan.items[i];
+            if (item.mode == RegenChoice::Recompute &&
+                ctx.accessCount(id) >= item.evictAfterAccess &&
                 ctx.status(id) == TensorStatus::In && !ctx.isPinned(id)) {
                 // Past its planned eviction point: this is a collectively
                 // retained rematerialization — re-dropping costs nothing.
@@ -441,10 +501,10 @@ CapuchinPolicy::onBackAccessStall(ExecContext &ctx, TensorId id, Tick stall)
     ClassState &cs = cur();
     if (cs.measured || !opts_.enableFeedback || stall == 0)
         return;
-    auto it = cs.itemOf.find(id);
-    if (it == cs.itemOf.end())
+    std::uint32_t i = cs.triggers.itemOf(id);
+    if (i == TriggerTable::kNone)
         return;
-    PlannedEviction &item = cs.plan.items[it->second];
+    PlannedEviction &item = cs.plan.items[i];
     if (item.mode != RegenChoice::Swap)
         return;
     auto deadband = static_cast<Tick>(
@@ -545,7 +605,7 @@ CapuchinPolicy::endIteration(ExecContext &ctx, const IterationStats &stats)
             cs.refinementFrozen = true;
             if (cs.bestPassiveBytes != ~0ull && cs.guidedPassiveBytes > 0) {
                 cs.plan = cs.bestPlan;
-                rebuildTriggerMaps(cs);
+                rebuildTriggers(cs);
             }
             cs.guidedPassiveBytes = 0;
         } else {
@@ -570,7 +630,7 @@ CapuchinPolicy::endIteration(ExecContext &ctx, const IterationStats &stats)
         if (item.mode == RegenChoice::Swap)
             maker.repickTrigger(item);
     }
-    rebuildTriggerMaps(cs);
+    rebuildTriggers(cs);
 }
 
 bool
@@ -640,7 +700,7 @@ CapuchinPolicy::seedPlan(Plan plan)
     cs.planFromPartial = false;
     cs.refinementFrozen = true; // no trace to rebuild from
     cs.replans = opts_.maxReplans;
-    rebuildTriggerMaps(cs);
+    rebuildTriggers(cs);
 }
 
 std::unique_ptr<MemoryPolicy>

@@ -27,7 +27,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "core/access_tracker.hh"
@@ -103,7 +102,7 @@ class CapuchinPolicy : public MemoryPolicy
 
     /**
      * Deep copy: the per-shape-class plan cache (measured traces, plans,
-     * trigger maps, drift watchdog state) is duplicated entry by entry, so
+     * trigger tables, drift watchdog state) is duplicated entry by entry, so
      * a fork's refinements never leak back into the original.
      */
     std::unique_ptr<MemoryPolicy> clone() const override;
@@ -134,6 +133,49 @@ class CapuchinPolicy : public MemoryPolicy
     std::size_t shapeClassCount() const { return classes_.size(); }
 
   private:
+    /**
+     * The plan items each access fires, by tensor id, so that an access
+     * looks its triggers up without hashing. Rebuilt whenever the plan or
+     * its in-triggers change; sized by the plan's largest tensor id, so a
+     * tensor past the end, or one with no entry, fires nothing.
+     */
+    struct TriggerTable
+    {
+        static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+
+        /** One access with triggers: the items it prefetches, in plan
+         *  order, then the one item it evicts (the last such item). */
+        struct Access
+        {
+            int index = 0; ///< access index
+            std::uint32_t prefetchBegin = 0; ///< into `prefetch`
+            std::uint32_t prefetchEnd = 0;
+            std::uint32_t evict = kNone;
+        };
+        /** A tensor's accesses with triggers, `accesses[first, last)`,
+         *  and the last plan item that evicts the tensor. */
+        struct Tensor
+        {
+            std::uint32_t first = 0;
+            std::uint32_t last = 0;
+            std::uint32_t item = kNone;
+        };
+
+        std::vector<Tensor> byTensor;
+        std::vector<Access> accesses;
+        std::vector<std::uint32_t> prefetch;
+
+        void build(const Plan &plan);
+        /** The triggers of `tensor`'s access `index`, or null. */
+        const Access *find(TensorId tensor, int index) const;
+        /** The last plan item evicting `tensor`, or kNone. */
+        std::uint32_t
+        itemOf(TensorId tensor) const
+        {
+            return tensor < byTensor.size() ? byTensor[tensor].item : kNone;
+        }
+    };
+
     /**
      * The complete measure/plan/refine lifecycle of one shape class. A
      * static graph uses exactly class 0; a dynamic graph gets one entry
@@ -166,20 +208,17 @@ class CapuchinPolicy : public MemoryPolicy
         bool feedbackShiftedThisIter = false;
 
         // --- drift watchdog state (inert while driftThreshold == 0) ---
+        // The baseline is `tracker`: it holds the measured trace the plan
+        // was built from until the next measured iteration resets it,
+        // which also resets measuredIterStart and forces a rebuild.
         int remeasures = 0;
         bool remeasureRequested = false;
         Tick iterStart = 0;
         Tick measuredIterStart = 0;
         double driftAbs = 0.0;
         double driftBase = 0.0;
-        /** key(tensor, accessIndex) -> measured iteration-relative tick. */
-        std::unordered_map<std::uint64_t, Tick> measuredTime;
 
-        /** (tensor, accessIndex) keys -> plan item indices. */
-        std::unordered_map<std::uint64_t, std::size_t> evictTriggers;
-        std::unordered_map<std::uint64_t, std::vector<std::size_t>>
-            prefetchTriggers;
-        std::unordered_map<TensorId, std::size_t> itemOf;
+        TriggerTable triggers;
     };
 
     CapuchinOptions opts_;
@@ -196,15 +235,8 @@ class CapuchinPolicy : public MemoryPolicy
     ClassState &classFor(std::uint64_t cls) const;
     ClassState &cur() const { return classFor(currentClass_); }
 
-    static std::uint64_t
-    key(TensorId tensor, int access_index)
-    {
-        return (static_cast<std::uint64_t>(tensor) << 32) |
-               static_cast<std::uint32_t>(access_index);
-    }
-
     void buildPlan(ExecContext &ctx, ClassState &cs, bool audit = true);
-    void rebuildTriggerMaps(ClassState &cs);
+    void rebuildTriggers(ClassState &cs);
     bool passiveEvict(ExecContext &ctx, ClassState &cs, std::uint64_t bytes);
 };
 
