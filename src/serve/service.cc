@@ -144,6 +144,17 @@ PlanService::loadFromDisk(const ServeKey &key, const PlanRequest &req,
                  req.batch, planLoadStatusName(st));
         return nullptr;
     }
+    // The plan's tensor ids size the policy's trigger tables, and the
+    // digest only proves the file is intact: reject ids past the graph.
+    for (const PlannedEviction &it : loaded.items) {
+        bool trigger_ok = it.triggerTensor == kInvalidTensor ||
+                          it.triggerTensor < graph.numTensors();
+        if (it.tensor < graph.numTensors() && trigger_ok)
+            continue;
+        warn("capuserve: stored plan for {}@{} rejected: an item names a "
+             "tensor the graph lacks", req.model, req.batch);
+        return nullptr;
+    }
     // Seed a session with the loaded plan (no measured iteration) and run
     // one guided iteration so the template is warm for future forks.
     auto policy = makeServePolicy(req.policy);

@@ -28,6 +28,7 @@
 #include "core/capuchin_policy.hh"
 #include "core/plan_io.hh"
 #include "exec/session.hh"
+#include "models/workload.hh"
 #include "models/zoo.hh"
 #include "policy/checkpointing_policy.hh"
 #include "policy/vdnn_policy.hh"
@@ -561,6 +562,18 @@ TEST(PlanServiceTest, EvictionDropsTemplateSession)
     EXPECT_EQ(service.templateSessions(), 1u);
 }
 
+/** Where a service with `cfg` stores the plan answering `req`. */
+std::string
+storedPlanPath(const PlanServiceConfig &cfg, const PlanRequest &req)
+{
+    ServeKey k = PlanService(cfg, nullptr).keyFor(req);
+    std::ostringstream path;
+    path << cfg.planDir << "/plan-" << std::hex << k.model << '-' << std::dec
+         << k.batch << '-' << std::hex << k.memLimit << '-' << k.policyCfg
+         << ".capuplan";
+    return path.str();
+}
+
 TEST(PlanServiceTest, DiskWarmStartAcrossServices)
 {
     PlanServiceConfig cfg = serviceConfig();
@@ -596,12 +609,35 @@ TEST(PlanServiceTest, DiskWarmStartAcrossServices)
         EXPECT_EQ(warm.digest, cold_digest);
     }
     // Clean the plan file out of the build tree.
-    ServeKey k = PlanService(cfg, nullptr).keyFor(req);
-    std::ostringstream path;
-    path << "./plan-" << std::hex << k.model << '-' << std::dec << k.batch
-         << '-' << std::hex << k.memLimit << '-' << k.policyCfg
-         << ".capuplan";
-    std::remove(path.str().c_str());
+    std::remove(storedPlanPath(cfg, req).c_str());
+}
+
+TEST(PlanServiceTest, StoredPlanNamingAbsentTensorIsMeasuredAgain)
+{
+    // A stored plan whose item names a tensor past the graph passes the
+    // digest check (the file is intact) but is rejected before it seeds
+    // a session: the request is measured as if no file existed.
+    PlanServiceConfig cfg = serviceConfig();
+    cfg.planDir = ".";
+    PlanRequest req;
+    req.model = "vgg16";
+    req.batch = 96;
+    req.warmIterations = 0;
+    Graph graph = buildModelByName(req.model, req.batch);
+    PlannedEviction item;
+    item.tensor = static_cast<TensorId>(graph.numTensors());
+    item.mode = RegenChoice::Recompute;
+    item.evictAfterAccess = 1;
+    Plan plan;
+    plan.items.push_back(item);
+    const std::string path = storedPlanPath(cfg, req);
+    ASSERT_TRUE(savePlanFile(path, plan, graphFingerprint(graph)));
+
+    PlanService service(cfg, nullptr);
+    PlanResponse resp = service.handle(req);
+    std::remove(path.c_str());
+    ASSERT_TRUE(resp.ok) << resp.error;
+    EXPECT_FALSE(resp.fromDisk);
 }
 
 /** Answers `req` from `n` threads that all start at once. */
