@@ -79,7 +79,8 @@ Executor::Executor(const Executor &other, const Graph &graph,
       variantSchedules_(other.variantSchedules_),
       activeVariant_(other.activeVariant_), states_(other.states_),
       usesPerIteration_(other.usesPerIteration_),
-      lastUsePos_(other.lastUsePos_), clock_(other.clock_),
+      lastUsePos_(other.lastUsePos_), nameHash_(other.nameHash_),
+      clock_(other.clock_),
       hostClock_(other.hostClock_), computeBarrier_(other.computeBarrier_),
       iteration_(other.iteration_), setupDone_(other.setupDone_),
       currentOp_(other.currentOp_), currentOpEnd_(other.currentOpEnd_),
@@ -205,6 +206,13 @@ Executor::setup()
         for (TensorId in : graph_.op(schedule_[p]).inputs)
             lastUsePos_[in] = static_cast<int>(p);
     }
+    nameHash_.resize(graph_.numTensors());
+    for (const TensorDesc &t : graph_.tensors()) {
+        std::uint64_t h = hashString(t.name.c_str());
+        if (t.producer != kInvalidOp)
+            h = hashCombine(hashString(graph_.op(t.producer).name.c_str()), h);
+        nameHash_[t.id] = h;
+    }
     // Dynamic graphs: slice the global topological order per variant. A
     // variant slice is an order-preserving filter of schedule_, so within-
     // variant relative positions (all lastUsePos_ comparisons ever made)
@@ -279,7 +287,7 @@ Executor::setupWeights()
         st.status = TensorStatus::In;
         st.produced = true;
         st.weightVersion = 0;
-        st.fingerprint = hashCombine(hashString(t.name.c_str()), 0);
+        st.fingerprint = hashCombine(nameHash_[t.id], 0);
         st.expectedFp = st.fingerprint;
     }
 }
@@ -736,9 +744,9 @@ Executor::recomputeTensor(TensorId target, Tick at)
 void
 Executor::produceFingerprint(TensorId id, const Operation &op)
 {
+    // `op` is `id`'s producer, whose name nameHash_ already holds.
     TensorState &st = state(id);
-    std::uint64_t fp = hashString(op.name.c_str());
-    fp = hashCombine(fp, hashString(graph_.tensor(id).name.c_str()));
+    std::uint64_t fp = nameHash_[id];
     if (op.category == OpCategory::Source) {
         // Fresh batch each iteration: not reproducible by replay.
         fp = hashCombine(fp, static_cast<std::uint64_t>(iteration_));
@@ -875,7 +883,7 @@ Executor::runOp(OpId id)
                 TensorState &wst = state(in);
                 ++wst.weightVersion;
                 wst.fingerprint = hashCombine(
-                    hashString(graph_.tensor(in).name.c_str()),
+                    nameHash_[in],
                     static_cast<std::uint64_t>(wst.weightVersion));
                 wst.expectedFp = wst.fingerprint;
             }
@@ -1263,9 +1271,8 @@ Executor::replayBumpWeight(TensorId id, int bumps)
     st.weightVersion += bumps;
     // Same recompute runOp's Update handling performs: the fingerprint
     // depends only on the final version, not on the bump-by-bump path.
-    st.fingerprint =
-        hashCombine(hashString(graph_.tensor(id).name.c_str()),
-                    static_cast<std::uint64_t>(st.weightVersion));
+    st.fingerprint = hashCombine(
+        nameHash_[id], static_cast<std::uint64_t>(st.weightVersion));
     st.expectedFp = st.fingerprint;
 }
 

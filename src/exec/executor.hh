@@ -438,6 +438,12 @@ class Executor : public ExecContext
     std::vector<TensorState> states_;
     std::vector<int> usesPerIteration_; ///< consumer count per tensor
     std::vector<int> lastUsePos_; ///< schedule index of last consumer (-1)
+    /**
+     * Per tensor, the name part of its fingerprint, hashed once in
+     * setup(): hashCombine(hash(producer op name), hash(tensor name)), or
+     * hash(tensor name) for a tensor no op produces (weights).
+     */
+    std::vector<std::uint64_t> nameHash_;
 
     Tick clock_ = 0;       ///< host-loop master clock
     Tick hostClock_ = 0;   ///< eager-mode interpreter time
