@@ -1,6 +1,7 @@
 #include "exec/executor.hh"
 
 #include <algorithm>
+#include <limits>
 
 #include "support/logging.hh"
 #include "support/rng.hh"
@@ -80,8 +81,8 @@ Executor::Executor(const Executor &other, const Graph &graph,
       activeVariant_(other.activeVariant_), states_(other.states_),
       usesPerIteration_(other.usesPerIteration_),
       lastUsePos_(other.lastUsePos_), nameHash_(other.nameHash_),
-      clock_(other.clock_),
-      hostClock_(other.hostClock_), computeBarrier_(other.computeBarrier_),
+      clock_(other.clock_), hostClock_(other.hostClock_),
+      computeBarrier_(other.computeBarrier_),
       iteration_(other.iteration_), setupDone_(other.setupDone_),
       currentOp_(other.currentOp_), currentOpEnd_(other.currentOpEnd_),
       stats_(other.stats_), replayArmed_(other.replayArmed_),
@@ -601,44 +602,43 @@ Executor::recomputeTensor(TensorId target, Tick at)
     // left) and tensors with future uses retained by collective
     // recomputation; both are released under memory pressure — the paper's
     // "kept if the memory is enough; otherwise released" rule (§5.3).
-    std::vector<TensorId> scratch;
-    scratch.reserve(plan.size());
-    std::vector<TensorId> kept;
-    kept.reserve(plan.size());
-
-    // (tensor, position in `plan` of an op reading it), sorted. Built by
-    // the first release in the middle of the replay; the final release
-    // frees every pooled tensor and needs no positions.
-    std::vector<std::pair<TensorId, std::size_t>> readers;
-    auto read_at_or_after = [&](TensorId tid, std::size_t plan_pos) {
-        if (readers.empty()) {
-            for (std::size_t p = 0; p < plan.size(); ++p) {
-                for (TensorId in : graph_.op(plan[p]).inputs)
-                    readers.emplace_back(in, p);
-            }
-            std::sort(readers.begin(), readers.end());
-        }
-        // The tensor's last pair holds the position of its last reader.
-        auto it = std::upper_bound(readers.begin(), readers.end(),
-                                   std::make_pair(tid, plan.size()));
-        return it != readers.begin() && (it - 1)->first == tid &&
-               (it - 1)->second >= plan_pos;
+    // Each is pooled with the largest id among the plan ops that read it
+    // (-1: none). `plan` is sorted by op id, so an op at or after position
+    // p reads the tensor exactly when that id >= plan[p].
+    struct Pooled
+    {
+        TensorId id;
+        std::int64_t lastReader;
     };
+    auto pooled = [&](TensorId tid) {
+        std::int64_t last = -1;
+        for (OpId c : graph_.consumers(tid)) {
+            if (in_plan[c])
+                last = std::max<std::int64_t>(last, c);
+        }
+        return Pooled{tid, last};
+    };
+    std::vector<Pooled> scratch;
+    scratch.reserve(plan.size());
+    std::vector<Pooled> kept;
+    kept.reserve(plan.size());
 
     // Free the pooled tensors no op at or after `plan_pos` reads, in pool
     // order: the order decides which same-tick frees coalesce first.
-    auto release_from = [&](std::vector<TensorId> &pool, Tick when,
+    auto release_from = [&](std::vector<Pooled> &pool, Tick when,
                             std::size_t plan_pos) {
+        const std::int64_t first_op =
+            plan_pos < plan.size() ? plan[plan_pos]
+                                   : std::numeric_limits<std::int64_t>::max();
         bool any = false;
         std::size_t kept_count = 0;
         for (std::size_t i = 0; i < pool.size(); ++i) {
-            TensorId tid = pool[i];
-            if (plan_pos < plan.size() && read_at_or_after(tid, plan_pos)) {
-                pool[kept_count++] = tid;
+            if (pool[i].lastReader >= first_op) {
+                pool[kept_count++] = pool[i];
                 continue;
             }
-            if (state(tid).gpuHandle) {
-                dropAt(tid, when);
+            if (state(pool[i].id).gpuHandle) {
+                dropAt(pool[i].id, when);
                 any = true;
             }
         }
@@ -724,13 +724,13 @@ Executor::recomputeTensor(TensorId target, Tick at)
             if (has_future_uses) {
                 if (config_.collectiveRecompute) {
                     // Keep it: one replay satisfies several targets (§5.3).
-                    kept.push_back(out);
+                    kept.push_back(pooled(out));
                     continue;
                 }
                 // Non-collective: release; it will be replayed again later.
                 dropAt(out, end);
             } else {
-                scratch.push_back(out);
+                scratch.push_back(pooled(out));
             }
         }
     }
