@@ -59,6 +59,20 @@ parseProb(std::string_view s, const char *what)
     return p;
 }
 
+/**
+ * A pcie window bound as parsePcie reads it back: bare milliseconds when
+ * whole, else the coarser of `us` and `ns` that holds it exactly.
+ */
+std::string
+windowBound(Tick t)
+{
+    if (t % kTickPerMs == 0)
+        return std::to_string(t / kTickPerMs);
+    if (t % kTickPerUs == 0)
+        return std::to_string(t / kTickPerUs) + "us";
+    return std::to_string(t) + "ns";
+}
+
 void
 parsePcie(std::string_view body, FaultSpec &spec)
 {
@@ -214,8 +228,7 @@ FaultSpec::summary() const
     for (const auto &ep : pcie) {
         std::string c = "pcie:" + fmt("{}", ep.factor);
         if (ep.begin != 0 || ep.end != ~0ull) {
-            c += "@" + std::to_string(ep.begin / kTickPerMs) + "-" +
-                 std::to_string(ep.end / kTickPerMs);
+            c += "@" + windowBound(ep.begin) + "-" + windowBound(ep.end);
         }
         clause(c);
     }

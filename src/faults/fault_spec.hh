@@ -13,7 +13,9 @@
  *
  *   pcie:<factor>[@<begin>-<end>]   bandwidth multiplier in (0,1]; the
  *                                   optional window is in milliseconds of
- *                                   simulated time (default: whole run);
+ *                                   simulated time, or in the suffix a
+ *                                   bound carries (ns|us|ms|s) (default:
+ *                                   whole run);
  *                                   repeatable, overlapping windows take
  *                                   the minimum factor
  *   jitter:<frac>                   kernel durations drawn uniformly from
@@ -77,7 +79,11 @@ struct FaultSpec
     /** Whether any clause perturbs the simulation at all. */
     bool enabled() const;
 
-    /** Canonical one-line rendering ("none" when empty); parseable. */
+    /**
+     * Canonical one-line rendering ("none" when empty); parses back to
+     * the same spec. A window bound prints in bare milliseconds when
+     * whole, else with a `us` or `ns` suffix.
+     */
     std::string summary() const;
 
     /** Host-pool capacity after applying the cap clause. */

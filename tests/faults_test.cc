@@ -100,12 +100,26 @@ TEST(FaultSpec, ParsesEveryClause)
 
 TEST(FaultSpec, SummaryRoundTrips)
 {
-    const std::string text =
-        "pcie:0.5@2000-4000;jitter:0.1;hostcap:8GiB;swapfail:p=0.01,"
-        "retries=3";
-    auto spec = faults::parseFaultSpec(text);
-    auto reparsed = faults::parseFaultSpec(spec.summary());
-    EXPECT_EQ(spec.summary(), reparsed.summary());
+    // Two summaries agree even when both lose a window's fraction, so
+    // compare each episode's ticks after the round trip as well.
+    for (const char *text :
+         {"pcie:0.5@2000-4000;jitter:0.1;hostcap:8GiB;swapfail:p=0.01,"
+          "retries=3",
+          "pcie:0.5@0.5-1.5", "pcie:0.25@1500us-2000001ns;pcie:0.75"}) {
+        auto spec = faults::parseFaultSpec(text);
+        auto reparsed = faults::parseFaultSpec(spec.summary());
+        EXPECT_EQ(spec.summary(), reparsed.summary()) << text;
+        ASSERT_EQ(spec.pcie.size(), reparsed.pcie.size()) << text;
+        for (std::size_t i = 0; i < spec.pcie.size(); ++i) {
+            EXPECT_EQ(spec.pcie[i].begin, reparsed.pcie[i].begin) << text;
+            EXPECT_EQ(spec.pcie[i].end, reparsed.pcie[i].end) << text;
+        }
+    }
+    // Whole-millisecond windows keep their bare spelling.
+    EXPECT_EQ(faults::parseFaultSpec("pcie:0.5@2000-4000").summary(),
+              "pcie:0.5@2000-4000");
+    EXPECT_EQ(faults::parseFaultSpec("pcie:0.5@0.5-1.5").summary(),
+              "pcie:0.5@500us-1500us");
 }
 
 TEST(FaultSpec, ByteSizesAndDurations)
