@@ -3,7 +3,6 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
 
 #include "support/logging.hh"
@@ -34,12 +33,15 @@ formatBytes(std::uint64_t bytes)
 std::uint64_t
 parseBytes(const std::string &text)
 {
-    const char *begin = text.c_str();
-    char *end = nullptr;
-    double value = std::strtod(begin, &end);
-    if (end == begin || !std::isfinite(value) || std::signbit(value))
+    const char *end = text.data() + text.size();
+    double value = 0;
+    // Plain decimal only: unlike strtod, from_chars takes no leading
+    // space, '+' or hexadecimal.
+    auto [num_end, ec] = std::from_chars(text.data(), end, value,
+                                         std::chars_format::general);
+    if (ec != std::errc() || !std::isfinite(value) || std::signbit(value))
         fatal("bad byte count '{}'", text);
-    std::string suffix = end;
+    std::string suffix(num_end, end);
     double scale = 0;
     if (suffix.empty() || suffix == "B")
         scale = 1;

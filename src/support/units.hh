@@ -45,10 +45,11 @@ std::string formatBytes(std::uint64_t bytes);
 
 /**
  * Parse a byte count such as "4096", "512M", "1.5G" or "8GiB": a
- * non-negative number with an optional B, K/KB/KiB, M/MB/MiB, G/GB/GiB or
- * T/TiB (binary) suffix.
- * Throws FatalError on anything else — NaN, infinity, a sign, trailing
- * junk, or a value that does not fit 64 bits once scaled.
+ * non-negative plain decimal number with an optional B, K/KB/KiB,
+ * M/MB/MiB, G/GB/GiB or T/TiB (binary) suffix.
+ * Throws FatalError on anything else — NaN, infinity, a sign, leading
+ * space, hexadecimal, trailing junk, or a value that does not fit 64
+ * bits once scaled.
  */
 std::uint64_t parseBytes(const std::string &text);
 

@@ -218,6 +218,9 @@ TEST(Units, ParseBytesRejectsGarbage)
     // No number, an unknown suffix, or trailing junk.
     for (const char *bad : {"", "G", "abc", "12P", "12Gx", "12 G", "14G "})
         EXPECT_THROW(parseBytes(bad), FatalError) << bad;
+    // Plain decimal only: no leading space, hexadecimal or '+'.
+    for (const char *bad : {" 14G", "0x380000000", " 0x380000000", "+2G"})
+        EXPECT_THROW(parseBytes(bad), FatalError) << bad;
 }
 
 TEST(Units, ParseCountAcceptsDigits)
