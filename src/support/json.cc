@@ -28,6 +28,9 @@ class Parser
         return pos_ == s_.size(); // no trailing garbage
     }
 
+    /** After a failed parse: the byte offset (0-based) it stopped at. */
+    std::size_t offset() const { return pos_; }
+
   private:
     void
     skipWs()
@@ -104,8 +107,9 @@ class Parser
                 if (!string(key))
                     return false;
                 skipWs();
-                if (pos_ >= s_.size() || s_[pos_++] != ':')
+                if (pos_ >= s_.size() || s_[pos_] != ':')
                     return false;
+                ++pos_;
                 Value v;
                 if (!value(v))
                     return false;
@@ -182,12 +186,16 @@ class Parser
         if (pos_ == start)
             return false;
         // The whole token must be one number. An overflow reads as
-        // infinity and fails; an underflow reads as zero.
+        // infinity and fails; an underflow reads as zero. A failure is
+        // reported at the token's first byte.
         std::string token = s_.substr(start, pos_ - start);
         char *end = nullptr;
         out.kind = Value::Num;
         out.num = std::strtod(token.c_str(), &end);
-        return end == token.c_str() + token.size() && std::isfinite(out.num);
+        if (end == token.c_str() + token.size() && std::isfinite(out.num))
+            return true;
+        pos_ = start;
+        return false;
     }
 
     const std::string &s_;
@@ -247,9 +255,13 @@ parseFile(const std::string &path, Value &out, std::string *err)
     }
     std::ostringstream buf;
     buf << is.rdbuf();
-    if (!parse(buf.str(), out)) {
-        if (err)
-            *err = "malformed JSON in '" + path + "'";
+    const std::string text = buf.str();
+    Parser parser(text);
+    if (!parser.parse(out)) {
+        if (err) {
+            *err = "malformed JSON at byte " +
+                   std::to_string(parser.offset()) + " in '" + path + "'";
+        }
         return false;
     }
     return true;

@@ -68,7 +68,8 @@ bool parse(const std::string &text, Value &out);
 
 /**
  * Read and parse a whole file. Returns false (with the reason in *err
- * when provided) on I/O or parse failure.
+ * when provided) on I/O or parse failure. Both reasons name the path; a
+ * parse failure also names the byte offset (0-based) where it stopped.
  */
 bool parseFile(const std::string &path, Value &out,
                std::string *err = nullptr);

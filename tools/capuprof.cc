@@ -136,7 +136,7 @@ loadInput(const std::string &path)
     json::Value root;
     std::string err;
     if (!json::parseFile(path, root, &err))
-        fatal("{}: {}", path, err);
+        fatal("{}", err); // names the path already
 
     if (root.has("capuprof")) {
         prof::Profile p;
