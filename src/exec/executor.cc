@@ -87,7 +87,7 @@ Executor::Executor(const Executor &other, const Graph &graph,
       currentOp_(other.currentOp_), currentOpEnd_(other.currentOpEnd_),
       stats_(other.stats_), replayArmed_(other.replayArmed_),
       iterAccessHash_(other.iterAccessHash_),
-      replayCounterOffsets_(other.replayCounterOffsets_),
+      fed_(other.fed_),
       labels_(other.labels_)
 {
     // The member-wise copies above left four raw observer pointers aimed
@@ -1208,20 +1208,20 @@ Executor::feedIterationMetrics()
     m.add("prefetch.busy_ns", stats_.prefetchBusy);
     m.add("prefetch.stall_ns", stats_.prefetchStall);
 
-    // Raw allocator counters don't advance during synthesized iterations;
-    // the accumulated replay offsets keep the mirrored totals seamless.
+    // Cumulative counters: add the growth since the last feed.
+    auto grow = [&](const char *name, std::uint64_t now,
+                    std::uint64_t &fed) {
+        m.add(name, now - fed);
+        fed = now;
+    };
     const BfcStats &bfc = mem_.gpu().stats();
-    m.setCounter("bfc.splits",
-                 bfc.splitCount + replayCounterOffset("bfc.splits"));
-    m.setCounter("bfc.merges",
-                 bfc.mergeCount + replayCounterOffset("bfc.merges"));
-    m.setCounter("bfc.failed_allocs",
-                 bfc.failedAllocs + replayCounterOffset("bfc.failed_allocs"));
+    grow("bfc.splits", bfc.splitCount, fed_.bfcSplits);
+    grow("bfc.merges", bfc.mergeCount, fed_.bfcMerges);
+    grow("bfc.failed_allocs", bfc.failedAllocs, fed_.bfcFailedAllocs);
     m.set("bfc.fragmentation", mem_.gpu().fragmentation());
     m.set("gpu.peak_bytes", static_cast<double>(stats_.peakGpuBytes));
-    m.setCounter("host.failed_allocs",
-                 mem_.host().failedAllocs() +
-                     replayCounterOffset("host.failed_allocs"));
+    grow("host.failed_allocs", mem_.host().failedAllocs(),
+         fed_.hostFailedAllocs);
 
     if (faults_.enabled()) {
         const faults::FaultStats &fs = faults_.stats();
@@ -1274,27 +1274,6 @@ Executor::replayBumpWeight(TensorId id, int bumps)
     st.fingerprint = hashCombine(
         nameHash_[id], static_cast<std::uint64_t>(st.weightVersion));
     st.expectedFp = st.fingerprint;
-}
-
-void
-Executor::addReplayCounterOffset(std::string_view name, std::uint64_t delta)
-{
-    for (auto &[key, off] : replayCounterOffsets_) {
-        if (key == name) {
-            off += delta;
-            return;
-        }
-    }
-    replayCounterOffsets_.emplace_back(std::string(name), delta);
-}
-
-std::uint64_t
-Executor::replayCounterOffset(std::string_view name) const
-{
-    for (const auto &[key, off] : replayCounterOffsets_)
-        if (key == name)
-            return off;
-    return 0;
 }
 
 // --- ExecContext queries ---

@@ -122,8 +122,6 @@ struct ReplayOptions
      * synthesized ones. 0 disables auditing (trusted replay).
      */
     int auditInterval = 16;
-    /** Audit digest mismatches tolerated before replay disables itself. */
-    int maxAuditMismatches = 2;
 };
 
 /** Executed-vs-synthesized iteration accounting for one session run. */
@@ -411,14 +409,6 @@ class Executor : public ExecContext
      */
     void replayBumpWeight(TensorId id, int bumps);
 
-    /**
-     * Synthesized iterations leave raw allocator counters (bfc.splits,
-     * ...) behind reality; feedIterationMetrics adds these accumulated
-     * offsets when mirroring them into the registry so audited executed
-     * iterations report seamless totals.
-     */
-    void addReplayCounterOffset(std::string_view name, std::uint64_t delta);
-
   private:
     const Graph &graph_;
     ExecConfig config_;
@@ -459,10 +449,21 @@ class Executor : public ExecContext
     // --- capureplay state ---
     bool replayArmed_ = false;
     std::uint64_t iterAccessHash_ = 0;
-    /** (metric name, accumulated offset); tiny — linear scan suffices. */
-    std::vector<std::pair<std::string, std::uint64_t>> replayCounterOffsets_;
 
-    std::uint64_t replayCounterOffset(std::string_view name) const;
+    /**
+     * The cumulative allocator and host counters as of the last
+     * feedIterationMetrics, which adds their growth since to the
+     * registry. Synthesized iterations add their deltas there too, so
+     * the registry totals run ahead of the raw counters under replay.
+     */
+    struct FedCounters
+    {
+        std::uint64_t bfcSplits = 0;
+        std::uint64_t bfcMerges = 0;
+        std::uint64_t bfcFailedAllocs = 0;
+        std::uint64_t hostFailedAllocs = 0;
+    };
+    FedCounters fed_;
 
     /**
      * Hot trace labels as ids in obs_.tracer, interned on first use while

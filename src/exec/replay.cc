@@ -12,17 +12,11 @@ namespace
 {
 
 /**
- * Registry counters that mirror raw allocator/host counters via setCounter
- * in feedIterationMetrics. Synthesized iterations advance these through the
- * executor's replay-offset mechanism instead of a plain add, so the next
- * executed iteration's absolute mirror stays seamless.
+ * Audit digest mismatches after which replay disarms for the rest of the
+ * run: the first re-enters observation (the policy may have adapted
+ * legitimately), the second means the fixed point cannot be trusted.
  */
-bool
-isRawMirror(const std::string &name)
-{
-    return name == "bfc.splits" || name == "bfc.merges" ||
-           name == "bfc.failed_allocs" || name == "host.failed_allocs";
-}
+constexpr int kMaxAuditMismatches = 2;
 
 } // namespace
 
@@ -109,7 +103,7 @@ ReplayEngine::observe(const IterationStats &stats)
         }
         if (was_audit) {
             ++summary_.auditMismatches;
-            if (summary_.auditMismatches >= opts_.maxAuditMismatches) {
+            if (summary_.auditMismatches >= kMaxAuditMismatches) {
                 disabled_ = true;
                 return;
             }
@@ -344,11 +338,8 @@ ReplayEngine::emitSynthesized(const IterationStats &st, const Delta &tpl)
     }
     if (obs.metricsOn()) {
         auto &m = obs.metrics;
-        for (const auto &[name, delta] : tpl.counterDeltas) {
+        for (const auto &[name, delta] : tpl.counterDeltas)
             m.add(name, delta);
-            if (isRawMirror(name))
-                exec_.addReplayCounterOffset(name, delta);
-        }
         for (const auto &[name, value] : tpl.gauges)
             m.set(name, value);
         for (const auto &[name, hist] : tpl.histDeltas)

@@ -19,8 +19,8 @@
  *
  * Replay is trust-but-verify: every `auditInterval` synthesized iterations
  * one *audit iteration* executes for real and must reproduce the template
- * digest exactly; a mismatch falls back to full execution (bounded by
- * maxAuditMismatches before replay disarms for the rest of the run).
+ * digest exactly; a mismatch falls back to full execution, and the
+ * second mismatch disarms replay for the rest of the run.
  * Replay is never armed while a fault plan is active, and an unstable
  * policy (pending plan rebuild, trigger shift, re-measurement) pauses
  * synthesis until the digest re-converges.

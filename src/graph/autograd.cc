@@ -12,6 +12,12 @@ namespace capu
 namespace
 {
 
+/**
+ * Update-op memory traffic in weight sizes: SGD reads the weight and its
+ * gradient and writes the weight back.
+ */
+constexpr double kUpdateBytesScale = 3.0;
+
 /** Sum of tensor sizes, for the roofline memBytes of generated ops. */
 double
 sumBytes(const Graph &g, const std::vector<TensorId> &ids)
@@ -25,17 +31,13 @@ sumBytes(const Graph &g, const std::vector<TensorId> &ids)
 class BackwardBuilder
 {
   public:
-    BackwardBuilder(Graph &graph, TensorId loss, const AutogradOptions &opts)
-        : g_(graph), loss_(loss), opts_(opts)
-    {
-    }
+    BackwardBuilder(Graph &graph, TensorId loss) : g_(graph), loss_(loss) {}
 
     AutogradResult run();
 
   private:
     Graph &g_;
     TensorId loss_;
-    AutogradOptions opts_;
     AutogradResult result_;
 
     /** Accumulated gradient tensor per forward tensor. */
@@ -186,8 +188,8 @@ BackwardBuilder::emitUpdates()
         up.inputs = {w, grad};
         up.outputs = {};
         up.flops = static_cast<double>(g_.tensor(w).bytes) / 4.0 * 2.0;
-        up.memBytes = static_cast<double>(g_.tensor(w).bytes) *
-                      opts_.optimizerBytesScale;
+        up.memBytes =
+            static_cast<double>(g_.tensor(w).bytes) * kUpdateBytesScale;
         up.recomputable = false; // has side effects on the weight
         g_.addOp(std::move(up));
         ++result_.updateOps;
@@ -233,11 +235,11 @@ BackwardBuilder::run()
 } // namespace
 
 AutogradResult
-buildBackward(Graph &graph, TensorId loss, const AutogradOptions &opts)
+buildBackward(Graph &graph, TensorId loss)
 {
     if (graph.tensor(loss).producer == kInvalidOp)
         fatal("loss tensor {} has no producer", graph.tensor(loss).name);
-    BackwardBuilder builder(graph, loss, opts);
+    BackwardBuilder builder(graph, loss);
     return builder.run();
 }
 

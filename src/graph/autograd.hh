@@ -15,7 +15,8 @@
  *  - `O:bwd_filter` — produces d(weight) for every weight in O.gradParams.
  *  - `add_grad` accumulation ops where a tensor feeds multiple consumers
  *    (ResNet skip connections, Inception/DenseNet concats).
- *  - `W:update` — SGD update per weight, consuming d(W).
+ *  - `W:update` — SGD update per weight, consuming d(W); it moves three
+ *    weight-sized tensors (weight read, gradient read, weight write).
  */
 
 #ifndef CAPU_GRAPH_AUTOGRAD_HH
@@ -25,12 +26,6 @@
 
 namespace capu
 {
-
-struct AutogradOptions
-{
-    /** Multiplier on update-op memory traffic (SGD=3x, Adam=5x weights). */
-    double optimizerBytesScale = 3.0;
-};
 
 struct AutogradResult
 {
@@ -45,8 +40,7 @@ struct AutogradResult
  * @param graph Forward graph; backward/update ops are appended.
  * @param loss The scalar loss tensor (output of the Loss op).
  */
-AutogradResult buildBackward(Graph &graph, TensorId loss,
-                             const AutogradOptions &opts = {});
+AutogradResult buildBackward(Graph &graph, TensorId loss);
 
 } // namespace capu
 

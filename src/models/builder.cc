@@ -446,9 +446,9 @@ ModelBuilder::addForward(Operation op)
 }
 
 Graph
-ModelBuilder::finalize(TensorId loss, const AutogradOptions &opts)
+ModelBuilder::finalize(TensorId loss)
 {
-    buildBackward(graph_, loss, opts);
+    buildBackward(graph_, loss);
     graph_.validate();
     return std::move(graph_);
 }

@@ -87,7 +87,7 @@ class ModelBuilder
     const Dims &dims(TensorId id) const;
 
     /** Run autograd for `loss`, validate, and move the graph out. */
-    Graph finalize(TensorId loss, const AutogradOptions &opts = {});
+    Graph finalize(TensorId loss);
 
   private:
     Graph graph_;

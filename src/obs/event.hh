@@ -15,8 +15,8 @@
  *
  * Timestamps are simulation Ticks (integer nanoseconds). Recording an event
  * never advances or perturbs simulated time: the tracer is a pure observer,
- * and tests assert that `--obs-level=full` leaves every simulated timestamp
- * bit-identical to `--obs-level=off`.
+ * and tests assert that ObsLevel::Full leaves every simulated timestamp
+ * bit-identical to ObsLevel::Off.
  */
 
 #ifndef CAPU_OBS_EVENT_HH

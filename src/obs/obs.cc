@@ -14,18 +14,6 @@ obsLevelName(ObsLevel level)
     return "?";
 }
 
-std::optional<ObsLevel>
-obsLevelFromString(std::string_view name)
-{
-    if (name == "off")
-        return ObsLevel::Off;
-    if (name == "metrics")
-        return ObsLevel::Metrics;
-    if (name == "full")
-        return ObsLevel::Full;
-    return std::nullopt;
-}
-
 void
 Obs::configure(ObsLevel level, std::size_t ring_capacity)
 {

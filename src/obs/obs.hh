@@ -21,9 +21,6 @@
 #ifndef CAPU_OBS_OBS_HH
 #define CAPU_OBS_OBS_HH
 
-#include <optional>
-#include <string_view>
-
 #include "obs/metrics.hh"
 #include "obs/tracer.hh"
 
@@ -38,7 +35,6 @@ enum class ObsLevel
 };
 
 const char *obsLevelName(ObsLevel level);
-std::optional<ObsLevel> obsLevelFromString(std::string_view name);
 
 class Obs
 {

@@ -132,26 +132,6 @@ VdnnPolicy::onAccess(ExecContext &ctx, const AccessEvent &event)
     }
 }
 
-bool
-VdnnPolicy::onAllocFailure(ExecContext &ctx, std::uint64_t bytes)
-{
-    if (!reactiveFallback_)
-        return false;
-    // vDNN has no reactive path of its own; as a last resort offload the
-    // earliest still-resident target synchronously (mirrors its fallback
-    // of stalling the network until memory frees).
-    std::uint64_t freed = 0;
-    for (TensorId t : targets_) {
-        if (freed >= bytes)
-            break;
-        if (ctx.status(t) == TensorStatus::In && !ctx.isPinned(t)) {
-            if (ctx.evictSwapSync(t))
-                freed += ctx.tensorBytes(t);
-        }
-    }
-    return freed > 0;
-}
-
 void
 VdnnPolicy::endIteration(ExecContext &ctx, const IterationStats &stats)
 {

@@ -13,6 +13,10 @@
  * Mode::ConvOnly offloads only convolution-layer inputs (vDNN_conv);
  * Mode::All offloads every layer input (vDNN_all, the memory-maximal
  * configuration used for the Table 2 batch-size comparison).
+ *
+ * vDNN as published is purely static: it has no reactive path, so when
+ * the static offload plan is insufficient the allocation failure is an
+ * OOM.
  */
 
 #ifndef CAPU_POLICY_VDNN_POLICY_HH
@@ -37,10 +41,7 @@ class VdnnPolicy : public MemoryPolicy
         All,      ///< vDNN_all: offload every layer input
     };
 
-    explicit VdnnPolicy(Mode mode = Mode::All, bool reactive_fallback = false)
-        : mode_(mode), reactiveFallback_(reactive_fallback)
-    {
-    }
+    explicit VdnnPolicy(Mode mode = Mode::All) : mode_(mode) {}
 
     std::string name() const override;
     void attach(const Graph &graph, const std::vector<OpId> &schedule,
@@ -48,7 +49,6 @@ class VdnnPolicy : public MemoryPolicy
     void beginIteration(ExecContext &ctx) override;
     void onAccess(ExecContext &ctx, const AccessEvent &event) override;
     void afterOp(ExecContext &ctx, OpId op, Tick op_end) override;
-    bool onAllocFailure(ExecContext &ctx, std::uint64_t bytes) override;
     void endIteration(ExecContext &ctx, const IterationStats &stats) override;
 
     /** All state is value-semantic: a member-wise copy is a deep copy. */
@@ -77,13 +77,6 @@ class VdnnPolicy : public MemoryPolicy
 
   private:
     Mode mode_;
-    /**
-     * vDNN as published is purely static: when the static offload plan is
-     * insufficient, training fails. The optional reactive fallback
-     * synchronously offloads remaining targets instead (not used in the
-     * paper-reproduction benches).
-     */
-    bool reactiveFallback_;
     std::vector<TensorId> targets_; ///< forward order
     std::unordered_map<TensorId, std::size_t> targetIndex_;
     /** op -> targets whose last forward use is this op. */

@@ -375,14 +375,11 @@ writeProfileJsonFile(const std::string &path, const Profile &profile)
 }
 
 bool
-loadProfileJson(const std::string &path, Profile &out, std::string *err)
+loadProfileJson(const json::Value &root, Profile &out, std::string *err)
 {
-    json::Value root;
-    if (!json::parseFile(path, root, err))
-        return false;
     if (root.kind != json::Value::Obj || !root.has("capuprof")) {
         if (err)
-            *err = "'" + path + "' is not a capuprof profile";
+            *err = "not a capuprof profile (no capuprof field)";
         return false;
     }
     out = Profile{};

@@ -16,6 +16,7 @@
 #include <string>
 
 #include "prof/profile.hh"
+#include "support/json.hh"
 
 namespace capu::prof
 {
@@ -38,10 +39,11 @@ void renderProfile(std::ostream &os, const Profile &profile,
 bool writeProfileJsonFile(const std::string &path, const Profile &profile);
 
 /**
- * Load a profile previously written by the JSON renderer. Returns false
- * (reason in *err when provided) on I/O, parse, or schema mismatch.
+ * Load a profile the JSON renderer wrote, from its parsed JSON (read the
+ * file with json::parseFile). Returns false (reason in *err when
+ * provided) when `root` is not a capuprof profile.
  */
-bool loadProfileJson(const std::string &path, Profile &out,
+bool loadProfileJson(const json::Value &root, Profile &out,
                      std::string *err = nullptr);
 
 } // namespace capu::prof

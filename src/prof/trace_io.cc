@@ -49,15 +49,12 @@ ticksFromMicros(double us)
 } // namespace
 
 bool
-importChromeTrace(const std::string &path, TraceBundle &out,
+importChromeTrace(const json::Value &root, TraceBundle &out,
                   std::string *err)
 {
-    json::Value root;
-    if (!json::parseFile(path, root, err))
-        return false;
     if (root.kind != json::Value::Obj || !root.has("traceEvents")) {
         if (err)
-            *err = "'" + path + "' is not a Chrome trace artifact";
+            *err = "not a Chrome trace artifact (no traceEvents)";
         return false;
     }
 

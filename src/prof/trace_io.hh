@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "obs/event.hh"
+#include "support/json.hh"
 
 namespace capu::prof
 {
@@ -33,11 +34,11 @@ struct TraceBundle
 };
 
 /**
- * Parse a writeChromeTrace() artifact. Returns false (with the reason in
- * *err when provided) on unreadable files, malformed JSON, or JSON that
- * is not a Chrome trace object.
+ * Import a writeChromeTrace() artifact from its parsed JSON (read the file
+ * with json::parseFile). Returns false (with the reason in *err when
+ * provided) when `root` is not a Chrome trace object.
  */
-bool importChromeTrace(const std::string &path, TraceBundle &out,
+bool importChromeTrace(const json::Value &root, TraceBundle &out,
                        std::string *err = nullptr);
 
 } // namespace capu::prof

@@ -3,21 +3,16 @@
 #include <algorithm>
 
 #include "core/plan_io.hh"
+#include "support/logging.hh"
 
 namespace capu::serve
 {
 
-namespace
+PlanCache::PlanCache(std::size_t max_entries) : maxEntries_(max_entries)
 {
-
-std::uint64_t
-entryFootprint(const Plan &plan)
-{
-    return sizeof(PlanCache::Entry) +
-           plan.items.size() * sizeof(PlannedEviction);
+    if (maxEntries_ == 0)
+        fatal("plan cache capacity must be at least one entry");
 }
-
-} // namespace
 
 const PlanCache::Entry *
 PlanCache::find(const ServeKey &key)
@@ -32,7 +27,7 @@ PlanCache::find(const ServeKey &key)
     return &*it->second;
 }
 
-const PlanCache::Entry *
+const PlanCache::Entry &
 PlanCache::insert(const ServeKey &key, Plan plan,
                   std::uint64_t graph_fingerprint,
                   std::unique_ptr<Session> template_session)
@@ -41,7 +36,6 @@ PlanCache::insert(const ServeKey &key, Plan plan,
     if (it != map_.end()) {
         // Replacement: never mutate the resident entry in place — remove
         // it and stamp the successor with a fresh version.
-        bytes_ -= it->second->bytes;
         lru_.erase(it->second);
         map_.erase(it);
     }
@@ -50,30 +44,19 @@ PlanCache::insert(const ServeKey &key, Plan plan,
     e.digest = planDigest(plan);
     e.graphFingerprint = graph_fingerprint;
     e.version = ++nextVersion_;
-    e.bytes = entryFootprint(plan);
     e.plan = std::move(plan);
     e.templateSession = std::move(template_session);
-    bytes_ += e.bytes;
     lru_.push_front(std::move(e));
     map_[key] = lru_.begin();
     ++stats_.insertions;
-    enforceCapacity();
-    // The fresh entry can only be the victim when capacity is zero-sized;
-    // guard so callers never dereference a dangling front.
-    auto found = map_.find(key);
-    return found != map_.end() ? &*found->second : nullptr;
-}
-
-void
-PlanCache::evictOne()
-{
-    if (lru_.empty())
-        return;
-    Entry &victim = lru_.back();
-    bytes_ -= victim.bytes;
-    map_.erase(victim.key);
-    lru_.pop_back();
-    ++stats_.evictions;
+    // One insertion overfills the cache by at most one entry, and with
+    // room for at least one the victim is never the entry just made.
+    if (lru_.size() > maxEntries_) {
+        map_.erase(lru_.back().key);
+        lru_.pop_back();
+        ++stats_.evictions;
+    }
+    return lru_.front();
 }
 
 std::size_t
@@ -83,15 +66,6 @@ PlanCache::templateSessions() const
         std::count_if(lru_.begin(), lru_.end(), [](const Entry &e) {
             return e.templateSession != nullptr;
         }));
-}
-
-void
-PlanCache::enforceCapacity()
-{
-    while (!lru_.empty() &&
-           ((maxEntries_ > 0 && lru_.size() > maxEntries_) ||
-            (maxBytes_ > 0 && bytes_ > maxBytes_)))
-        evictOne();
 }
 
 } // namespace capu::serve

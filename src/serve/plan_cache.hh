@@ -4,11 +4,10 @@
  *
  * Maps a planning request identity (model, batch, memory limit, policy
  * configuration) to the memory plan a cold measured run produced, in the
- * style of a constant-tensor cache: strict LRU ordering, eviction by both
- * entry count and total cached bytes, and a monotonically increasing
- * version stamped on every insertion so holders of a stale entry snapshot
- * can detect that the cache has moved on (a re-planned key gets a new
- * version, never a mutated entry).
+ * style of a constant-tensor cache: strict LRU ordering, eviction by entry
+ * count, and a monotonically increasing version stamped on every insertion
+ * so holders of a stale entry snapshot can detect that the cache has moved
+ * on (a re-planned key gets a new version, never a mutated entry).
  *
  * Each entry owns the template session that produced its plan (the fork
  * source for warm requests), so evicting an entry destroys its template
@@ -96,8 +95,6 @@ class PlanCache
         std::uint64_t graphFingerprint = 0;
         /** Global insertion stamp; a re-inserted key gets a fresh one. */
         std::uint64_t version = 0;
-        /** Approximate resident footprint, for the byte-capacity bound. */
-        std::uint64_t bytes = 0;
         /**
          * The warmed-up session that produced `plan`, forked to answer
          * warm requests; nullptr when the inserter kept none.
@@ -105,14 +102,8 @@ class PlanCache
         std::unique_ptr<Session> templateSession;
     };
 
-    /**
-     * @param max_entries Entry-count capacity (0 = unbounded).
-     * @param max_bytes Total approximate-footprint capacity (0 = unbounded).
-     */
-    PlanCache(std::size_t max_entries, std::uint64_t max_bytes)
-        : maxEntries_(max_entries), maxBytes_(max_bytes)
-    {
-    }
+    /** @param max_entries Entry-count capacity; at least 1. */
+    explicit PlanCache(std::size_t max_entries);
 
     /**
      * Look `key` up; a hit moves the entry to the front of the LRU order
@@ -122,11 +113,11 @@ class PlanCache
 
     /**
      * Insert (or replace) the plan for `key` together with the session
-     * that produced it, evicting LRU victims until both capacity bounds
-     * hold again. Returns the resident entry, or nullptr when the entry
-     * alone exceeds the capacity.
+     * that produced it, evicting the least recently used entry when the
+     * cache is over capacity. Returns the new entry (valid until the next
+     * insert()); it is never its own victim.
      */
-    const Entry *insert(const ServeKey &key, Plan plan,
+    const Entry &insert(const ServeKey &key, Plan plan,
                         std::uint64_t graph_fingerprint,
                         std::unique_ptr<Session> template_session = nullptr);
 
@@ -134,20 +125,12 @@ class PlanCache
     std::size_t entries() const { return lru_.size(); }
     /** Entries that hold a template session. */
     std::size_t templateSessions() const;
-    std::uint64_t bytes() const { return bytes_; }
-    std::size_t maxEntries() const { return maxEntries_; }
-    std::uint64_t maxBytes() const { return maxBytes_; }
 
   private:
-    void evictOne();
-    void enforceCapacity();
-
     std::size_t maxEntries_;
-    std::uint64_t maxBytes_;
     std::list<Entry> lru_; ///< front = most recently used
     std::unordered_map<ServeKey, std::list<Entry>::iterator, ServeKeyHash>
         map_;
-    std::uint64_t bytes_ = 0;
     std::uint64_t nextVersion_ = 0;
     PlanCacheStats stats_;
 };

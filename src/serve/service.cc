@@ -37,8 +37,8 @@ makeServePolicy(const std::string &policy)
     else if (policy == "capuchin-recompute")
         o.enableSwap = false;
     else if (policy != "capuchin")
-        fatal("capuserve: unsupported policy '{}' (want capuchin, "
-              "capuchin-swap or capuchin-recompute)",
+        fatal("unsupported policy '{}' (want capuchin, capuchin-swap or "
+              "capuchin-recompute)",
               policy);
     return makeCapuchinPolicy(o);
 }
@@ -59,7 +59,7 @@ modelHash(const std::string &model)
 
 PlanService::PlanService(PlanServiceConfig cfg, obs::MetricsRegistry *metrics)
     : cfg_(std::move(cfg)), metrics_(metrics),
-      cache_(cfg_.cacheEntries, cfg_.cacheBytes)
+      cache_(cfg_.cacheEntries)
 {
 }
 
@@ -88,8 +88,6 @@ PlanService::publishGauges()
         return;
     metrics_->set("capu.serve.cache.entries",
                   static_cast<double>(cache_.entries()));
-    metrics_->set("capu.serve.cache.bytes",
-                  static_cast<double>(cache_.bytes()));
     metrics_->set("capu.serve.hit_rate", cache_.stats().hitRate());
     metrics_->set("capu.serve.inflight",
                   static_cast<double>(inflight_.load()));
@@ -294,23 +292,19 @@ PlanService::measure(const ServeKey &key, const PlanRequest &request,
                 savePlanFile(planPath(key), plan, fp);
         }
         // Insert and end the measurement under one lock hold: its waiters
-        // then find the entry, or share the error when it did not fit.
+        // then find the entry.
         std::lock_guard<std::mutex> lock(mutex_);
         std::uint64_t evicted = cache_.stats().evictions;
-        const PlanCache::Entry *entry = cache_.insert(
+        const PlanCache::Entry &entry = cache_.insert(
             key, std::move(plan), fp, std::move(session));
         evicted = cache_.stats().evictions - evicted;
         if (evicted > 0)
             count("capu.serve.evict", evicted);
-        if (entry) {
-            resp.ok = true;
-            fillFromEntry(resp, *entry);
-            if (resp.fromDisk)
-                count("capu.serve.disk_load");
-        } else {
-            resp.error = "plan cache capacity is zero";
-        }
-        endMeasurement(key, m, resp.error);
+        resp.ok = true;
+        fillFromEntry(resp, entry);
+        if (resp.fromDisk)
+            count("capu.serve.disk_load");
+        endMeasurement(key, m, "");
         publishGauges();
     } catch (const std::exception &e) {
         guard.error = e.what();

@@ -83,8 +83,8 @@ struct PlanServiceConfig
 {
     /** Device/allocator/replay configuration for planning sessions. */
     ExecConfig exec;
+    /** Plan cache entry capacity; at least 1. */
     std::size_t cacheEntries = 64;
-    std::uint64_t cacheBytes = 64ull << 20;
     /**
      * Iterations of a cold planning session: one measured + enough guided
      * iterations for the refinement loop to settle on a plan.
@@ -109,7 +109,6 @@ class PlanService
 
     const PlanCacheStats &cacheStats() const { return cache_.stats(); }
     std::size_t cacheEntries() const { return cache_.entries(); }
-    std::uint64_t cacheBytes() const { return cache_.bytes(); }
     std::size_t templateSessions() const { return cache_.templateSessions(); }
 
     /**

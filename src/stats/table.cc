@@ -56,16 +56,24 @@ Table::print(std::ostream &os) const
 void
 Table::printCsv(std::ostream &os) const
 {
+    // RFC 4180: a cell holding a comma, quote or line break is quoted,
+    // and each quote inside it doubled.
     auto emit = [&](const std::vector<std::string> &row) {
         for (std::size_t c = 0; c < row.size(); ++c) {
             if (c)
                 os << ',';
-            bool quote = row[c].find(',') != std::string::npos;
-            if (quote)
-                os << '"';
-            os << row[c];
-            if (quote)
-                os << '"';
+            const std::string &cell = row[c];
+            if (cell.find_first_of(",\"\r\n") == std::string::npos) {
+                os << cell;
+                continue;
+            }
+            os << '"';
+            for (char ch : cell) {
+                if (ch == '"')
+                    os << '"';
+                os << ch;
+            }
+            os << '"';
         }
         os << '\n';
     };

@@ -29,7 +29,7 @@ class Table
     /** Render with aligned columns and a header rule. */
     void print(std::ostream &os) const;
 
-    /** Render as CSV (no alignment, comma-escaped). */
+    /** Render as CSV (no alignment; cells quoted per RFC 4180). */
     void printCsv(std::ostream &os) const;
 
     std::size_t rows() const { return rows_.size(); }

@@ -277,7 +277,6 @@ TEST(DriftReplay, AuditMismatchOnMutatedClassFallsBack)
     Graph g2 = dw.graph;
     ExecConfig cfg = driftConfig(dw, true);
     cfg.replay.auditInterval = 2;
-    cfg.replay.maxAuditMismatches = 1;
     Session s(std::move(dw.graph), cfg,
               std::make_unique<FlippingPolicy>(kFlip));
     SessionResult r = s.run(kIters);
@@ -286,8 +285,9 @@ TEST(DriftReplay, AuditMismatchOnMutatedClassFallsBack)
     EXPECT_GE(r.replay.audits, 1);
     EXPECT_EQ(r.replay.auditMismatches, 1);
 
-    // With a budget of one mismatch the engine disarmed for every class;
-    // late iterations must agree with a never-replayed run.
+    // The mismatch sent the class back to observing and replay
+    // re-converged on the flipped behaviour; late iterations must agree
+    // with a never-replayed run.
     Session off(std::move(g2), driftConfig(dw, false),
                 std::make_unique<FlippingPolicy>(kFlip));
     SessionResult roff = off.run(kIters);

@@ -280,23 +280,3 @@ TEST(Autograd, UpdateOpsTouchWeightsLast)
     EXPECT_GT(first_update, 0u);
     EXPECT_LT(last_nonupdate, order.size());
 }
-
-TEST(Autograd, OptimizerBytesScaleAffectsUpdateTraffic)
-{
-    ChainFixture sgd_f, adam_f;
-    AutogradOptions sgd, adam;
-    sgd.optimizerBytesScale = 3.0;
-    adam.optimizerBytesScale = 5.0;
-    buildBackward(sgd_f.g, sgd_f.t2, sgd);
-    buildBackward(adam_f.g, adam_f.t2, adam);
-
-    auto update_bytes = [](const Graph &g) {
-        double total = 0;
-        for (const auto &op : g.ops()) {
-            if (op.category == OpCategory::Update)
-                total += op.memBytes;
-        }
-        return total;
-    };
-    EXPECT_GT(update_bytes(adam_f.g), update_bytes(sgd_f.g));
-}

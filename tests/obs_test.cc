@@ -588,8 +588,8 @@ TEST(ObsInvariants, KernelEventsMatchKernelBusy)
 
 TEST(ObserverEffect, ObsLevelChangesNoTimestamps)
 {
-    // --obs-level=metrics and =full must not move a single simulated
-    // timestamp relative to --obs-level=off, for every graph-mode model in
+    // ObsLevel::Metrics and ::Full must not move a single simulated
+    // timestamp relative to ObsLevel::Off, for every graph-mode model in
     // the zoo.
     for (ModelKind kind : graphModeModels()) {
         auto base = stamps(runAtLevel(obs::ObsLevel::Off,

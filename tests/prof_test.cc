@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -26,6 +25,7 @@
 #include "prof/report.hh"
 #include "prof/trace_io.hh"
 #include "prof/trace_view.hh"
+#include "support/json.hh"
 
 using namespace capu;
 
@@ -282,10 +282,12 @@ TEST(ProfRoundTrip, ProfileJson)
     std::string path = tempPath("prof_roundtrip.json");
     ASSERT_TRUE(prof::writeProfileJsonFile(path, p));
 
-    prof::Profile loaded;
+    json::Value root;
     std::string err;
-    ASSERT_TRUE(prof::loadProfileJson(path, loaded, &err)) << err;
+    ASSERT_TRUE(json::parseFile(path, root, &err)) << err;
     std::remove(path.c_str());
+    prof::Profile loaded;
+    ASSERT_TRUE(prof::loadProfileJson(root, loaded, &err)) << err;
 
     prof::ProfileDiff d = prof::diffProfiles(p, loaded);
     EXPECT_TRUE(d.identical);
@@ -307,10 +309,12 @@ TEST(ProfRoundTrip, ChromeTraceImportMatchesLiveRing)
     std::string path = tempPath("prof_trace.json");
     ASSERT_TRUE(obs::writeChromeTraceFile(path, tracer));
 
-    prof::TraceBundle bundle;
+    json::Value root;
     std::string err;
-    ASSERT_TRUE(prof::importChromeTrace(path, bundle, &err)) << err;
+    ASSERT_TRUE(json::parseFile(path, root, &err)) << err;
     std::remove(path.c_str());
+    prof::TraceBundle bundle;
+    ASSERT_TRUE(prof::importChromeTrace(root, bundle, &err)) << err;
     EXPECT_EQ(bundle.events.size(), tracer.chronological().size());
     EXPECT_EQ(bundle.meta, tracer.meta());
 
@@ -330,19 +334,15 @@ TEST(ProfRoundTrip, ChromeTraceImportMatchesLiveRing)
 namespace
 {
 
-/** Import a Chrome trace given as text, through a temp file. */
+/** Import a Chrome trace given as text. */
 prof::TraceBundle
-importText(const char *stem, const std::string &text)
+importText(const std::string &text)
 {
-    std::string path = tempPath(stem);
-    {
-        std::ofstream os(path);
-        os << text;
-    }
+    json::Value root;
+    EXPECT_TRUE(json::parse(text, root));
     prof::TraceBundle bundle;
     std::string err;
-    EXPECT_TRUE(prof::importChromeTrace(path, bundle, &err)) << err;
-    std::remove(path.c_str());
+    EXPECT_TRUE(prof::importChromeTrace(root, bundle, &err)) << err;
     return bundle;
 }
 
@@ -366,7 +366,6 @@ TEST(ProfImport, HostileIdsProfileAsBefore)
     // dropped or sized by its id.
     const std::string big = "4611686018427387904";
     prof::TraceBundle bundle = importText(
-        "prof_hostile_ids.json",
         R"({"traceEvents":[
 {"name":"iteration:0","cat":"marker","pid":0,"tid":0,"ts":0.000,"ph":"X","dur":100.000,"args":{}},
 {"name":"neg:IN","cat":"tensor","pid":0,"tid":0,"ts":1.000,"ph":"b","id":-7,"args":{"bytes":64}},
@@ -401,7 +400,6 @@ TEST(ProfImport, ShortTransferLabelFallsBackToTensorName)
     // An H2D transfer whose label has neither the prefetch: nor the
     // swapin: prefix leaves the account to the tensor<id> default.
     prof::TraceBundle bundle = importText(
-        "prof_short_label.json",
         R"({"traceEvents":[
 {"name":"iteration:0","cat":"marker","pid":0,"tid":0,"ts":0,"ph":"X","dur":10,"args":{}},
 {"name":"x","cat":"transfer","pid":0,"tid":3,"ts":1,"ph":"X","dur":1,"args":{"tensor":5}}

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <iterator>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -243,14 +244,19 @@ namespace
 /**
  * A policy that claims replay stability but silently changes behaviour
  * from iteration `flipAt` on: it starts async-evicting the first sizable
- * unpinned feature map after each op. Replay synthesizes through the flip
+ * unpinned feature map after each op, once per iteration, and from
+ * `flipAgainAt` on twice per iteration. Replay synthesizes through a flip
  * without consulting the policy, so only an audit iteration can expose
  * the divergence.
  */
 class FlippingPolicy : public MemoryPolicy
 {
   public:
-    explicit FlippingPolicy(int flip_at) : flipAt_(flip_at) {}
+    explicit FlippingPolicy(
+        int flip_at, int flip_again_at = std::numeric_limits<int>::max())
+        : flipAt_(flip_at), flipAgainAt_(flip_again_at)
+    {
+    }
 
     std::string name() const override { return "Flipping"; }
     bool graphAgnostic() const override { return true; }
@@ -260,7 +266,9 @@ class FlippingPolicy : public MemoryPolicy
     {
         (void)op;
         (void)op_end;
-        if (ctx.iteration() < flipAt_ || evictedThisIter_)
+        int evictions = (ctx.iteration() >= flipAt_ ? 1 : 0) +
+                        (ctx.iteration() >= flipAgainAt_ ? 1 : 0);
+        if (evictedThisIter_ >= evictions)
             return;
         const Graph &g = ctx.graph();
         for (std::size_t t = 0; t < g.numTensors(); ++t) {
@@ -272,7 +280,7 @@ class FlippingPolicy : public MemoryPolicy
             if (ctx.tensorBytes(id) < (8ull << 20))
                 continue;
             ctx.evictSwapAsync(id);
-            evictedThisIter_ = true;
+            ++evictedThisIter_;
             return;
         }
     }
@@ -281,12 +289,13 @@ class FlippingPolicy : public MemoryPolicy
     beginIteration(ExecContext &ctx) override
     {
         (void)ctx;
-        evictedThisIter_ = false;
+        evictedThisIter_ = 0;
     }
 
   private:
     int flipAt_;
-    bool evictedThisIter_ = false;
+    int flipAgainAt_;
+    int evictedThisIter_ = 0;
 };
 
 } // namespace
@@ -297,13 +306,13 @@ TEST(ReplayAudit, MismatchFallsBackToExecution)
     constexpr int kFlip = 7;
     ExecConfig cfg = replayConfig(true);
     cfg.replay.auditInterval = 2;
-    cfg.replay.maxAuditMismatches = 1;
     Session s(buildModel(ModelKind::ResNet50, 160), cfg,
               std::make_unique<FlippingPolicy>(kFlip));
     SessionResult r = s.run(kIters);
     ASSERT_FALSE(r.oom) << r.oomMessage;
-    // Replay engaged before the flip, an audit caught the divergence, and
-    // with a budget of one mismatch replay stayed off afterwards.
+    // Replay engaged before the flip and an audit caught the divergence;
+    // replay then re-converged on the flipped behaviour, whose audits all
+    // reproduce it.
     EXPECT_GT(r.replay.replayed, 0);
     EXPECT_GE(r.replay.audits, 1);
     EXPECT_EQ(r.replay.auditMismatches, 1);
@@ -315,6 +324,41 @@ TEST(ReplayAudit, MismatchFallsBackToExecution)
     SessionResult roff = off.run(kIters);
     ASSERT_FALSE(roff.oom) << roff.oomMessage;
     const IterationStats &x = r.iterations.back();
+    const IterationStats &y = roff.iterations.back();
+    EXPECT_EQ(x.duration(), y.duration());
+    EXPECT_EQ(x.swapOutBytes, y.swapOutBytes);
+    EXPECT_EQ(x.swapInBytes, y.swapInBytes);
+    EXPECT_EQ(x.kernelBusy, y.kernelBusy);
+}
+
+TEST(ReplayAudit, SecondMismatchDisarmsReplay)
+{
+    constexpr int kFlip = 7;
+    constexpr int kFlipAgain = 16;
+    constexpr int kIters = 26;
+    constexpr int kMore = 6;
+    ExecConfig cfg = replayConfig(true);
+    cfg.replay.auditInterval = 2;
+    Session s(buildModel(ModelKind::ResNet50, 160), cfg,
+              std::make_unique<FlippingPolicy>(kFlip, kFlipAgain));
+    SessionResult r = s.run(kIters);
+    ASSERT_FALSE(r.oom) << r.oomMessage;
+    // The first flip's mismatch sent replay back to observing; it
+    // re-converged, and an audit after the second flip disarmed it.
+    EXPECT_EQ(r.replay.auditMismatches, 2);
+
+    // Disarmed for the rest of the run: every later iteration executes.
+    SessionResult more = s.run(kMore);
+    ASSERT_FALSE(more.oom) << more.oomMessage;
+    EXPECT_EQ(more.replay.replayed, r.replay.replayed);
+    EXPECT_EQ(more.replay.executed, r.replay.executed + kMore);
+    EXPECT_EQ(more.replay.auditMismatches, 2);
+
+    Session off(buildModel(ModelKind::ResNet50, 160), replayConfig(false),
+                std::make_unique<FlippingPolicy>(kFlip, kFlipAgain));
+    SessionResult roff = off.run(kIters + kMore);
+    ASSERT_FALSE(roff.oom) << roff.oomMessage;
+    const IterationStats &x = more.iterations.back();
     const IterationStats &y = roff.iterations.back();
     EXPECT_EQ(x.duration(), y.duration());
     EXPECT_EQ(x.swapOutBytes, y.swapOutBytes);

@@ -64,11 +64,12 @@ TEST(Table, EmptyHeaderIsFatal)
 
 TEST(Table, CsvEscapesCommas)
 {
-    Table t({"a"});
-    t.addRow({"x,y"});
+    Table t({"a", "b"});
+    t.addRow({"x,y", "say \"hi\", then go"});
     std::ostringstream os;
     t.printCsv(os);
-    EXPECT_NE(os.str().find("\"x,y\""), std::string::npos);
+    // RFC 4180: a cell with a comma or quote is quoted, its quotes doubled.
+    EXPECT_EQ(os.str(), "a,b\n\"x,y\",\"say \"\"hi\"\", then go\"\n");
 }
 
 TEST(Table, CellFormatters)

@@ -26,6 +26,7 @@
 #include "core/trace_io.hh"
 #include "sim/gpu_device.hh"
 #include "sim/pcie_link.hh"
+#include "stats/table.hh"
 #include "support/logging.hh"
 #include "support/units.hh"
 
@@ -185,20 +186,14 @@ main(int argc, char **argv)
         LintReport report = checker.check(plan, bytes_of, swap_time);
 
         if (opt.csv) {
-            std::cout << "severity,rule,tensor,access,message\n";
-            for (const auto &d : report.diags) {
-                std::string msg = d.message;
-                for (char &c : msg) {
-                    if (c == ',' || c == '\n')
-                        c = ';';
-                }
-                std::cout << lintSeverityName(d.severity) << ',' << d.rule
-                          << ','
-                          << (d.tensor == kInvalidTensor
-                                  ? std::string("-")
-                                  : graph.tensor(d.tensor).name)
-                          << ',' << d.accessIndex << ',' << msg << '\n';
-            }
+            Table rows({"severity", "rule", "tensor", "access", "message"});
+            for (const auto &d : report.diags)
+                rows.addRow({lintSeverityName(d.severity), d.rule,
+                             d.tensor == kInvalidTensor
+                                 ? std::string("-")
+                                 : graph.tensor(d.tensor).name,
+                             fmt("{}", d.accessIndex), d.message});
+            rows.printCsv(std::cout);
             // CSV rows alone leave a warning-only run looking identical to
             // a clean one; always state the verdict on stderr.
             std::cerr << "capulint: " << report.summary() << "\n";

@@ -140,13 +140,13 @@ loadInput(const std::string &path)
 
     if (root.has("capuprof")) {
         prof::Profile p;
-        if (!prof::loadProfileJson(path, p, &err))
+        if (!prof::loadProfileJson(root, p, &err))
             fatal("{}: {}", path, err);
         return p;
     }
     if (root.has("traceEvents")) {
         prof::TraceBundle bundle;
-        if (!prof::importChromeTrace(path, bundle, &err))
+        if (!prof::importChromeTrace(root, bundle, &err))
             fatal("{}: {}", path, err);
         return prof::buildProfile(prof::TraceView(bundle));
     }

@@ -28,6 +28,7 @@
 #include "obs/chrome_trace.hh"
 #include "obs/metrics.hh"
 #include "serve/service.hh"
+#include "stats/table.hh"
 #include "support/logging.hh"
 #include "support/percentile.hh"
 #include "support/rng.hh"
@@ -52,7 +53,6 @@ struct Options
     std::uint64_t seed = 0;
     int gpus = 4;
     std::size_t cacheEntries = 64;
-    std::uint64_t cacheBytes = 64ull << 20;
     int coldIterations = 4;
     int warmIterations = 1;
     std::string planDir;
@@ -76,8 +76,6 @@ usage()
         "  --gpus <n>           planning sessions in flight at once, at\n"
         "                       most one per hardware thread (default 4)\n"
         "  --cache-entries <n>  plan cache entry capacity (default 64)\n"
-        "  --cache-bytes <n>    plan cache byte capacity, e.g. 64M or\n"
-        "                       1.5G (default 64 MiB)\n"
         "  --cold-iters <n>     iterations of a cold planning session\n"
         "                       (default 4)\n"
         "  --warm-iters <n>     guided iterations run on each warm fork\n"
@@ -121,9 +119,7 @@ parseArgs(int argc, char **argv, Options &opt)
         else if (a == "--gpus")
             opt.gpus = static_cast<int>(count(1, kIntMax));
         else if (a == "--cache-entries")
-            opt.cacheEntries = static_cast<std::size_t>(count(0, kSizeMax));
-        else if (a == "--cache-bytes")
-            opt.cacheBytes = parseBytes(next());
+            opt.cacheEntries = static_cast<std::size_t>(count(1, kSizeMax));
         else if (a == "--cold-iters")
             opt.coldIterations = static_cast<int>(count(1, kIntMax));
         else if (a == "--warm-iters")
@@ -242,7 +238,6 @@ main(int argc, char **argv)
         PlanServiceConfig cfg;
         cfg.exec.device = GpuDeviceSpec::byName(opt.device);
         cfg.cacheEntries = opt.cacheEntries;
-        cfg.cacheBytes = opt.cacheBytes;
         cfg.coldIterations = opt.coldIterations;
         cfg.planDir = opt.planDir;
 
@@ -287,9 +282,8 @@ main(int argc, char **argv)
         int errors = 0;
         bool digest_mismatch = false;
         std::unordered_map<ServeKey, KeyTally, ServeKeyHash> tally;
-        if (opt.csv)
-            std::cout << "req,hit,from_disk,digest,version,plan_items,"
-                         "latency_ms,img_per_s,error\n";
+        Table rows({"req", "hit", "from_disk", "digest", "version",
+                    "plan_items", "latency_ms", "img_per_s", "error"});
         for (std::size_t i = 0; i < resps.size(); ++i) {
             const PlanResponse &r = resps[i];
             (r.hit ? warm_ms : cold_ms).push_back(r.latencyMs);
@@ -312,14 +306,17 @@ main(int argc, char **argv)
                     ++t.misses;
             }
             if (opt.csv) {
-                std::cout << i << ',' << (r.hit ? 1 : 0) << ','
-                          << (r.fromDisk ? 1 : 0) << ',' << std::hex
-                          << r.digest << std::dec << ',' << r.version << ','
-                          << r.planItems << ',' << r.latencyMs << ','
-                          << r.imagesPerSec << ','
-                          << (r.ok ? "" : r.error) << '\n';
+                std::ostringstream digest;
+                digest << std::hex << r.digest;
+                rows.addRow({fmt("{}", i), r.hit ? "1" : "0",
+                             r.fromDisk ? "1" : "0", digest.str(),
+                             fmt("{}", r.version), fmt("{}", r.planItems),
+                             fmt("{}", r.latencyMs),
+                             fmt("{}", r.imagesPerSec), r.ok ? "" : r.error});
             }
         }
+        if (opt.csv)
+            rows.printCsv(std::cout);
 
         const PlanCacheStats &cs = service.cacheStats();
         std::cout << "serve: " << resps.size() << " requests in " << wall_s
@@ -331,8 +328,7 @@ main(int argc, char **argv)
         std::cout << "cache: " << cs.hits << " hits, " << cs.misses
                   << " misses (" << static_cast<int>(cs.hitRate() * 100)
                   << "% hit rate), " << cs.evictions << " evictions, "
-                  << service.cacheEntries() << " entries / "
-                  << formatBytes(service.cacheBytes()) << " resident, "
+                  << service.cacheEntries() << " entries, "
                   << service.templateSessions() << " template sessions\n";
         std::cout << "latency: cold p50 " << percentile(cold_ms, 0.50)
                   << " ms p99 " << percentile(cold_ms, 0.99)

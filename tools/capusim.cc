@@ -13,7 +13,6 @@
  *   capusim --list
  */
 
-#include <chrono>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -21,7 +20,6 @@
 #include <optional>
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include "analysis/lint_hooks.hh"
 #include "core/capuchin_policy.hh"
@@ -40,7 +38,6 @@
 #include "prof/trace_view.hh"
 #include "stats/table.hh"
 #include "support/logging.hh"
-#include "support/percentile.hh"
 #include "support/units.hh"
 
 using namespace capu;
@@ -59,8 +56,6 @@ struct Options
     std::string device = "p100";
     std::int64_t batch = 256;
     int iterations = 10;
-    int repeat = 1;
-    int warmup = 0;
     bool eager = false;
     bool lint = false;
     bool findMax = false;
@@ -78,8 +73,6 @@ struct Options
     std::string workload = "static";
     std::uint64_t workloadSeed = 0;
     std::uint64_t seed = 0;
-    obs::ObsLevel obsLevel = obs::ObsLevel::Off;
-    bool obsLevelSet = false;
     bool replay = true;
     int replayAudit = -1; ///< -1 = library default
 };
@@ -153,11 +146,6 @@ usage()
         "  --device <name>    p100 (default) | v100\n"
         "  --batch <n>        batch size (default 256)\n"
         "  --iters <n>        training iterations (default 10)\n"
-        "  --repeat <n>       run the whole workload n times and report\n"
-        "                     the median host wall-clock (default 1);\n"
-        "                     simulated results are identical every time\n"
-        "  --warmup <n>       untimed runs before the timed repeats\n"
-        "                     (default 0)\n"
         "  --eager            imperative execution (graph-agnostic\n"
         "                     policies only)\n"
         "  --lint             verify the memory plan (capulint rules)\n"
@@ -167,8 +155,7 @@ usage()
         "                     through the happens-before engine\n"
         "                     (capuverify dynamic mode): race scan plus a\n"
         "                     timestamp cross-check of every ordering edge\n"
-        "                     the executor claims; implies --obs-level\n"
-        "                     full; findings exit 4\n"
+        "                     the executor claims; findings exit 4\n"
         "  --max-batch        binary-search the maximum feasible batch;\n"
         "                     prints a `search:` summary line with the\n"
         "                     probe count (and, with --jobs > 1, how many\n"
@@ -184,19 +171,15 @@ usage()
         "  --dump-trace <f>   run 1 iteration under Capuchin and write the\n"
         "                     measured tensor-access trace to <f>\n"
         "  --csv              machine-readable per-iteration output\n"
-        "  --obs-level <l>    observability level: off (default) | metrics\n"
-        "                     | full (metrics + event tracing)\n"
         "  --trace-json <f>   write a Chrome trace_event JSON (open in\n"
-        "                     Perfetto / chrome://tracing); implies\n"
-        "                     --obs-level full\n"
+        "                     Perfetto / chrome://tracing)\n"
         "  --metrics <f>      write per-iteration metrics (.json => JSON,\n"
-        "                     else CSV); implies --obs-level metrics\n"
+        "                     else CSV)\n"
         "  --profile          print a capuprof summary after the run\n"
         "                     (bucket attribution, top costly tensors,\n"
-        "                     critical path); implies --obs-level full\n"
+        "                     critical path)\n"
         "  --profile-json <f> write the full capuprof profile as JSON\n"
-        "                     (input for `capuprof diff`); implies\n"
-        "                     --obs-level full\n"
+        "                     (input for `capuprof diff`)\n"
         "  --trace-cap <n>    event ring capacity when tracing; oldest\n"
         "                     events drop on wrap (default "
         "1048576)\n"
@@ -256,10 +239,6 @@ parseArgs(int argc, char **argv, Options &opt)
             opt.batch = static_cast<std::int64_t>(count(1, kInt64Max));
         else if (a == "--iters")
             opt.iterations = static_cast<int>(count(1, kIntMax));
-        else if (a == "--repeat")
-            opt.repeat = static_cast<int>(count(1, kIntMax));
-        else if (a == "--warmup")
-            opt.warmup = static_cast<int>(count(0, kIntMax));
         else if (a == "--eager")
             opt.eager = true;
         else if (a == "--lint")
@@ -273,14 +252,7 @@ parseArgs(int argc, char **argv, Options &opt)
             opt.dumpTrace = next();
         else if (a == "--csv")
             opt.csv = true;
-        else if (a == "--obs-level") {
-            std::string level = next();
-            auto parsed = obs::obsLevelFromString(level);
-            if (!parsed)
-                fatal("unknown obs level '{}' (off, metrics, full)", level);
-            opt.obsLevel = *parsed;
-            opt.obsLevelSet = true;
-        } else if (a == "--trace-json")
+        else if (a == "--trace-json")
             opt.traceJson = next();
         else if (a == "--metrics")
             opt.metricsFile = next();
@@ -338,34 +310,17 @@ main(int argc, char **argv)
             return 0;
         }
 
-        // Output files imply the obs level they need.
-        if (!opt.traceJson.empty() && opt.obsLevel != obs::ObsLevel::Full) {
-            if (opt.obsLevelSet)
-                warn("--trace-json requires --obs-level full; upgrading");
-            opt.obsLevel = obs::ObsLevel::Full;
-        }
-        if (!opt.metricsFile.empty() &&
-            opt.obsLevel == obs::ObsLevel::Off) {
-            if (opt.obsLevelSet)
-                warn("--metrics requires --obs-level metrics; upgrading");
-            opt.obsLevel = obs::ObsLevel::Metrics;
-        }
-        if (opt.verify && opt.obsLevel != obs::ObsLevel::Full) {
-            if (opt.obsLevelSet)
-                warn("--verify requires --obs-level full; upgrading");
-            opt.obsLevel = obs::ObsLevel::Full;
-        }
-        if ((opt.profile || !opt.profileJson.empty()) &&
-            opt.obsLevel != obs::ObsLevel::Full) {
-            if (opt.obsLevelSet)
-                warn("--profile requires --obs-level full; upgrading");
-            opt.obsLevel = obs::ObsLevel::Full;
-        }
-
+        // The outputs asked for pick the obs level: an event trace for
+        // the Chrome export, --verify and the profiles, else metrics for
+        // --metrics, else nothing.
+        const bool traced = !opt.traceJson.empty() || opt.verify ||
+                            opt.profile || !opt.profileJson.empty();
         ExecConfig cfg;
         cfg.device = GpuDeviceSpec::byName(opt.device);
         cfg.eagerMode = opt.eager;
-        cfg.obsLevel = opt.obsLevel;
+        cfg.obsLevel = traced                     ? obs::ObsLevel::Full
+                       : !opt.metricsFile.empty() ? obs::ObsLevel::Metrics
+                                                  : obs::ObsLevel::Off;
         cfg.seed = opt.seed;
         if (opt.traceCap > 0)
             cfg.obsRingCapacity = opt.traceCap;
@@ -442,35 +397,13 @@ main(int argc, char **argv)
             return 0;
         }
 
-        // Median-of-N host timing: untimed warm-ups hide allocator and
-        // page-cache cold-start, then each timed repeat runs a fresh
-        // Session over the same config (the simulated result is
-        // deterministic — only the host wall-clock varies). The last
-        // repeat's session feeds the normal reporting path.
-        for (int w = 0; w < opt.warmup; ++w) {
-            Session s(buildG(opt.batch), cfg,
-                      policyByName(opt.policy, opt.lint, faults_on));
-            (void)s.run(opt.iterations);
-        }
-        std::vector<double> wall_ms;
-        wall_ms.reserve(static_cast<std::size_t>(opt.repeat));
-        std::optional<Session> session;
-        std::optional<SessionResult> result;
-        for (int rep = 0; rep < opt.repeat; ++rep) {
-            session.emplace(buildG(opt.batch), cfg,
-                            policyByName(opt.policy, opt.lint, faults_on));
-            auto t0 = std::chrono::steady_clock::now();
-            result = session->run(opt.iterations);
-            auto t1 = std::chrono::steady_clock::now();
-            wall_ms.push_back(
-                std::chrono::duration<double, std::milli>(t1 - t0)
-                    .count());
-        }
-        SessionResult &r = *result;
+        Session session(buildG(opt.batch), cfg,
+                        policyByName(opt.policy, opt.lint, faults_on));
+        SessionResult r = session.run(opt.iterations);
 
         // Export observability artifacts even on OOM — a truncated trace
         // of a failed run is exactly what post-mortem debugging wants.
-        obs::Obs &o = session->executor().obs();
+        obs::Obs &o = session.executor().obs();
         if (!opt.traceJson.empty() &&
             obs::writeChromeTraceFile(opt.traceJson, o.tracer))
             inform("wrote Chrome trace ({} events, {} dropped) to {}",
@@ -519,13 +452,6 @@ main(int argc, char **argv)
             }
             t.print(std::cout);
         }
-        if (opt.repeat > 1 || opt.warmup > 0) {
-            std::cout << "timing: median wall " << percentile(wall_ms, 0.5)
-                      << " ms over " << wall_ms.size() << " repeats ("
-                      << opt.warmup << " warmup), min "
-                      << percentile(wall_ms, 0.0) << " ms, max "
-                      << percentile(wall_ms, 1.0) << " ms\n";
-        }
         if (!opt.csv && (r.replay.replayed > 0 || r.replay.audits > 0)) {
             std::cout << "replay: " << r.replay.executed << " executed, "
                       << r.replay.replayed << " synthesized, "
@@ -534,7 +460,7 @@ main(int argc, char **argv)
         }
         if (faults_on) {
             const faults::FaultStats &fs =
-                session->executor().faultEngine().stats();
+                session.executor().faultEngine().stats();
             std::cout << "chaos: degraded_transfers=" << fs.degradedTransfers
                       << " jittered_kernels=" << fs.jitteredKernels
                       << " host_rejects=" << fs.hostRejects
@@ -553,8 +479,8 @@ main(int argc, char **argv)
             // every ordering edge the executor claims against the
             // timestamps it actually produced.
             const HbAnalysis &hb = view->hb();
-            LintReport races = checkHappensBefore(hb, &session->graph());
-            LintReport stamps = checkTimestamps(hb, &session->graph());
+            LintReport races = checkHappensBefore(hb, &session.graph());
+            LintReport stamps = checkTimestamps(hb, &session.graph());
             for (auto &d : stamps.diags)
                 races.diags.push_back(std::move(d));
             std::cout << "verify: " << view->timeline().size()
@@ -570,7 +496,7 @@ main(int argc, char **argv)
                 std::cout << "verify: trace is race-free; all ordering "
                              "edges consistent with observed timestamps\n";
             } else {
-                printLintReport(std::cout, races, session->graph());
+                printLintReport(std::cout, races, session.graph());
                 verify_failed = races.errorCount() > 0;
             }
         }
